@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -190,10 +191,13 @@ def devectorize_profile(
     return DelayDopplerProfile(gains=gains, mask=gains != 0, gain_var=gain_var)
 
 
+@lru_cache(maxsize=64)
 def doppler_phase(n: int, doppler: int) -> np.ndarray:
-    """Within-frame Doppler modulation ``exp(+i 2 pi m q / n)``, m = 0..n-1."""
+    """Doppler modulation ``exp(+i 2 pi m q / n)``, m = 0..n-1 (cached, read-only)."""
     idx = np.arange(n, dtype=np.int64)
-    return np.exp(2j * np.pi * (((doppler % n) * idx) % n) / n)
+    phase = np.exp(2j * np.pi * (((doppler % n) * idx) % n) / n)
+    phase.setflags(write=False)
+    return phase
 
 
 def apply_channel(

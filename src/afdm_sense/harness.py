@@ -15,9 +15,11 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -109,6 +111,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be a non-negative integer")
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        if self.htp_sparsity is not None and self.htp_sparsity < 1:
+            raise ValueError(f"htp_sparsity must be >= 1, got {self.htp_sparsity}")
         object.__setattr__(self, "n_pilots", _as_int_tuple(self.n_pilots, "n_pilots"))
         object.__setattr__(self, "snr_db", _as_float_tuple(self.snr_db, "snr_db"))
         if self.receiver == "subnyquist" and not (
@@ -183,8 +189,8 @@ def _as_int_tuple(value, name) -> tuple[int, ...]:
     if isinstance(value, (int, np.integer)):
         value = (value,)
     out = tuple(int(v) for v in value)
-    if not out or any(v < 0 for v in out):
-        raise ValueError(f"{name} must be one or more non-negative integers")
+    if not out or any(v < 1 for v in out):
+        raise ValueError(f"{name} must be one or more positive integers, got {list(out)}")
     return out
 
 
@@ -192,8 +198,8 @@ def _as_float_tuple(value, name) -> tuple[float, ...]:
     if isinstance(value, (int, float, np.floating)):
         value = (value,)
     out = tuple(float(v) for v in value)
-    if not out:
-        raise ValueError(f"{name} must be one or more numbers")
+    if not out or not all(math.isfinite(v) for v in out):
+        raise ValueError(f"{name} must be one or more finite numbers, got {list(out)}")
     return out
 
 
@@ -234,18 +240,16 @@ def _support_matches(alpha_hat: np.ndarray, truth: np.ndarray) -> bool:
     return set(est.tolist()) == set(true_idx.tolist())
 
 
-def _run_trial(cfg, op, s_cpp, params, sigma, n_p, snr_db, trial, levels):
-    rng = _trial_rng(cfg, n_p, snr_db, trial)
-    sparsity = cfg.sparsity()
+def _run_trial(cfg, sparsity, levels, op, s_cpp, noise, rng):
     profile = sample_profile(sparsity, rng)
     truth = vectorize_profile(profile)
-    received = apply_channel(s_cpp, profile, params, NoiseConfig(sigma), rng)
+    received = apply_channel(s_cpp, profile, op.params, noise, rng)
     if cfg.receiver == "subnyquist":
         y_p = dechirp_decimate_receive(
-            received, op.scheme, params, cfg.l_taps, cfg.q_max
+            received, op.scheme, op.params, cfg.l_taps, cfg.q_max
         )
     else:
-        y_p = extract_measurements(daft_demodulate(received, params), op.row_indices)
+        y_p = extract_measurements(daft_demodulate(received, op.params), op.row_indices)
     if cfg.solver == "hihtp":
         result = hihtp_recover(op, y_p, levels[0], levels[1], k_max=cfg.k_max)
     else:
@@ -253,6 +257,18 @@ def _run_trial(cfg, op, s_cpp, params, sigma, n_p, snr_db, trial, levels):
         result = htp_recover(op, y_p, s, k_max=cfg.k_max)
     err = float(np.linalg.norm(result.alpha - truth) ** 2)
     return err, _support_matches(result.alpha, truth), result.iterations
+
+
+def _thread_count() -> int:
+    """Trial threads from ``AFDM_SENSE_THREADS`` (default 1), capped at the CPU count."""
+    raw = os.environ.get(_THREAD_ENV) or "1"
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{_THREAD_ENV} must be an integer >= 1, got {raw!r}")
+    return min(threads, os.cpu_count() or 1)
 
 
 def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
@@ -264,85 +280,84 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     """
     records: list[ResultRecord] = []
     params = cfg.afdm_params()
-    levels = cfg.sparsity().sparsity_levels()
-    threads = int(os.environ.get(_THREAD_ENV, "1") or "1")
+    sparsity = cfg.sparsity()
+    levels = sparsity.sparsity_levels()
     chash = cfg.config_hash()
-    for n_p in cfg.n_pilots:
-        scheme = PilotScheme.uniform(
-            cfg.n,
-            n_p,
-            cfg.l_taps,
-            cfg.q_max,
-            params.chirp_num,
-            chirp_sign=params.chirp_sign,
-            amplitude=cfg.pilot_amplitude,
-            overlap_mode=cfg.overlap_mode,
-            contiguous=cfg.contiguous,
-        )
-        op = build_measurement_operator(scheme, params, cfg.l_taps, cfg.q_max)
-        frame = build_pilot_frame(scheme, params, cfg.l_taps, cfg.q_max)
-        s_cpp = cpp_extend(idaft_modulate(frame, params), params)
-        overhead = pilot_overhead(
-            "afdm",
-            {
-                "n_pilots": n_p,
-                "l_taps": cfg.l_taps,
-                "q_max": cfg.q_max,
-                "chirp_num": params.chirp_num,
-            },
-        )
-        if cfg.receiver == "subnyquist":
-            f_s = sampling_rate(n_p, cfg.l_taps, params.chirp_num, cfg.radar_config()).f_s_hz
-        else:
-            f_s = cfg.bandwidth_hz
-        for snr_db in cfg.snr_db:
-            sigma = 10.0 ** (-snr_db / 10.0)
-            started = time.perf_counter()
-
-            def one(trial, _n_p=n_p, _snr=snr_db, _sigma=sigma):
-                try:
-                    return _run_trial(
-                        cfg, op, s_cpp, params, _sigma, _n_p, _snr, trial, levels
-                    )
-                except Exception:
-                    log.exception(
-                        "trial %d failed (n_pilots=%d, snr=%.1f)", trial, _n_p, _snr
-                    )
-                    return None
-
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    outcomes = list(pool.map(one, range(cfg.trials)))
-            else:
-                outcomes = [one(t) for t in range(cfg.trials)]
-            good = [o for o in outcomes if o is not None]
-            errs = np.array([o[0] for o in good]) if good else np.array([np.nan])
-            matches = [o[1] for o in good]
-            iters = [o[2] for o in good]
-            records.append(
-                ResultRecord(
-                    config_hash=chash,
-                    n=cfg.n,
-                    l_taps=cfg.l_taps,
-                    q_max=cfg.q_max,
-                    p_delay=cfg.p_delay,
-                    p_doppler=cfg.sparsity().p_doppler,
-                    n_pilots=n_p,
-                    snr_db=snr_db,
-                    mse=float(errs.mean()),
-                    mse_stderr=float(errs.std(ddof=1) / np.sqrt(len(errs)))
-                    if len(errs) > 1
-                    else 0.0,
-                    support_rate=float(np.mean(matches)) if matches else 0.0,
-                    mean_iterations=float(np.mean(iters)) if iters else 0.0,
-                    overhead=overhead,
-                    f_s_hz=f_s,
-                    wall_time_s=time.perf_counter() - started,
-                    trials_ok=len(good),
-                    trials_failed=cfg.trials - len(good),
-                    master_seed=cfg.master_seed,
-                )
+    threads = _thread_count()
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        trial_map = pool.map if pool is not None else map
+        for n_p in cfg.n_pilots:
+            scheme = PilotScheme.uniform(
+                cfg.n,
+                n_p,
+                cfg.l_taps,
+                cfg.q_max,
+                params.chirp_num,
+                chirp_sign=params.chirp_sign,
+                amplitude=cfg.pilot_amplitude,
+                overlap_mode=cfg.overlap_mode,
+                contiguous=cfg.contiguous,
             )
+            op = build_measurement_operator(scheme, params, cfg.l_taps, cfg.q_max)
+            frame = build_pilot_frame(scheme, params, cfg.l_taps, cfg.q_max)
+            s_cpp = cpp_extend(idaft_modulate(frame, params), params)
+            overhead = pilot_overhead(
+                "afdm",
+                {
+                    "n_pilots": n_p,
+                    "l_taps": cfg.l_taps,
+                    "q_max": cfg.q_max,
+                    "chirp_num": params.chirp_num,
+                },
+            )
+            if cfg.receiver == "subnyquist":
+                f_s = sampling_rate(n_p, cfg.l_taps, params.chirp_num, cfg.radar_config()).f_s_hz
+            else:
+                f_s = cfg.bandwidth_hz
+            for snr_db in cfg.snr_db:
+                noise = NoiseConfig.from_snr_db(snr_db)
+                started = time.perf_counter()
+
+                # captures this cell's loop variables; every call ends inside the map below
+                def one(trial):
+                    try:
+                        rng = _trial_rng(cfg, n_p, snr_db, trial)
+                        return _run_trial(cfg, sparsity, levels, op, s_cpp, noise, rng)
+                    except Exception:
+                        log.exception(
+                            "trial %d failed (n_pilots=%d, snr=%.1f)", trial, n_p, snr_db
+                        )
+                        return None
+
+                outcomes = list(trial_map(one, range(cfg.trials)))
+                good = [o for o in outcomes if o is not None]
+                errs = np.array([o[0] for o in good]) if good else np.array([np.nan])
+                matches = [o[1] for o in good]
+                iters = [o[2] for o in good]
+                records.append(
+                    ResultRecord(
+                        config_hash=chash,
+                        n=cfg.n,
+                        l_taps=cfg.l_taps,
+                        q_max=cfg.q_max,
+                        p_delay=cfg.p_delay,
+                        p_doppler=sparsity.p_doppler,
+                        n_pilots=n_p,
+                        snr_db=snr_db,
+                        mse=float(errs.mean()),
+                        mse_stderr=float(errs.std(ddof=1) / np.sqrt(len(errs)))
+                        if len(errs) > 1
+                        else 0.0,
+                        support_rate=float(np.mean(matches)) if matches else 0.0,
+                        mean_iterations=float(np.mean(iters)) if iters else 0.0,
+                        overhead=overhead,
+                        f_s_hz=f_s,
+                        wall_time_s=time.perf_counter() - started,
+                        trials_ok=len(good),
+                        trials_failed=cfg.trials - len(good),
+                        master_seed=cfg.master_seed,
+                    )
+                )
     return records
 
 

@@ -153,24 +153,21 @@ def _pursuit(matrix, y, threshold, block_size, k_max):
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (matrix.shape[0],):
         raise ValueError(f"observation vector must have shape ({matrix.shape[0]},)")
-    # the unit-step gradient iteration assumes a near-isometry, so iterate
-    # on the column-normalized problem; the refit solution is unaffected
-    scale = float(np.sqrt(np.mean(np.sum(np.abs(matrix) ** 2, axis=0))))
-    if scale == 0.0:
-        scale = 1.0
-    mat = matrix / scale
-    y_n = y / scale
+    # step ncols / ||M||_F^2 is the unit step after scaling the columns to unit
+    # mean squared norm, the near-isometry the gradient iteration assumes
+    sq_norm = float(np.vdot(matrix, matrix).real)
+    step = matrix.shape[1] / sq_norm if sq_norm > 0.0 else 1.0
     alpha = np.zeros(matrix.shape[1], dtype=np.complex128)
     trace = [float(np.linalg.norm(y))]
     prev: SupportSet | None = None
     for it in range(1, k_max + 1):
-        residual = y_n - mat @ alpha
-        gradient = alpha + mat.conj().T @ residual
+        residual = y - matrix @ alpha
+        gradient = alpha + step * (residual.conj() @ matrix).conj()
         support = threshold(gradient)
         if support == prev:
             return RecoveryResult(alpha, support, it, trace, "support_fixed")
-        alpha = restricted_least_squares(mat, y_n, support, block_size)
-        trace.append(scale * float(np.linalg.norm(y_n - mat @ alpha)))
+        alpha = restricted_least_squares(matrix, y, support, block_size)
+        trace.append(float(np.linalg.norm(y - matrix @ alpha)))
         prev = support
     return RecoveryResult(alpha, prev, k_max, trace, "max_iter")
 

@@ -19,6 +19,7 @@ pilot train wraps the whole frame).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -57,6 +58,9 @@ class PilotScheme:
     contiguous: bool = False
 
     def __post_init__(self) -> None:
+        # tuples keep the scheme hashable, as the per-scheme caches need
+        object.__setattr__(self, "positions", tuple(self.positions))
+        object.__setattr__(self, "values", tuple(self.values))
         if self.overlap_mode not in _OVERLAP_MODES:
             raise ValueError(f"overlap_mode must be one of {_OVERLAP_MODES}")
         if len(self.positions) == 0:
@@ -133,10 +137,11 @@ def _is_circular_interval(mask: np.ndarray) -> bool:
     return len(gaps) == 1
 
 
+@lru_cache(maxsize=64)
 def observation_index_set(
     scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int
 ) -> np.ndarray:
-    """Sorted union of the per-pilot observation windows.
+    """Sorted union of the per-pilot observation windows (cached, read-only).
 
     Validates the guard layout: disjoint mode requires non-overlapping
     windows, reduced mode requires the cardinality the tight pilot spacing
@@ -166,27 +171,20 @@ def observation_index_set(
             )
     if scheme.contiguous and not _is_circular_interval(mask):
         raise ValueError("observation set is not a circular interval")
-    return np.flatnonzero(mask)
-
-
-def _forbidden_mask(
-    scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int
-) -> np.ndarray:
-    """Positions whose channel response would land inside the observation set."""
-    n = params.n
-    offsets = window_offsets(params, l_taps, q_max)
-    obs = np.zeros(n, dtype=bool)
-    for m in scheme.positions:
-        obs[(m + offsets) % n] = True
-    forbidden = np.zeros(n, dtype=bool)
-    for delta in offsets:
-        forbidden |= np.roll(obs, -int(delta))
-    return forbidden
+    indices = np.flatnonzero(mask)
+    indices.setflags(write=False)
+    return indices
 
 
 def data_slots(scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int) -> np.ndarray:
     """Indices where data symbols cannot disturb any pilot observation."""
-    return np.flatnonzero(~_forbidden_mask(scheme, params, l_taps, q_max))
+    obs = np.zeros(params.n, dtype=bool)
+    obs[observation_index_set(scheme, params, l_taps, q_max)] = True
+    # positions whose channel response would land inside the observation set
+    forbidden = np.zeros(params.n, dtype=bool)
+    for delta in window_offsets(params, l_taps, q_max):
+        forbidden |= np.roll(obs, -int(delta))
+    return np.flatnonzero(~forbidden)
 
 
 def build_pilot_frame(

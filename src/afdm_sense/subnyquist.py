@@ -12,6 +12,7 @@ length no smaller than the observation count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +92,7 @@ class DecimationPlan(NamedTuple):
     formula_rate_hz: float | None
 
 
+@lru_cache(maxsize=64)
 def decimation_plan(
     scheme: PilotScheme,
     params: AfdmParams,
@@ -102,13 +104,15 @@ def decimation_plan(
 
     K is the smallest divisor of the frame length that is at least the
     observation count; the emulated receiver then keeps one sample in
-    every n / K.
+    every n / K.  The plan is cached; a set that folds with collisions raises.
     """
     if not scheme.contiguous:
         raise ValueError("sub-Nyquist reception requires a contiguous observation set")
     indices = observation_index_set(scheme, params, l_taps, q_max)
     n = params.n
     k_points = next(k for k in range(len(indices), n + 1) if n % k == 0)
+    if len(np.unique(indices % k_points)) != len(indices):
+        raise ValueError("observation set folds with collisions at this rate")
     eff = form = None
     if cfg is not None:
         eff = k_points / cfg.frame_duration_s
@@ -154,11 +158,7 @@ def dechirp_decimate_receive(
             raise ValueError("data symbols present: the folded band would be corrupted")
     indices = observation_index_set(scheme, params, l_taps, q_max)
     plan = decimation_plan(scheme, params, l_taps, q_max, cfg)
-    k_points, step = plan.k_points, plan.decimation
-    folded = indices % k_points
-    if len(np.unique(folded)) != len(indices):
-        raise ValueError("observation set folds with collisions at this rate")
+    step = plan.decimation
     first, second = _chirp_tables(params)
-    dechirped = first * r
-    spectrum = np.fft.fft(dechirped[::step])
-    return second[indices] * (step / np.sqrt(n)) * spectrum[folded]
+    spectrum = np.fft.fft(first[::step] * r[::step])
+    return second[indices] * (step / np.sqrt(n)) * spectrum[indices % plan.k_points]

@@ -11,6 +11,7 @@ from afdm_sense import (
     records_to_csv_str,
     run_monte_carlo,
 )
+from afdm_sense import harness
 from afdm_sense.cli import main as cli_main
 
 
@@ -71,6 +72,15 @@ def test_config_validation():
         small_config(trials=0)
     with pytest.raises(ValueError):
         small_config(receiver="subnyquist")  # needs a contiguous layout
+    with pytest.raises(ValueError, match="n_pilots"):
+        small_config(n_pilots=(4, 0))
+    with pytest.raises(ValueError, match="k_max"):
+        small_config(k_max=0)
+    with pytest.raises(ValueError, match="htp_sparsity"):
+        small_config(solver="htp", htp_sparsity=0)
+    for snr in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="snr_db"):
+            small_config(snr_db=(20.0, snr))
 
 
 def test_noise_free_run_recovers_exactly():
@@ -152,8 +162,6 @@ def test_emit_plotdata_series(tmp_path):
 
 
 def test_failed_trials_counted_not_fatal(monkeypatch):
-    import afdm_sense.harness as harness
-
     original = harness._run_trial
     calls = {"k": 0}
 
@@ -218,6 +226,10 @@ def test_cli_errors_are_reported(tmp_path, capsys):
     bad.write_text(json.dumps({"nonsense": True}))
     assert cli_main(["run", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+    no_pilots = tmp_path / "no_pilots.json"
+    no_pilots.write_text(json.dumps({**small_config().to_dict(), "n_pilots": [0]}))
+    assert cli_main(["run", str(no_pilots)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_support_rate_counts_true_set_size():
@@ -226,3 +238,20 @@ def test_support_rate_counts_true_set_size():
     rec = run_monte_carlo(cfg)[0]
     assert 0.0 <= rec.support_rate <= 1.0
     assert rec.support_rate > 0.8
+
+
+@pytest.mark.parametrize("raw, threads", [(None, 1), ("", 1), ("1", 1), ("3", 3), ("64", 4)])
+def test_thread_count_default_and_cap(monkeypatch, raw, threads):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    if raw is None:
+        monkeypatch.delenv("AFDM_SENSE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("AFDM_SENSE_THREADS", raw)
+    assert harness._thread_count() == threads
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-2"])
+def test_thread_count_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("AFDM_SENSE_THREADS", raw)
+    with pytest.raises(ValueError, match="AFDM_SENSE_THREADS"):
+        harness._thread_count()

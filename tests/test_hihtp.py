@@ -287,3 +287,28 @@ def test_kmax_validated():
     op = small_operator()
     with pytest.raises(ValueError):
         hihtp_recover(op, np.zeros(op.shape[0], dtype=complex), 1, 1, k_max=0)
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+@pytest.mark.parametrize("solver", ["hihtp", "htp"])
+def test_pursuit_is_scale_invariant(solver, c):
+    # a small Gaussian operator on which both pursuits refit a support
+    # before it settles, so the gradient step after a refit is exercised
+    rng = np.random.default_rng(3)
+    matrix = rng.standard_normal((8, 12)) + 1j * rng.standard_normal((8, 12))
+    alpha = np.zeros(12, dtype=complex)
+    alpha[[1, 7]] = [1.0 - 0.5j, -0.8 + 0.3j]
+    y = matrix @ alpha + 0.3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+
+    def recover(m, obs):
+        if solver == "hihtp":
+            return hihtp_recover(m, obs, 2, 1, n_blocks=4, block_size=3)
+        return htp_recover(m, obs, 2, n_blocks=4, block_size=3)
+
+    base = recover(matrix, y)
+    assert base.iterations == 3
+    scaled = recover(c * matrix, c * y)
+    assert scaled.support == base.support
+    assert scaled.iterations == base.iterations
+    assert np.linalg.norm(scaled.alpha - base.alpha) <= 1e-12 * np.linalg.norm(base.alpha)
+    np.testing.assert_allclose(scaled.residual_trace, c * np.array(base.residual_trace), rtol=1e-12)

@@ -22,6 +22,7 @@ from afdm_sense import (
     sample_profile,
     vectorize_profile,
 )
+from afdm_sense.channel import doppler_phase
 
 
 def simulate_observations(scheme, params, l_taps, q_max, profile, data=None):
@@ -307,3 +308,28 @@ def test_operator_export_roundtrip(tmp_path):
     matrix, indices = load_operator(path)
     assert np.array_equal(indices, op.row_indices)
     assert np.array_equal(matrix, op.matrix)
+
+
+def test_list_built_scheme_matches_tuple_built():
+    n, l_taps, q_max = 64, 3, 2
+    params = AfdmParams(n=n, chirp_num=2, cpp_len=l_taps - 1)
+    from_lists = PilotScheme(positions=[11, 43], values=[1.0, 2.0j])
+    from_tuples = PilotScheme(positions=(11, 43), values=(1.0, 2.0j))
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    for build in (observation_index_set, build_pilot_frame):
+        assert np.array_equal(
+            build(from_lists, params, l_taps, q_max), build(from_tuples, params, l_taps, q_max)
+        )
+    op_lists = build_measurement_operator(from_lists, params, l_taps, q_max)
+    op_tuples = build_measurement_operator(from_tuples, params, l_taps, q_max)
+    assert np.array_equal(op_lists.matrix, op_tuples.matrix)
+
+
+def test_cached_arrays_are_read_only():
+    params = AfdmParams(n=64, chirp_num=2)
+    scheme = PilotScheme(positions=(20,), values=(1.0,))
+    indices = observation_index_set(scheme, params, 3, 2)
+    for cached in (indices, doppler_phase(64, 3)):
+        with pytest.raises(ValueError):
+            cached[0] = 0
+    assert observation_index_set(scheme, params, 3, 2).tolist() == list(range(14, 23))
