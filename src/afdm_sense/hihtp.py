@@ -7,6 +7,12 @@ thresholding operator and a least-squares refit on the selected support
 until the support repeats or the iteration cap is reached.  A flat top-s
 variant serves as the classical baseline.
 
+The pursuit runs on the operator's column-hit structure rather than on its
+dense matrix: each column keeps only its exact nonzeros, and columns that
+share an observation row fall into one component.  Matrix-vector products
+scatter and gather over the hits, and the refit solves every component's
+block on its own, all blocks in one batched SVD.
+
 All tie-breaks go to the lowest index so identical inputs produce
 identical supports.
 """
@@ -14,6 +20,7 @@ identical supports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -45,11 +52,23 @@ class SupportSet:
         return len(self.pairs)
 
     def flat_indices(self, block_size: int) -> np.ndarray:
-        return np.array([b * block_size + j for b, j in self.pairs], dtype=np.int64)
+        pairs = np.fromiter(chain.from_iterable(self.pairs), np.int64, 2 * len(self.pairs))
+        return pairs[0::2] * block_size + pairs[1::2]
 
     @classmethod
     def from_flat(cls, indices, block_size: int) -> "SupportSet":
-        return cls(tuple((int(i) // block_size, int(i) % block_size) for i in indices))
+        flat = np.sort(np.asarray(indices, dtype=np.int64).reshape(-1))
+        if np.any(flat[1:] == flat[:-1]):
+            raise ValueError("support contains duplicate entries")
+        return cls._from_sorted_flat(flat, block_size)
+
+    @classmethod
+    def _from_sorted_flat(cls, flat: np.ndarray, block_size: int) -> "SupportSet":
+        # strictly increasing flat indices map to pairs already in sorted order
+        support = cls.__new__(cls)
+        pairs = zip((flat // block_size).tolist(), (flat % block_size).tolist())
+        object.__setattr__(support, "pairs", tuple(pairs))
+        return support
 
     def block_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -99,10 +118,8 @@ def hierarchical_threshold(
     kept = np.argsort(-mags, axis=1, kind="stable")[:, :s_entry]
     kept_energy = np.take_along_axis(mags, kept, axis=1) ** 2
     block_order = np.argsort(-kept_energy.sum(axis=1), kind="stable")[:s_block]
-    pairs = tuple(
-        (int(b), int(j)) for b in block_order for j in kept[b]
-    )
-    return SupportSet(pairs)
+    flat = (block_order[:, None] * block_size + kept[block_order]).ravel()
+    return SupportSet._from_sorted_flat(np.sort(flat), block_size)
 
 
 def flat_threshold(x, n_blocks: int, block_size: int, s: int) -> SupportSet:
@@ -115,59 +132,149 @@ def flat_threshold(x, n_blocks: int, block_size: int, s: int) -> SupportSet:
     return SupportSet.from_flat(order, block_size)
 
 
-def _operator_matrix(op, n_blocks, block_size):
-    matrix = getattr(op, "matrix", None)
-    if matrix is not None:
-        return np.asarray(matrix), op.l_taps, op.block_size
-    matrix = np.asarray(op)
+class _Columns:
+    """Exact-nonzero structure of a dense matrix, stored per column.
+
+    ``rows`` and ``vals`` hold every column's hit rows and values, padded to
+    the widest column with row ``m`` and value 0; row ``m`` addresses a zero
+    appended to each observation vector.  ``comp`` labels the connected
+    components of columns that share a row.  ``comp_rows`` lists each
+    component's rows in increasing order (padded with ``m``) and ``local``
+    gives every hit's position in its component's list; padding points one
+    past the longest list.
+    """
+
+    def __init__(self, matrix) -> None:
+        matrix = np.asarray(matrix, dtype=np.complex128)
+        if matrix.ndim != 2:
+            raise ValueError(f"operator must be a matrix, got {matrix.ndim} dimensions")
+        m, ncols = matrix.shape
+        self.shape = (m, ncols)
+        row, col = np.nonzero(matrix)
+        order = np.argsort(col, kind="stable")  # group by column, rows increasing
+        row, col = row[order], col[order]
+        counts = np.bincount(col, minlength=ncols)
+        pos = np.arange(len(col)) - (np.cumsum(counts) - counts)[col]
+        width = int(counts.max(initial=0))
+        self.rows = np.full((ncols, width), m, dtype=np.int64)
+        self.rows[col, pos] = row
+        self.vals = np.zeros((ncols, width), dtype=np.complex128)
+        self.vals[col, pos] = matrix[row, col]
+        self.sq_norm = float(np.sum(self.vals.real**2 + self.vals.imag**2))
+
+        # label propagation: every column takes the smallest label among the
+        # columns it shares a row with, until no label changes
+        label = np.arange(ncols)
+        while True:
+            row_min = np.full(m + 1, ncols)
+            np.minimum.at(row_min, row, label[col])
+            new = np.minimum(label, row_min[self.rows].min(axis=1, initial=ncols))
+            if np.array_equal(new, label):
+                break
+            label = new
+        self.comp = np.unique(label, return_inverse=True)[1].reshape(-1)
+
+        keys = np.unique(self.comp[col] * (m + 1) + row)
+        key_comp = keys // (m + 1)
+        per_comp = np.bincount(key_comp, minlength=int(self.comp.max(initial=-1)) + 1)
+        first = np.cumsum(per_comp) - per_comp
+        depth = int(per_comp.max(initial=1))  # one all-padding row when nothing hits
+        self.comp_rows = np.full((len(per_comp), depth), m, dtype=np.int64)
+        self.comp_rows[key_comp, np.arange(len(keys)) - first[key_comp]] = keys % (m + 1)
+        self.local = np.full((ncols, width), depth, dtype=np.int64)
+        hit_comp = self.comp[col]
+        self.local[col, pos] = np.searchsorted(keys, hit_comp * (m + 1) + row) - first[hit_comp]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``M @ x`` as a scatter of the column hits."""
+        contrib = (self.vals * x[:, None]).ravel()
+        rows = self.rows.ravel()
+        size = self.shape[0] + 1
+        out = np.bincount(rows, weights=contrib.real, minlength=size) + 1j * np.bincount(
+            rows, weights=contrib.imag, minlength=size
+        )
+        return out[:-1]
+
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        """``M^H r`` as a gather over the column hits."""
+        return (self.vals.conj() * np.append(r, 0.0)[self.rows]).sum(axis=1)
+
+
+def _operator_columns(op, n_blocks, block_size):
+    columns = getattr(op, "_columns", None)
+    if columns is not None:
+        return columns, op.l_taps, op.block_size
     if n_blocks is None or block_size is None:
         raise ValueError("n_blocks and block_size are required with a bare matrix")
-    return matrix, n_blocks, block_size
+    return _Columns(op), n_blocks, block_size
 
 
 def restricted_least_squares(matrix, y, support: SupportSet, block_size: int) -> np.ndarray:
     """Least-squares fit constrained to the support, zero elsewhere.
 
-    Solved by SVD with relative rank tolerance 1e-10; rank-deficient
-    systems get the minimum-norm solution.
+    ``matrix`` is a dense matrix or the pursuit's column structure.  The
+    support columns are grouped by the component they belong to and all
+    component blocks are solved by one batched SVD.  Singular values at or
+    below 1e-10 times the largest over all blocks count as zero, the rank
+    rule of a dense SVD solve of the whole restricted system, so
+    rank-deficient systems get the minimum-norm solution.
     """
-    matrix = np.asarray(matrix)
+    cols = matrix if isinstance(matrix, _Columns) else _Columns(matrix)
+    m, ncols = cols.shape
     y = np.asarray(y, dtype=np.complex128)
+    if y.shape != (m,):
+        raise ValueError(f"observation vector must have shape ({m},)")
     idx = support.flat_indices(block_size)
-    if len(idx) > matrix.shape[0]:
-        raise ValueError(
-            f"support of {len(idx)} exceeds the {matrix.shape[0]} observations"
-        )
-    if len(idx) and idx[-1] >= matrix.shape[1]:
+    if len(idx) > m:
+        raise ValueError(f"support of {len(idx)} exceeds the {m} observations")
+    if len(idx) and (idx[0] < 0 or idx[-1] >= ncols):
         raise ValueError("support index outside the operator columns")
-    z = np.zeros(matrix.shape[1], dtype=np.complex128)
-    if len(idx):
-        sol, *_ = np.linalg.lstsq(matrix[:, idx], y, rcond=_RANK_TOL)
-        z[idx] = sol
+    z = np.zeros(ncols, dtype=np.complex128)
+    if not len(idx):
+        return z
+    comp = cols.comp[idx]
+    order = np.argsort(comp, kind="stable")
+    idx, comp = idx[order], comp[order]
+    starts = np.diff(comp, prepend=-1) != 0
+    first = np.flatnonzero(starts)
+    block_of = np.cumsum(starts) - 1
+    slot = np.arange(len(idx)) - first[block_of]
+    depth = cols.comp_rows.shape[1]
+    # one spare row takes the padding hits and is cut before the solve
+    a = np.zeros((len(first), depth + 1, int(slot.max()) + 1), dtype=np.complex128)
+    a[block_of[:, None], cols.local[idx], slot[:, None]] = cols.vals[idx]
+    u, s, vh = np.linalg.svd(a[:, :depth], full_matrices=False)
+    keep = s > _RANK_TOL * s.max()
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    y_blocks = np.append(y, 0.0)[cols.comp_rows[comp[first]]]
+    coef = np.einsum("brk,br->bk", u.conj(), y_blocks) * inv
+    x = np.einsum("bkj,bk->bj", vh.conj(), coef)
+    z[idx] = x[block_of, slot]
     return z
 
 
-def _pursuit(matrix, y, threshold, block_size, k_max):
+def _pursuit(cols, y, threshold, block_size, k_max):
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    m, ncols = cols.shape
     y = np.asarray(y, dtype=np.complex128)
-    if y.shape != (matrix.shape[0],):
-        raise ValueError(f"observation vector must have shape ({matrix.shape[0]},)")
+    if y.shape != (m,):
+        raise ValueError(f"observation vector must have shape ({m},)")
     # step ncols / ||M||_F^2 is the unit step after scaling the columns to unit
     # mean squared norm, the near-isometry the gradient iteration assumes
-    sq_norm = float(np.vdot(matrix, matrix).real)
-    step = matrix.shape[1] / sq_norm if sq_norm > 0.0 else 1.0
-    alpha = np.zeros(matrix.shape[1], dtype=np.complex128)
+    step = ncols / cols.sq_norm if cols.sq_norm > 0.0 else 1.0
+    alpha = np.zeros(ncols, dtype=np.complex128)
+    residual = y
     trace = [float(np.linalg.norm(y))]
     prev: SupportSet | None = None
     for it in range(1, k_max + 1):
-        residual = y - matrix @ alpha
-        gradient = alpha + step * (residual.conj() @ matrix).conj()
+        gradient = alpha + step * cols.rmatvec(residual)
         support = threshold(gradient)
         if support == prev:
             return RecoveryResult(alpha, support, it, trace, "support_fixed")
-        alpha = restricted_least_squares(matrix, y, support, block_size)
-        trace.append(float(np.linalg.norm(y - matrix @ alpha)))
+        alpha = restricted_least_squares(cols, y, support, block_size)
+        residual = y - cols.matvec(alpha)
+        trace.append(float(np.linalg.norm(residual)))
         prev = support
     return RecoveryResult(alpha, prev, k_max, trace, "max_iter")
 
@@ -184,13 +291,15 @@ def hihtp_recover(
     """Hierarchical hard thresholding pursuit.
 
     ``op`` is a MeasurementOperator or a bare matrix (then ``n_blocks``
-    and ``block_size`` are required).  Stops when the selected support
+    and ``block_size`` are required).  The column structure the pursuit
+    runs on is derived once per operator, or once per call for a bare
+    matrix.  Stops when the selected support
     repeats or after ``k_max`` iterations; the estimate is hierarchically
     sparse with exact zeros off the support.
     """
-    matrix, nb, bs = _operator_matrix(op, n_blocks, block_size)
+    cols, nb, bs = _operator_columns(op, n_blocks, block_size)
     return _pursuit(
-        matrix,
+        cols,
         y,
         lambda g: hierarchical_threshold(g, nb, bs, s_block, s_entry),
         bs,
@@ -207,5 +316,5 @@ def htp_recover(
     block_size: int | None = None,
 ) -> RecoveryResult:
     """Classical pursuit baseline with flat top-s thresholding."""
-    matrix, nb, bs = _operator_matrix(op, n_blocks, block_size)
-    return _pursuit(matrix, y, lambda g: flat_threshold(g, nb, bs, s), bs, k_max)
+    cols, nb, bs = _operator_columns(op, n_blocks, block_size)
+    return _pursuit(cols, y, lambda g: flat_threshold(g, nb, bs, s), bs, k_max)

@@ -18,14 +18,16 @@ pilot train wraps the whole frame).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
 
 from .daft_core import AfdmParams, daft_demodulate, idaft_modulate, _chirp_tables
 from .channel import doppler_phase
+from .hihtp import _Columns
 
 __all__ = [
     "PilotScheme",
@@ -46,6 +48,10 @@ __all__ = [
 ]
 
 _OVERLAP_MODES = ("disjoint", "reduced")
+# l2 norm of the operator entries off the hit pattern, relative to the norm
+# of those on it, still taken for transform round-off (measured 1e-16 to
+# 3e-16 for n = 128 to 16384, both chirp signs, c2 != 0, both layouts)
+_STRAY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -215,7 +221,10 @@ def build_pilot_frame(
 
 @dataclass
 class MeasurementOperator:
-    """Dense sensing matrix from vectorized profile to observed samples."""
+    """Sensing matrix from vectorized profile to observed samples.
+
+    ``matrix`` is stored dense, with exact zeros off the hit pattern.
+    """
 
     matrix: np.ndarray
     row_indices: np.ndarray
@@ -232,6 +241,11 @@ class MeasurementOperator:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
+    @cached_property
+    def _columns(self) -> _Columns:
+        """Column-hit structure the pursuit runs on, derived on first use."""
+        return _Columns(self.matrix)
+
 
 def build_measurement_operator(
     scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int
@@ -240,7 +254,10 @@ def build_measurement_operator(
 
     Column (l, q) holds the observed samples of the pilot frame passed
     through a unit-gain path with delay ``l`` and Doppler ``q``; phases
-    come from operator composition rather than any closed form.
+    come from operator composition rather than any closed form.  Entries
+    off the geometric hit pattern, row ``(m_p + q - chirp_sign P l) mod n``
+    of each pilot ``m_p``, are set to exact zeros; if their mass is above
+    round-off the build raises, since the chain and the pattern disagree.
     """
     n = params.n
     indices = observation_index_set(scheme, params, l_taps, q_max)
@@ -255,6 +272,22 @@ def build_measurement_operator(
     first, second = _chirp_tables(params)
     spectra = second[None, :] * np.fft.fft(first[None, :] * paths, axis=1, norm="ortho")
     matrix = np.ascontiguousarray(spectra[:, indices].T)
+
+    shift = params.chirp_sign * params.chirp_num
+    l_grid, q_grid = np.divmod(np.arange(l_taps * nd), nd)
+    hits = (
+        np.asarray(scheme.positions)[:, None] + (q_grid - q_max) - shift * l_grid
+    ) % n
+    hit_rows = np.searchsorted(indices, hits)
+    hit_cols = np.broadcast_to(np.arange(l_taps * nd), hits.shape)
+    kept = matrix[hit_rows, hit_cols]
+    matrix[hit_rows, hit_cols] = 0.0
+    # norms by dot products: no dense temporary beside the matrix
+    stray = math.sqrt(np.vdot(matrix, matrix).real / max(np.vdot(kept, kept).real, 1e-300))
+    if stray > _STRAY_TOL:
+        raise ValueError(f"operator norm off the hit pattern is {stray:.3g} of the norm on it")
+    matrix.fill(0.0)
+    matrix[hit_rows, hit_cols] = kept
     return MeasurementOperator(
         matrix=matrix,
         row_indices=indices,
@@ -268,7 +301,9 @@ def build_measurement_operator(
 def extract_measurements(y, indices) -> np.ndarray:
     """Gather entries of a full transform-domain frame in sorted index order."""
     y = np.asarray(y)
-    indices = np.sort(np.asarray(indices, dtype=np.int64))
+    indices = np.asarray(indices, dtype=np.int64)
+    if np.any(indices[1:] <= indices[:-1]):
+        indices = np.sort(indices)
     if len(indices) and (indices[0] < 0 or indices[-1] >= len(y)):
         raise ValueError("observation index out of range")
     return y[indices]

@@ -15,6 +15,7 @@ from afdm_sense import (
     htp_recover,
     restricted_least_squares,
 )
+from afdm_sense.hihtp import _Columns
 
 
 def all_hierarchical_supports(n_blocks, block_size, s_block, s_entry):
@@ -106,6 +107,10 @@ def test_support_set_helpers():
     assert not sup.is_hierarchical(1, 2)
     with pytest.raises(ValueError):
         SupportSet(((0, 0), (0, 0)))
+    assert SupportSet.from_flat(np.array([5, 1]), 3) == sup
+    assert SupportSet.from_flat([], 3).pairs == ()
+    with pytest.raises(ValueError, match="duplicate"):
+        SupportSet.from_flat([5, 1, 5], 3)
 
 
 def test_restricted_ls_unitary_full_support():
@@ -147,6 +152,114 @@ def test_restricted_ls_overdetermined_support_rejected():
     sup = SupportSet(((0, 0), (0, 1), (1, 0)))
     with pytest.raises(ValueError, match="exceeds"):
         restricted_least_squares(a, np.zeros(2, dtype=complex), sup, 2)
+    with pytest.raises(ValueError, match="shape"):
+        restricted_least_squares(a, np.zeros(3, dtype=complex), SupportSet(((0, 0),)), 2)
+    for outside in (((-1, 1),), ((1, 0),)):
+        with pytest.raises(ValueError, match="outside"):
+            restricted_least_squares(a, np.zeros(2, dtype=complex), SupportSet(outside), 2)
+
+
+def lstsq_reference(matrix, y, support, block_size):
+    idx = support.flat_indices(block_size)
+    z = np.zeros(matrix.shape[1], dtype=complex)
+    z[idx] = np.linalg.lstsq(matrix[:, idx], y, rcond=1e-10)[0]
+    return z
+
+
+def paper_operator():
+    # the C4 sweep geometry at its n_p=8 cell: n=4096, L=30, Q=7, chirp numerator 1
+    params = AfdmParams(n=4096, chirp_num=1, cpp_len=64)
+    scheme = PilotScheme.uniform(4096, 8, 30, 7, 1, amplitude=25.0)
+    return build_measurement_operator(scheme, params, 30, 7)
+
+
+def subnyquist_operator():
+    # the reduced train of the sub-Nyquist benchmark config: 255 pilots, L=8, Q=3
+    params = AfdmParams(n=4096, chirp_num=1, cpp_len=7)
+    scheme = PilotScheme.uniform(4096, 255, 8, 3, 1, overlap_mode="reduced")
+    return build_measurement_operator(scheme, params, 8, 3)
+
+
+@pytest.fixture(scope="module")
+def structured_systems():
+    """(matrix, y, support, block_size) for the paper n_p=8 operator with a
+    rank-deficient hierarchical support, the sub-Nyquist operator on its
+    full support and a dense Gaussian matrix."""
+    rng = np.random.default_rng(20)
+    systems = []
+    op = paper_operator()
+    sup = hierarchical_threshold(
+        rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1]), 30, 15, 15, 8
+    )
+    systems.append((op.matrix, sup))
+    op = subnyquist_operator()
+    systems.append((op.matrix, SupportSet.from_flat(np.arange(op.shape[1]), 7)))
+    dense = rng.standard_normal((40, 24)) + 1j * rng.standard_normal((40, 24))
+    systems.append((dense, SupportSet.from_flat(rng.choice(24, 10, replace=False), 3)))
+    return [
+        (m, rng.standard_normal(m.shape[0]) + 1j * rng.standard_normal(m.shape[0]), sup, bs)
+        for (m, sup), bs in zip(systems, (15, 7, 3))
+    ]
+
+
+def test_restricted_ls_matches_dense_lstsq(structured_systems):
+    ranks = []
+    for matrix, y, sup, bs in structured_systems:
+        ref = lstsq_reference(matrix, y, sup, bs)
+        got = restricted_least_squares(matrix, y, sup, bs)
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        sv = np.linalg.svd(matrix[:, sup.flat_indices(bs)], compute_uv=False)
+        ranks.append(int((sv > 1e-10 * sv[0]).sum()))
+    # the paper n_p=8 support is rank-deficient, the others have full column rank
+    assert len(structured_systems[0][2]) == 120 and ranks[0] < 120
+    assert ranks[1:] == [56, 10]
+
+
+def test_restricted_ls_rank_rule_is_global():
+    # two independent blocks, the second 1e-11 times weaker: a dense SVD solve
+    # drops it by the 1e-10 relative rule taken over the whole system
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    matrix = np.zeros((8, 4), dtype=complex)
+    matrix[:4, :2] = a
+    matrix[4:, 2:] = 1e-11 * a
+    y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    sup = SupportSet.from_flat(range(4), 2)
+    got = restricted_least_squares(matrix, y, sup, 2)
+    assert np.abs(got - lstsq_reference(matrix, y, sup, 2)).max() < 1e-10
+    assert not got[2:].any()
+
+
+def test_column_structure_products_match_dense(structured_systems):
+    rng = np.random.default_rng(22)
+    for matrix, y, _, _ in structured_systems:
+        cols = _Columns(matrix)
+        x = rng.standard_normal(matrix.shape[1]) + 1j * rng.standard_normal(matrix.shape[1])
+        ref = matrix @ x
+        assert np.linalg.norm(cols.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+        ref = matrix.conj().T @ y
+        assert np.linalg.norm(cols.rmatvec(y) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert cols.sq_norm == pytest.approx(np.vdot(matrix, matrix).real, rel=1e-12)
+
+
+def test_column_structure_components(structured_systems):
+    (paper, _, _, _), (reduced, _, _, _), (dense, _, _, _) = structured_systems
+    cols = _Columns(paper)
+    # shift classes of the paper operator: each column hits its class's 8 rows
+    assert cols.comp.max() + 1 == 44
+    assert np.bincount(cols.comp).max() == 15
+    assert cols.rows.shape == (450, 8)
+    for c in range(44):
+        members = np.flatnonzero(cols.comp == c)
+        assert all(set(cols.rows[j]) == set(cols.rows[members[0]]) for j in members)
+    cols = _Columns(reduced)
+    assert cols.comp.max() + 1 == 8 and np.bincount(cols.comp).tolist() == [7] * 8
+    assert cols.rows.shape == (56, 255)
+    assert not _Columns(dense).comp.any()
+    # a bidiagonal chain links its ends only through every column between them
+    chain = np.eye(7, 6, dtype=complex) + np.eye(7, 6, k=-1)
+    chain[:, 5] = 0.0
+    assert _Columns(chain).comp.tolist() == [0, 0, 0, 0, 0, 1]
 
 
 def small_operator(n=32, l_taps=4, q_max=1, n_pilots=4, chirp_num=1):

@@ -22,7 +22,8 @@ from afdm_sense import (
     sample_profile,
     vectorize_profile,
 )
-from afdm_sense.channel import doppler_phase
+from afdm_sense import sensing_model
+from afdm_sense.channel import DelayDopplerProfile, doppler_phase
 
 
 def simulate_observations(scheme, params, l_taps, q_max, profile, data=None):
@@ -135,6 +136,53 @@ def test_operator_column_structure():
             assert rows == sorted((m + q - p * l) % n for m in scheme.positions)
 
 
+@pytest.mark.parametrize(
+    "mode,contiguous,sign,c2",
+    [
+        ("disjoint", False, 1, 0.0),
+        ("disjoint", False, -1, 0.29),
+        ("disjoint", True, 1, -0.4),
+        ("reduced", True, 1, 0.13),
+        ("reduced", True, -1, 0.0),
+    ],
+)
+def test_operator_hit_pattern(mode, contiguous, sign, c2):
+    n, l_taps, q_max, p, n_pilots = 256, 4, 2, 2, 3
+    params = AfdmParams(n=n, chirp_num=p, chirp_sign=sign, c2=c2, cpp_len=(l_taps - 1) * p)
+    scheme = PilotScheme.uniform(
+        n, n_pilots, l_taps, q_max, p, chirp_sign=sign, overlap_mode=mode, contiguous=contiguous
+    )
+    op = build_measurement_operator(scheme, params, l_taps, q_max)
+    nd = 2 * q_max + 1
+    for l in range(l_taps):
+        for q in range(-q_max, q_max + 1):
+            col = op.matrix[:, l * nd + q_max + q]
+            rows = op.row_indices[np.flatnonzero(col)]
+            assert sorted(rows.tolist()) == sorted(
+                (m + q - sign * p * l) % n for m in scheme.positions
+            )
+            # the kept column is the transform chain's output for a unit path:
+            # whatever was set to zero was round-off
+            gains = np.zeros((l_taps, nd), dtype=complex)
+            gains[l, q + q_max] = 1.0
+            path = DelayDopplerProfile(gains=gains, mask=gains != 0, gain_var=1.0)
+            chain = simulate_observations(scheme, params, l_taps, q_max, path)
+            assert np.abs(chain - col).max() < 1e-13
+
+
+def test_operator_off_pattern_energy_rejected(monkeypatch):
+    # half-bin Doppler leaks over every observation: the chain no longer
+    # matches the on-grid pattern and the build must refuse it
+    def leaky(n, q):
+        return np.exp(2j * np.pi * (q + 0.5) * np.arange(n) / n)
+
+    monkeypatch.setattr(sensing_model, "doppler_phase", leaky)
+    params = AfdmParams(n=64, chirp_num=1)
+    scheme = PilotScheme.uniform(64, 2, 3, 1, 1)
+    with pytest.raises(ValueError, match="off the hit pattern"):
+        build_measurement_operator(scheme, params, 3, 1)
+
+
 def test_operator_single_column_degenerate():
     params = AfdmParams(n=16, chirp_num=1)
     scheme = PilotScheme(positions=(7,), values=(1.0,))
@@ -174,6 +222,10 @@ def test_extract_measurements_examples():
     z = np.zeros_like(y)
     z[idx] = got
     assert np.array_equal(extract_measurements(z, idx), got)
+    # unsorted input is gathered in sorted order and still range-checked
+    assert np.array_equal(extract_measurements(y, [11, 3, 9]), got)
+    with pytest.raises(ValueError):
+        extract_measurements(y, [9, -1])
 
 
 def test_hierarchical_permutation_degenerate_single_tap():
@@ -308,6 +360,19 @@ def test_operator_export_roundtrip(tmp_path):
     matrix, indices = load_operator(path)
     assert np.array_equal(indices, op.row_indices)
     assert np.array_equal(matrix, op.matrix)
+
+
+def test_operator_export_writes_structural_entries_only(tmp_path):
+    # the paper n_p=8 operator: one entry per pilot and column
+    n, l_taps, q_max, n_pilots = 4096, 30, 7, 8
+    params = AfdmParams(n=n, chirp_num=1, cpp_len=64)
+    op = build_measurement_operator(
+        PilotScheme.uniform(n, n_pilots, l_taps, q_max, 1), params, l_taps, q_max
+    )
+    path = tmp_path / "operator.txt"
+    export_operator(op, path)
+    entries = path.read_text(encoding="ascii").splitlines()[4:]
+    assert len(entries) == n_pilots * l_taps * (2 * q_max + 1)
 
 
 def test_list_built_scheme_matches_tuple_built():
