@@ -6,7 +6,8 @@ through an on-grid channel, over the observation window
 ``[-q_max, q_max]`` and delay ``l`` in ``[0, l_taps)``.  Collecting the
 windows of all pilots gives the observation index set; the measurement
 operator maps the vectorized delay-Doppler profile to the observed
-samples.
+samples.  A Doppler shift moves the de-chirped spectrum of a delayed
+frame by whole bins, so the operator takes one transform per delay tap.
 
 Two guard layouts are supported.  In ``disjoint`` mode the per-pilot
 windows must not overlap, giving ``n_pilots * ((L-1) P + 2 Q + 1)``
@@ -25,8 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .daft_core import AfdmParams, daft_demodulate, idaft_modulate, _chirp_tables
-from .channel import doppler_phase
+from .daft_core import AfdmParams, idaft_modulate, _chirp_tables
 from .hihtp import _Columns
 
 __all__ = [
@@ -48,9 +48,10 @@ __all__ = [
 ]
 
 _OVERLAP_MODES = ("disjoint", "reduced")
-# l2 norm of the operator entries off the hit pattern, relative to the norm
-# of those on it, still taken for transform round-off (measured 1e-16 to
-# 3e-16 for n = 128 to 16384, both chirp signs, c2 != 0, both layouts)
+# l2 norm of each delay tap's full de-chirped spectrum off the pilot bins,
+# relative to the norm on them, still taken for transform round-off
+# (measured 2.3e-16 to 4.1e-16 for n = 128 to 16384, both chirp signs,
+# c2 != 0, disjoint, contiguous and reduced layouts)
 _STRAY_TOL = 1e-12
 
 
@@ -250,44 +251,38 @@ class MeasurementOperator:
 def build_measurement_operator(
     scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int
 ) -> MeasurementOperator:
-    """Assemble the operator column by column through the transform chain.
+    """Assemble the operator from one transform chain per delay tap.
 
     Column (l, q) holds the observed samples of the pilot frame passed
-    through a unit-gain path with delay ``l`` and Doppler ``q``; phases
-    come from operator composition rather than any closed form.  Entries
-    off the geometric hit pattern, row ``(m_p + q - chirp_sign P l) mod n``
-    of each pilot ``m_p``, are set to exact zeros; if their mass is above
-    round-off the build raises, since the chain and the pattern disagree.
+    through a unit-gain path with delay ``l`` and Doppler ``q``.  The
+    Doppler factor ``e^{i2pi q m/n}`` shifts the de-chirped spectrum by
+    exactly ``q`` bins, so each delayed frame is transformed once: pilot
+    ``m_p`` sits in bin ``base = (m_p - chirp_sign P l) mod n`` and column
+    (l, q) holds ``second[(base + q) mod n] * spectrum_l[base]`` at row
+    ``(base + q) mod n``, exact zeros elsewhere.  The build raises if the
+    spectra carry more than round-off outside the pilot bins.
     """
-    n = params.n
+    n, nd = params.n, 2 * q_max + 1
     indices = observation_index_set(scheme, params, l_taps, q_max)
-    frame = build_pilot_frame(scheme, params, l_taps, q_max)
-    s_p = idaft_modulate(frame, params)
-    nd = 2 * q_max + 1
-    paths = np.empty((l_taps * nd, n), dtype=np.complex128)
-    for l in range(l_taps):
-        rolled = np.roll(s_p, l)
-        for qi in range(nd):
-            paths[l * nd + qi] = doppler_phase(n, qi - q_max) * rolled
+    s_p = idaft_modulate(build_pilot_frame(scheme, params, l_taps, q_max), params)
     first, second = _chirp_tables(params)
-    spectra = second[None, :] * np.fft.fft(first[None, :] * paths, axis=1, norm="ortho")
-    matrix = np.ascontiguousarray(spectra[:, indices].T)
-
+    taps = np.arange(l_taps)
+    # row l of the batch is the frame delayed circularly by l samples
+    spectra = np.fft.fft(first * s_p[(np.arange(n) - taps[:, None]) % n], axis=1, norm="ortho")
     shift = params.chirp_sign * params.chirp_num
-    l_grid, q_grid = np.divmod(np.arange(l_taps * nd), nd)
-    hits = (
-        np.asarray(scheme.positions)[:, None] + (q_grid - q_max) - shift * l_grid
-    ) % n
-    hit_rows = np.searchsorted(indices, hits)
-    hit_cols = np.broadcast_to(np.arange(l_taps * nd), hits.shape)
-    kept = matrix[hit_rows, hit_cols]
-    matrix[hit_rows, hit_cols] = 0.0
-    # norms by dot products: no dense temporary beside the matrix
-    stray = math.sqrt(np.vdot(matrix, matrix).real / max(np.vdot(kept, kept).real, 1e-300))
+    base = (np.asarray(scheme.positions)[:, None] - shift * taps) % n
+    kept = spectra[taps, base]
+    spectra[taps, base] = 0.0
+    # norms by dot products over every tap's full spectrum
+    stray = math.sqrt(np.vdot(spectra, spectra).real / max(np.vdot(kept, kept).real, 1e-300))
     if stray > _STRAY_TOL:
         raise ValueError(f"operator norm off the hit pattern is {stray:.3g} of the norm on it")
-    matrix.fill(0.0)
-    matrix[hit_rows, hit_cols] = kept
+    # one row per pilot in column l * nd + q + q_max
+    hits = ((base[:, :, None] + np.arange(-q_max, q_max + 1)) % n).reshape(len(base), -1)
+    matrix = np.zeros((len(indices), l_taps * nd), dtype=np.complex128)
+    matrix[np.searchsorted(indices, hits), np.arange(l_taps * nd)] = (
+        second[hits] * kept.repeat(nd, 1)
+    )
     return MeasurementOperator(
         matrix=matrix,
         row_indices=indices,

@@ -240,6 +240,19 @@ def test_support_rate_counts_true_set_size():
     assert rec.support_rate > 0.8
 
 
+def test_support_match_is_not_decided_by_round_off():
+    truth = np.array([1.0, 0.0, 0.0, 2.0j])
+    # a true entry tied with a false one at the boundary is a miss, even
+    # when index order would rank the true one first
+    assert not harness._support_matches(np.array([0.5, 0.5, 0.1, 1.0]), truth)
+    assert harness._support_matches(np.array([0.5, 0.2, 0.1, 1.0]), truth)
+    assert harness._support_matches(np.array([0.3, 0.0, 1.0, 0.0]), np.zeros(4))
+    # one ulp on either side of the tie does not change the outcome
+    for nudged in (np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)):
+        assert not harness._support_matches(np.array([nudged, 0.5, 0.1, 1.0]), truth)
+        assert not harness._support_matches(np.array([0.5, nudged, 0.1, 1.0]), truth)
+
+
 @pytest.mark.parametrize("raw, threads", [(None, 1), ("", 1), ("1", 1), ("3", 3), ("64", 4)])
 def test_thread_count_default_and_cap(monkeypatch, raw, threads):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)

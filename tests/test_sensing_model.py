@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,21 +138,36 @@ def test_operator_column_structure():
             assert rows == sorted((m + q - p * l) % n for m in scheme.positions)
 
 
+HIT_PATTERN_CASES = [
+    ("disjoint", False, 1, 0.0, None),
+    ("disjoint", False, -1, 0.29, None),
+    ("disjoint", True, 1, -0.4, None),
+    ("reduced", True, 1, 0.13, None),
+    ("reduced", True, -1, 0.0, None),
+    # a pilot at index 0: its window wraps past n - 1
+    ("disjoint", False, 1, 0.21, 0),
+]
+
+
 @pytest.mark.parametrize(
-    "mode,contiguous,sign,c2",
-    [
-        ("disjoint", False, 1, 0.0),
-        ("disjoint", False, -1, 0.29),
-        ("disjoint", True, 1, -0.4),
-        ("reduced", True, 1, 0.13),
-        ("reduced", True, -1, 0.0),
-    ],
+    "mode,contiguous,sign,c2,start",
+    HIT_PATTERN_CASES,
+    # an unset start (the default anchoring) is left out of the id
+    ids=["-".join(map(str, c[:4] if c[4] is None else c)) for c in HIT_PATTERN_CASES],
 )
-def test_operator_hit_pattern(mode, contiguous, sign, c2):
+def test_operator_hit_pattern(mode, contiguous, sign, c2, start):
     n, l_taps, q_max, p, n_pilots = 256, 4, 2, 2, 3
     params = AfdmParams(n=n, chirp_num=p, chirp_sign=sign, c2=c2, cpp_len=(l_taps - 1) * p)
     scheme = PilotScheme.uniform(
-        n, n_pilots, l_taps, q_max, p, chirp_sign=sign, overlap_mode=mode, contiguous=contiguous
+        n,
+        n_pilots,
+        l_taps,
+        q_max,
+        p,
+        chirp_sign=sign,
+        overlap_mode=mode,
+        contiguous=contiguous,
+        start=start,
     )
     op = build_measurement_operator(scheme, params, l_taps, q_max)
     nd = 2 * q_max + 1
@@ -171,12 +188,14 @@ def test_operator_hit_pattern(mode, contiguous, sign, c2):
 
 
 def test_operator_off_pattern_energy_rejected(monkeypatch):
-    # half-bin Doppler leaks over every observation: the chain no longer
-    # matches the on-grid pattern and the build must refuse it
-    def leaky(n, q):
-        return np.exp(2j * np.pi * (q + 0.5) * np.arange(n) / n)
-
-    monkeypatch.setattr(sensing_model, "doppler_phase", leaky)
+    # a transmitter whose chirp differs from the receiver's spreads each
+    # pilot over the whole spectrum: the chain no longer matches the on-grid
+    # pattern and the build must refuse it
+    monkeypatch.setattr(
+        sensing_model,
+        "idaft_modulate",
+        lambda x, p: idaft_modulate(x, replace(p, chirp_num=p.chirp_num + 1)),
+    )
     params = AfdmParams(n=64, chirp_num=1)
     scheme = PilotScheme.uniform(64, 2, 3, 1, 1)
     with pytest.raises(ValueError, match="off the hit pattern"):
