@@ -7,6 +7,12 @@ thresholding operator and a least-squares refit on the selected support
 until the support repeats or the iteration cap is reached.  A flat top-s
 variant serves as the classical baseline.
 
+After a refit the next support depends only on the refit support, so once
+a support selected earlier comes back the pursuit has entered a cycle.
+The remaining iterations up to the cap are then filled in from the cycle
+instead of being recomputed; the result equals that of running all
+``k_max`` iterations, bit for bit.
+
 The pursuit runs on the operator's column-hit structure rather than on its
 dense matrix: each column keeps only its exact nonzeros, and columns that
 share an observation row fall into one component.  Matrix-vector products
@@ -267,14 +273,26 @@ def _pursuit(cols, y, threshold, block_size, k_max):
     residual = y
     trace = [float(np.linalg.norm(y))]
     prev: SupportSet | None = None
+    # after a refit the next support depends only on the refit support, so a
+    # support seen before starts a cycle that the remaining iterations replay
+    history: list[tuple[SupportSet, np.ndarray, float]] = []
+    seen: dict[SupportSet, int] = {}
     for it in range(1, k_max + 1):
         gradient = alpha + step * cols.rmatvec(residual)
         support = threshold(gradient)
         if support == prev:
             return RecoveryResult(alpha, support, it, trace, "support_fixed")
+        if support in seen:
+            cycle = history[seen[support] :]
+            r = k_max - it
+            trace.extend(cycle[i % len(cycle)][2] for i in range(r + 1))
+            support, alpha = cycle[r % len(cycle)][:2]
+            return RecoveryResult(alpha, support, k_max, trace, "max_iter")
         alpha = restricted_least_squares(cols, y, support, block_size)
         residual = y - cols.matvec(alpha)
         trace.append(float(np.linalg.norm(residual)))
+        seen[support] = len(history)
+        history.append((support, alpha, trace[-1]))
         prev = support
     return RecoveryResult(alpha, prev, k_max, trace, "max_iter")
 
@@ -295,7 +313,9 @@ def hihtp_recover(
     runs on is derived once per operator, or once per call for a bare
     matrix.  Stops when the selected support
     repeats or after ``k_max`` iterations; the estimate is hierarchically
-    sparse with exact zeros off the support.
+    sparse with exact zeros off the support.  Once the supports cycle, the
+    iterations left to ``k_max`` are read off the cycle rather than
+    recomputed, with the same result as the full ``k_max`` iterations.
     """
     cols, nb, bs = _operator_columns(op, n_blocks, block_size)
     return _pursuit(

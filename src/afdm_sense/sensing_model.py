@@ -542,18 +542,43 @@ def export_operator(op: MeasurementOperator, path) -> None:
 
 
 def load_operator(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back an exported operator; returns (matrix, row_indices)."""
+    """Read back an exported operator; returns (matrix, row_indices).
+
+    A malformed file raises ``ValueError`` naming the file and the line.
+    """
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "afdm-sense operator v1":
         raise ValueError(f"{path} is not an exported operator file")
+    if len(lines) < 4:
+        raise ValueError(f"{path}, line {len(lines) + 1}: the file ends inside the header")
+
+    def error(lineno: int, reason: str) -> ValueError:
+        return ValueError(f"{path}, line {lineno}: {reason}")
+
+    # the file is ASCII, so isdigit accepts exactly the non-negative integers
     shape = lines[2].split()
+    if len(shape) != 4 or shape[0::2] != ["rows", "cols"] or not all(
+        tok.isdigit() for tok in shape[1::2]
+    ):
+        raise error(3, "expected 'rows R cols C'")
     rows, cols = int(shape[1]), int(shape[3])
-    indices = np.array([int(tok) for tok in lines[3].split()[1:]], dtype=np.int64)
+    tokens = lines[3].split()
+    if tokens[:1] != ["indices"] or not all(tok.isdigit() for tok in tokens[1:]):
+        raise error(4, "expected 'indices' and non-negative integers")
+    indices = np.array([int(tok) for tok in tokens[1:]], dtype=np.int64)
+    if len(indices) != rows:
+        raise error(4, f"{len(indices)} indices for {rows} rows")
     matrix = np.zeros((rows, cols), dtype=np.complex128)
-    for line in lines[4:]:
+    for lineno, line in enumerate(lines[4:], start=5):
         if not line:
             continue
-        i, j, re, im = line.split()
-        matrix[int(i), int(j)] = complex(float(re), float(im))
+        try:
+            i, j, re, im = line.split()
+            i, j, value = int(i), int(j), complex(float(re), float(im))
+        except ValueError:
+            raise error(lineno, "expected 'row col real imag'") from None
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise error(lineno, f"entry ({i}, {j}) lies outside the {rows} x {cols} matrix")
+        matrix[i, j] = value
     return matrix, indices

@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import combinations, cycle, product
 
 import numpy as np
 import pytest
@@ -15,7 +15,8 @@ from afdm_sense import (
     htp_recover,
     restricted_least_squares,
 )
-from afdm_sense.hihtp import _Columns
+from afdm_sense import hihtp
+from afdm_sense.hihtp import RecoveryResult, _Columns, _pursuit
 
 
 def all_hierarchical_supports(n_blocks, block_size, s_block, s_entry):
@@ -425,3 +426,115 @@ def test_pursuit_is_scale_invariant(solver, c):
     assert scaled.iterations == base.iterations
     assert np.linalg.norm(scaled.alpha - base.alpha) <= 1e-12 * np.linalg.norm(base.alpha)
     np.testing.assert_allclose(scaled.residual_trace, c * np.array(base.residual_trace), rtol=1e-12)
+
+
+def reference_pursuit(cols, y, threshold, block_size, k_max):
+    """The pursuit computing every iteration, with no cycle shortcut."""
+    step = cols.shape[1] / cols.sq_norm
+    alpha = np.zeros(cols.shape[1], dtype=complex)
+    residual = y
+    trace = [float(np.linalg.norm(y))]
+    prev = None
+    for it in range(1, k_max + 1):
+        support = threshold(alpha + step * cols.rmatvec(residual))
+        if support == prev:
+            return RecoveryResult(alpha, support, it, trace, "support_fixed")
+        alpha = restricted_least_squares(cols, y, support, block_size)
+        residual = y - cols.matvec(alpha)
+        trace.append(float(np.linalg.norm(residual)))
+        prev = support
+    return RecoveryResult(alpha, prev, k_max, trace, "max_iter")
+
+
+def assert_same_result(got, ref):
+    assert got.support == ref.support
+    assert got.alpha.tobytes() == ref.alpha.tobytes()
+    assert got.iterations == ref.iterations
+    assert got.residual_trace == ref.residual_trace
+    assert got.converged_by == ref.converged_by
+
+
+@pytest.mark.parametrize("k_max", range(1, 10))
+@pytest.mark.parametrize("period", [2, 3])
+def test_cycle_shortcut_matches_full_iterations_scripted(period, k_max):
+    # thresholds scripted to cycle A -> B (-> C) -> A, so every phase of the
+    # cycle ends some k_max and k_max = period + 1 sees the repeat last
+    rng = np.random.default_rng(30)
+    matrix = rng.standard_normal((8, 12)) + 1j * rng.standard_normal((8, 12))
+    y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    supports = [
+        SupportSet(((0, 0), (1, 1))),
+        SupportSet(((2, 0), (3, 2))),
+        SupportSet(((0, 2), (3, 0))),
+    ][:period]
+    calls = []
+
+    def scripted():
+        sequence = cycle(supports)
+
+        def threshold(gradient):
+            calls.append(1)
+            return next(sequence)
+
+        return threshold
+
+    cols = _Columns(matrix)
+    ref = reference_pursuit(cols, y, scripted(), 3, k_max)
+    calls.clear()
+    got = _pursuit(cols, y, scripted(), 3, k_max)
+    assert_same_result(got, ref)
+    assert got.converged_by == "max_iter" and got.iterations == k_max
+    assert len(calls) == min(k_max, period + 1)
+
+
+def paper_trial(op, trial):
+    """Observations of a 4-block, 12-path channel on the paper n_p=8 operator."""
+    rng = np.random.default_rng([20260809, trial])
+    alpha = np.zeros(op.shape[1], dtype=complex)
+    for b in rng.choice(30, 4, replace=False):
+        gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        alpha[b * 15 + rng.choice(15, 3, replace=False)] = gains
+    noise = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+    return op.matrix @ alpha + 0.1 * noise
+
+
+@pytest.fixture(scope="module")
+def paper_np8():
+    op = paper_operator()
+    return op, [paper_trial(op, t) for t in range(5)]
+
+
+def test_cycle_shortcut_matches_full_iterations_on_paper_trials(paper_np8, monkeypatch):
+    # 8 pilots are fewer than 2Q+1 = 15: the pursuit cycles instead of settling
+    op, observations = paper_np8
+    refits = []
+
+    def counting(*args):
+        refits.append(1)
+        return restricted_least_squares(*args)
+
+    monkeypatch.setattr(hihtp, "restricted_least_squares", counting)
+    for y in observations:
+        ref = reference_pursuit(
+            op._columns, y, lambda g: hierarchical_threshold(g, 30, 15, 15, 8), 15, 20
+        )
+        refits.clear()
+        got = hihtp_recover(op, y, 15, 8)
+        assert_same_result(got, ref)
+        assert got.iterations == 20 and len(refits) < 20
+        ref = reference_pursuit(op._columns, y, lambda g: flat_threshold(g, 30, 15, 120), 15, 20)
+        assert_same_result(htp_recover(op, y, 120), ref)
+
+
+@pytest.mark.parametrize("k_max", [1, 20])
+def test_max_iter_contract(paper_np8, k_max):
+    # k_max = 1 stops before any support can repeat
+    op, observations = paper_np8
+    res = hihtp_recover(op, observations[0], 15, 8, k_max=k_max)
+    assert res.converged_by == "max_iter"
+    assert res.iterations == k_max
+    assert len(res.residual_trace) == k_max + 1
+    assert res.support.is_hierarchical(15, 8)
+    off = np.ones(op.shape[1], dtype=bool)
+    off[res.support.flat_indices(15)] = False
+    assert not res.alpha[off].any()

@@ -381,6 +381,34 @@ def test_operator_export_roundtrip(tmp_path):
     assert np.array_equal(matrix, op.matrix)
 
 
+def _drop_last_index(lines):
+    lines[3] = lines[3].rsplit(" ", 1)[0]
+    return lines
+
+
+@pytest.mark.parametrize(
+    "corrupt, lineno",
+    [
+        (lambda lines: lines[:4] + ["-1 0 1.0 0.0"] + lines[5:], 5),
+        (lambda lines: lines[:3], 4),
+        (lambda lines: lines[:6] + [f"{lines[2].split()[1]} 0 1.0 0.0"], 7),
+        (lambda lines: lines[:5] + ["0 -1 1.0 0.0"], 6),
+        (_drop_last_index, 4),
+        (lambda lines: lines[:5] + ["0 1 1.0"], 6),
+    ],
+    ids=["negative-row", "truncated", "row-outside", "negative-col", "index-count", "short-entry"],
+)
+def test_load_operator_rejects_malformed_files(tmp_path, corrupt, lineno):
+    params = AfdmParams(n=64, chirp_num=2, c2=0.11)
+    op = build_measurement_operator(PilotScheme.uniform(64, 2, 3, 2, 2), params, 3, 2)
+    path = tmp_path / "operator.txt"
+    export_operator(op, path)
+    lines = corrupt(path.read_text(encoding="ascii").splitlines())
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with pytest.raises(ValueError, match=rf"operator\.txt, line {lineno}: "):
+        load_operator(path)
+
+
 def test_operator_export_writes_structural_entries_only(tmp_path):
     # the paper n_p=8 operator: one entry per pilot and column
     n, l_taps, q_max, n_pilots = 4096, 30, 7, 8
