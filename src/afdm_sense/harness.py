@@ -115,6 +115,14 @@ class ExperimentConfig:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.htp_sparsity is not None and self.htp_sparsity < 1:
             raise ValueError(f"htp_sparsity must be >= 1, got {self.htp_sparsity}")
+        if not math.isfinite(self.pilot_amplitude) or self.pilot_amplitude == 0:
+            raise ValueError(
+                f"pilot_amplitude must be finite and nonzero, got {self.pilot_amplitude}"
+            )
+        if not math.isfinite(self.c2):
+            raise ValueError(f"c2 must be finite, got {self.c2}")
+        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
+            raise ValueError(f"bandwidth_hz must be finite and positive, got {self.bandwidth_hz}")
         object.__setattr__(self, "n_pilots", _as_int_tuple(self.n_pilots, "n_pilots"))
         object.__setattr__(self, "snr_db", _as_float_tuple(self.snr_db, "snr_db"))
         if self.receiver == "subnyquist" and not (

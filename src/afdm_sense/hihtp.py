@@ -17,7 +17,16 @@ The pursuit runs on the operator's column-hit structure rather than on its
 dense matrix: each column keeps only its exact nonzeros, and columns that
 share an observation row fall into one component.  Matrix-vector products
 scatter and gather over the hits, and the refit solves every component's
-block on its own, all blocks in one batched SVD.
+block on its own.
+
+The refit takes one of two paths, chosen once per operator from a
+conditioning certificate: the largest singular value over all components
+divided by the smallest, infinite when a component has more columns than
+rows or a zero singular value.  An operator whose certificate is at most
+``_GRAM_COND_MAX`` has its refits solved from the component Gram blocks,
+stored once, by one batched ``np.linalg.solve`` on the normal equations;
+every other operator solves its support blocks by one batched SVD.  Both
+paths give the same solution to round-off (see ``_GRAM_COND_MAX``).
 
 All tie-breaks go to the lowest index so identical inputs produce
 identical supports.
@@ -41,6 +50,15 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10
+# Refits of operators whose certificate is at most this solve the normal
+# equations.  Singular values interlace, so the singular values of any column
+# subset of a full-column-rank component lie within that component's, and
+# those within the range over all components: a support's blocks are at most
+# this badly conditioned, the SVD path's global _RANK_TOL rule keeps every
+# singular value, and both paths compute the same full-rank solution.  The
+# normal equations square the condition number, so their relative error is
+# of order cond^2 * eps <= ~1e-10.
+_GRAM_COND_MAX = 1e3
 
 
 @dataclass(frozen=True)
@@ -147,7 +165,14 @@ class _Columns:
     components of columns that share a row.  ``comp_rows`` lists each
     component's rows in increasing order (padded with ``m``) and ``local``
     gives every hit's position in its component's list; padding points one
-    past the longest list.
+    past the longest list.  ``slot`` is every column's position among its
+    component's columns.
+
+    ``cond`` is the conditioning certificate: the largest singular value of
+    any component's block over the smallest, infinite when a component has
+    more columns than rows or a zero singular value.  ``gram`` holds each
+    component's Gram block ``A_c^H A_c`` indexed by ``slot``, with one extra
+    all-zero pad slot.
     """
 
     def __init__(self, matrix) -> None:
@@ -191,6 +216,24 @@ class _Columns:
         hit_comp = self.comp[col]
         self.local[col, pos] = np.searchsorted(keys, hit_comp * (m + 1) + row) - first[hit_comp]
 
+        n_comp = len(per_comp)
+        comp_cols = np.bincount(self.comp, minlength=n_comp)
+        order = np.argsort(self.comp, kind="stable")
+        self.slot = np.empty(ncols, dtype=np.int64)
+        self.slot[order] = np.arange(ncols) - (np.cumsum(comp_cols) - comp_cols)[self.comp[order]]
+        # every component's block, one spare row taking the padding hits and
+        # one pad column; both stay zero
+        pad = int(comp_cols.max(initial=0))
+        a = np.zeros((n_comp, depth + 1, pad + 1), dtype=np.complex128)
+        a[self.comp[:, None], self.local, self.slot[:, None]] = self.vals
+        # a padded block's singular values are its own plus zeros, so a
+        # full-column-rank component's smallest is at index (columns - 1)
+        s = np.linalg.svd(a, compute_uv=False)
+        tall = np.all(per_comp >= comp_cols)
+        s_min = s[np.arange(n_comp), comp_cols - 1].min(initial=np.inf) if tall else 0.0
+        self.cond = float(s[:, 0].max(initial=0.0) / s_min) if s_min > 0.0 else np.inf
+        self.gram = np.einsum("crj,crk->cjk", a.conj(), a)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``M @ x`` as a scatter of the column hits."""
         contrib = (self.vals * x[:, None]).ravel()
@@ -220,10 +263,15 @@ def restricted_least_squares(matrix, y, support: SupportSet, block_size: int) ->
 
     ``matrix`` is a dense matrix or the pursuit's column structure.  The
     support columns are grouped by the component they belong to and all
-    component blocks are solved by one batched SVD.  Singular values at or
-    below 1e-10 times the largest over all blocks count as zero, the rank
-    rule of a dense SVD solve of the whole restricted system, so
-    rank-deficient systems get the minimum-norm solution.
+    component blocks are solved at once.  When the operator's conditioning
+    certificate is at most ``_GRAM_COND_MAX`` (1e3), the blocks of the
+    stored component Gram matrices and ``A_S^H y`` are solved by one batched
+    ``np.linalg.solve``; every support then has full column rank and the
+    result equals the SVD solve to round-off.  Otherwise the blocks are
+    solved by one batched SVD: singular values at or below 1e-10 times the
+    largest over all blocks count as zero, the rank rule of a dense SVD
+    solve of the whole restricted system, so rank-deficient systems get the
+    minimum-norm solution.
     """
     cols = matrix if isinstance(matrix, _Columns) else _Columns(matrix)
     m, ncols = cols.shape
@@ -245,6 +293,17 @@ def restricted_least_squares(matrix, y, support: SupportSet, block_size: int) ->
     first = np.flatnonzero(starts)
     block_of = np.cumsum(starts) - 1
     slot = np.arange(len(idx)) - first[block_of]
+    if cols.cond <= _GRAM_COND_MAX:  # false for a NaN certificate
+        pad = cols.gram.shape[1] - 1
+        gslot = np.full((len(first), int(slot.max()) + 1), pad)
+        gslot[block_of, slot] = cols.slot[idx]
+        g = cols.gram[comp[first][:, None, None], gslot[:, :, None], gslot[:, None, :]]
+        b, j = np.nonzero(gslot == pad)
+        g[b, j, j] = 1.0
+        h = np.zeros(gslot.shape, dtype=np.complex128)
+        h[block_of, slot] = (cols.vals[idx].conj() * np.append(y, 0.0)[cols.rows[idx]]).sum(axis=1)
+        z[idx] = np.linalg.solve(g, h[..., None])[block_of, slot, 0]
+        return z
     depth = cols.comp_rows.shape[1]
     # one spare row takes the padding hits and is cut before the solve
     a = np.zeros((len(first), depth + 1, int(slot.max()) + 1), dtype=np.complex128)

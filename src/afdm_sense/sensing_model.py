@@ -275,7 +275,7 @@ def build_measurement_operator(
     spectra[taps, base] = 0.0
     # norms by dot products over every tap's full spectrum
     stray = math.sqrt(np.vdot(spectra, spectra).real / max(np.vdot(kept, kept).real, 1e-300))
-    if stray > _STRAY_TOL:
+    if not stray <= _STRAY_TOL:  # a NaN norm is refused too
         raise ValueError(f"operator norm off the hit pattern is {stray:.3g} of the norm on it")
     # one row per pilot in column l * nd + q + q_max
     hits = ((base[:, :, None] + np.arange(-q_max, q_max + 1)) % n).reshape(len(base), -1)

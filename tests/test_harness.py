@@ -81,6 +81,15 @@ def test_config_validation():
     for snr in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="snr_db"):
             small_config(snr_db=(20.0, snr))
+    for amplitude in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="pilot_amplitude"):
+            small_config(pilot_amplitude=amplitude)
+    for c2 in (float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="c2"):
+            small_config(c2=c2)
+    for bandwidth in (float("nan"), float("inf"), 0.0, -30e6):
+        with pytest.raises(ValueError, match="bandwidth_hz"):
+            small_config(bandwidth_hz=bandwidth)
 
 
 def test_noise_free_run_recovers_exactly():
@@ -140,7 +149,8 @@ def test_htp_solver_path():
 def test_emit_csv_json_roundtrip(tmp_path):
     records = run_monte_carlo(small_config(trials=5))
     csv_path = emit_report(records, "csv", tmp_path / "out.csv")
-    text = open(csv_path).read()
+    with open(csv_path) as fh:
+        text = fh.read()
     assert text.count("\n") == len(records) + 1
     json_path = emit_report(records, "json", tmp_path / "out.json")
     assert load_records_json(json_path) == records
@@ -154,7 +164,8 @@ def test_emit_plotdata_series(tmp_path):
     cfg = small_config(trials=5, snr_db=(0.0, 10.0, 20.0), n_pilots=(4, 5))
     records = run_monte_carlo(cfg)
     path = emit_report(records, "plotdata", tmp_path / "plot.txt")
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     headers = [ln for ln in lines if ln.startswith("# series")]
     points = [ln for ln in lines if ln and not ln.startswith("#")]
     assert len(headers) == 2

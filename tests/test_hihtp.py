@@ -16,7 +16,7 @@ from afdm_sense import (
     restricted_least_squares,
 )
 from afdm_sense import hihtp
-from afdm_sense.hihtp import RecoveryResult, _Columns, _pursuit
+from afdm_sense.hihtp import _GRAM_COND_MAX, RecoveryResult, _Columns, _pursuit
 
 
 def all_hierarchical_supports(n_blocks, block_size, s_block, s_entry):
@@ -167,10 +167,10 @@ def lstsq_reference(matrix, y, support, block_size):
     return z
 
 
-def paper_operator():
-    # the C4 sweep geometry at its n_p=8 cell: n=4096, L=30, Q=7, chirp numerator 1
+def paper_operator(n_pilots=8, **layout):
+    # the C4 sweep geometry, by default its n_p=8 cell: n=4096, L=30, Q=7, chirp numerator 1
     params = AfdmParams(n=4096, chirp_num=1, cpp_len=64)
-    scheme = PilotScheme.uniform(4096, 8, 30, 7, 1, amplitude=25.0)
+    scheme = PilotScheme.uniform(4096, n_pilots, 30, 7, 1, amplitude=25.0, **layout)
     return build_measurement_operator(scheme, params, 30, 7)
 
 
@@ -203,7 +203,30 @@ def structured_systems():
     ]
 
 
-def test_restricted_ls_matches_dense_lstsq(structured_systems):
+@pytest.fixture(scope="module")
+def certified_systems():
+    """(matrix, y, support, block_size) for the operators whose refits take
+    the normal-equation path: the paper n_p=16 and n_p=32 operators and the
+    sub-Nyquist operator, each with random hierarchical supports whose
+    blocks hold between one column and a full block."""
+    rng = np.random.default_rng(23)
+    systems = []
+    for op, n_blocks, bs in (
+        (paper_operator(16), 30, 15),
+        (paper_operator(32), 30, 15),
+        (subnyquist_operator(), 8, 7),
+    ):
+        for _ in range(3):
+            blocks = rng.choice(n_blocks, rng.integers(2, n_blocks + 1), replace=False)
+            sizes = rng.integers(1, bs + 1, len(blocks))
+            sizes[0] = 1
+            flat = [b * bs + rng.choice(bs, k, replace=False) for b, k in zip(blocks, sizes)]
+            y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+            systems.append((op, y, SupportSet.from_flat(np.concatenate(flat), bs), bs))
+    return systems
+
+
+def test_restricted_ls_matches_dense_lstsq(structured_systems, certified_systems):
     ranks = []
     for matrix, y, sup, bs in structured_systems:
         ref = lstsq_reference(matrix, y, sup, bs)
@@ -214,6 +237,15 @@ def test_restricted_ls_matches_dense_lstsq(structured_systems):
     # the paper n_p=8 support is rank-deficient, the others have full column rank
     assert len(structured_systems[0][2]) == 120 and ranks[0] < 120
     assert ranks[1:] == [56, 10]
+    group_sizes = set()
+    for op, y, sup, bs in certified_systems:
+        ref = lstsq_reference(op.matrix, y, sup, bs)
+        got = restricted_least_squares(op._columns, y, sup, bs)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        counts = np.bincount(op._columns.comp[sup.flat_indices(bs)])
+        group_sizes.update(counts[counts > 0].tolist())
+    # the supports split into component groups of unequal size, one column included
+    assert 1 in group_sizes and len(group_sizes) > 3
 
 
 def test_restricted_ls_rank_rule_is_global():
@@ -241,6 +273,39 @@ def test_column_structure_products_match_dense(structured_systems):
         ref = matrix.conj().T @ y
         assert np.linalg.norm(cols.rmatvec(y) - ref) <= 1e-12 * np.linalg.norm(ref)
         assert cols.sq_norm == pytest.approx(np.vdot(matrix, matrix).real, rel=1e-12)
+
+
+def test_column_structure_certificate():
+    # columns within a component are exactly orthogonal at n_p=16 and 32
+    for n_pilots in (16, 32):
+        assert abs(paper_operator(n_pilots)._columns.cond - 1.0) <= 1e-12
+    assert 1.0 < subnyquist_operator()._columns.cond <= _GRAM_COND_MAX
+    # 8 pilots give components of 15 columns on 8 rows
+    assert paper_operator(8)._columns.cond == np.inf
+    for n_pilots in (16, 32):
+        for layout in (dict(contiguous=True), dict(overlap_mode="reduced")):
+            assert paper_operator(n_pilots, **layout)._columns.cond > _GRAM_COND_MAX
+    # a zero column is a component without rows
+    assert _Columns(np.eye(3, 2) * [1.0, 0.0]).cond == np.inf
+    assert _Columns(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])).cond > _GRAM_COND_MAX
+    assert _Columns(np.diag([1.0, 2.0, 4.0])).cond == pytest.approx(4.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("n_pilots, svd_calls", [(8, True), (16, False), (32, False)])
+def test_certified_refits_skip_svd(n_pilots, svd_calls, monkeypatch):
+    op = paper_operator(n_pilots)
+    op._columns  # the column structure takes its singular values once, here
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    res = hihtp_recover(op, paper_trial(op, 0), 15, 8)
+    assert bool(calls) == svd_calls
+    assert res.support.is_hierarchical(15, 8)
 
 
 def test_column_structure_components(structured_systems):

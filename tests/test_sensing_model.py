@@ -202,6 +202,15 @@ def test_operator_off_pattern_energy_rejected(monkeypatch):
         build_measurement_operator(scheme, params, 3, 1)
 
 
+@pytest.mark.parametrize("amplitude, c2", [(float("nan"), 0.0), (1.0, float("nan"))])
+def test_operator_with_nan_rejected(amplitude, c2):
+    # a NaN pilot or chirp parameter makes every stray norm NaN
+    params = AfdmParams(n=64, chirp_num=1, c2=c2)
+    scheme = PilotScheme.uniform(64, 2, 3, 1, 1, amplitude=amplitude)
+    with pytest.raises(ValueError, match="off the hit pattern"):
+        build_measurement_operator(scheme, params, 3, 1)
+
+
 def test_operator_single_column_degenerate():
     params = AfdmParams(n=16, chirp_num=1)
     scheme = PilotScheme(positions=(7,), values=(1.0,))
