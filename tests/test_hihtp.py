@@ -40,8 +40,9 @@ def best_support_oracle(x, n_blocks, block_size, s_block, s_entry):
 
 def exhaustive_recovery_oracle(matrix, y, n_blocks, block_size, s_block, s_entry):
     best, best_res = None, np.inf
+    cols = _Columns(matrix)  # derived once, not once per support
     for sup in all_hierarchical_supports(n_blocks, block_size, s_block, s_entry):
-        z = restricted_least_squares(matrix, y, sup, block_size)
+        z = restricted_least_squares(cols, y, sup, block_size)
         res = np.linalg.norm(y - matrix @ z)
         if res < best_res - 1e-12:
             best, best_res = z, res
