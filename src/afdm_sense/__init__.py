@@ -2,7 +2,6 @@
 
 from .daft_core import (
     AfdmParams,
-    build_daft_operator,
     cpp_extend,
     cpp_strip,
     daft_demodulate,

@@ -59,6 +59,10 @@ def _cmd_overhead(args) -> int:
         for k, v in vars(args).items()
         if k not in ("command", "waveform") and v is not None
     }
+    for key, value in params.items():
+        floor = 0 if key == "q_max" else 1
+        if value < floor:
+            raise ValueError(f"--{key.replace('_', '-')} must be >= {floor}, got {value}")
     print(pilot_overhead(args.waveform, params))
     return 0
 

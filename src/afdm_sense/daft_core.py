@@ -10,8 +10,7 @@ prefix degenerates to a plain cyclic prefix and a single on-grid path
 gain.
 
 Transforms are applied operationally (FFT plus two diagonal chirp
-multiplications); the dense matrix is materialized only by
-:func:`build_daft_operator` for verification purposes.
+multiplications); no dense transform matrix is formed.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "AfdmParams",
-    "build_daft_operator",
     "idaft_modulate",
     "daft_demodulate",
     "cpp_extend",
@@ -85,20 +83,6 @@ def _as_frame(x, n: int, what: str) -> np.ndarray:
     if x.shape != (n,):
         raise ValueError(f"{what} must have shape ({n},), got {x.shape}")
     return x
-
-
-def build_daft_operator(params: AfdmParams) -> np.ndarray:
-    """Materialize the unitary forward transform matrix.
-
-    Entry (k, m) equals ``exp(-i 2 pi (c2 k^2 + k m / n + c1 m^2)) / sqrt(n)``.
-    Intended for tests and small frames; use the modulate/demodulate
-    functions for real work.
-    """
-    n = params.n
-    first, second = _chirp_tables(params)
-    idx = np.arange(n, dtype=np.int64)
-    dft = np.exp(-2j * np.pi * ((idx[:, None] * idx[None, :]) % n) / n) / np.sqrt(n)
-    return second[:, None] * dft * first[None, :]
 
 
 def idaft_modulate(x, params: AfdmParams) -> np.ndarray:

@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -181,16 +182,35 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ValueError(f"a config must be an object of fields, got {type(doc).__name__}")
+        hints = typing.get_type_hints(cls)
+        extra = set(doc) - set(hints)
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
+        for name, value in doc.items():
+            if not _json_type_ok(value, hints[name]):
+                declared = cls.__dataclass_fields__[name].type
+                raise ValueError(f"config field {name!r} must be {declared}, got {value!r}")
         return cls(**doc)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _json_type_ok(value, hint) -> bool:
+    """Whether a decoded JSON value fits a config field's annotation."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:  # a list of numbers, or one number
+        items = value if isinstance(value, (list, tuple)) else [value]
+        return all(_json_type_ok(v, args[0]) for v in items)
+    if args:  # an optional field
+        return any(_json_type_ok(value, a) for a in args)
+    # a JSON boolean is no number, although Python's bool is an int
+    numeric = (int, float) if hint is float else hint
+    return isinstance(value, numeric) and (hint is bool or not isinstance(value, bool))
 
 
 def _as_int_tuple(value, name) -> tuple[int, ...]:

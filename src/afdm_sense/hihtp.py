@@ -34,6 +34,7 @@ identical supports.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -95,10 +96,7 @@ class SupportSet:
         return support
 
     def block_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for b, _ in self.pairs:
-            counts[b] = counts.get(b, 0) + 1
-        return counts
+        return dict(Counter(b for b, _ in self.pairs))
 
     def is_hierarchical(self, s_block: int, s_entry: int) -> bool:
         counts = self.block_counts()
@@ -157,16 +155,17 @@ def flat_threshold(x, n_blocks: int, block_size: int, s: int) -> SupportSet:
 
 
 class _Columns:
-    """Exact-nonzero structure of a dense matrix, stored per column.
+    """Exact-nonzero structure of an ``m``-row operator, stored per column.
 
-    ``rows`` and ``vals`` hold every column's hit rows and values, padded to
-    the widest column with row ``m`` and value 0; row ``m`` addresses a zero
-    appended to each observation vector.  ``comp`` labels the connected
-    components of columns that share a row.  ``comp_rows`` lists each
-    component's rows in increasing order (padded with ``m``) and ``local``
-    gives every hit's position in its component's list; padding points one
-    past the longest list.  ``slot`` is every column's position among its
-    component's columns.
+    Built from every column's hits, as given by the operator build, or by
+    ``from_dense`` from a dense matrix.  ``rows`` and ``vals`` hold them in
+    increasing row order, padded with row ``m`` and value 0; row ``m``
+    addresses a zero appended to each observation vector.  ``comp`` labels
+    the connected components of columns that share a row.  ``comp_rows``
+    lists each component's rows in increasing order (padded with ``m``) and
+    ``local`` gives every hit's position in its component's list; padding
+    points one past the longest list.  ``slot`` is every column's position
+    among its component's columns.
 
     ``cond`` is the conditioning certificate: the largest singular value of
     any component's block over the smallest, infinite when a component has
@@ -175,22 +174,14 @@ class _Columns:
     all-zero pad slot.
     """
 
-    def __init__(self, matrix) -> None:
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        if matrix.ndim != 2:
-            raise ValueError(f"operator must be a matrix, got {matrix.ndim} dimensions")
-        m, ncols = matrix.shape
+    def __init__(self, m: int, rows, vals) -> None:
+        order = np.argsort(rows, axis=1, kind="stable")
+        self.rows = np.take_along_axis(np.asarray(rows, dtype=np.int64), order, axis=1)
+        self.vals = np.take_along_axis(np.asarray(vals, dtype=np.complex128), order, axis=1)
+        ncols, width = self.rows.shape
         self.shape = (m, ncols)
-        row, col = np.nonzero(matrix)
-        order = np.argsort(col, kind="stable")  # group by column, rows increasing
-        row, col = row[order], col[order]
-        counts = np.bincount(col, minlength=ncols)
-        pos = np.arange(len(col)) - (np.cumsum(counts) - counts)[col]
-        width = int(counts.max(initial=0))
-        self.rows = np.full((ncols, width), m, dtype=np.int64)
-        self.rows[col, pos] = row
-        self.vals = np.zeros((ncols, width), dtype=np.complex128)
-        self.vals[col, pos] = matrix[row, col]
+        col, pos = np.nonzero(self.rows < m)  # every hit, by column, rows increasing
+        row = self.rows[col, pos]
         self.sq_norm = float(np.sum(self.vals.real**2 + self.vals.imag**2))
 
         # label propagation: every column takes the smallest label among the
@@ -205,7 +196,9 @@ class _Columns:
             label = new
         self.comp = np.unique(label, return_inverse=True)[1].reshape(-1)
 
-        keys = np.unique(self.comp[col] * (m + 1) + row)
+        # distinct (component, row) keys; np.unique would import numpy.ma on first use
+        keys = np.sort(self.comp[col] * (m + 1) + row)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         key_comp = keys // (m + 1)
         per_comp = np.bincount(key_comp, minlength=int(self.comp.max(initial=-1)) + 1)
         first = np.cumsum(per_comp) - per_comp
@@ -234,6 +227,18 @@ class _Columns:
         self.cond = float(s[:, 0].max(initial=0.0) / s_min) if s_min > 0.0 else np.inf
         self.gram = np.einsum("crj,crk->cjk", a.conj(), a)
 
+    @classmethod
+    def from_dense(cls, matrix) -> "_Columns":
+        """Hits of a dense matrix: its exact nonzeros, column by column."""
+        matrix = np.asarray(matrix, dtype=np.complex128)
+        if matrix.ndim != 2:
+            raise ValueError(f"operator must be a matrix, got {matrix.ndim} dimensions")
+        # every column's nonzero rows first, in increasing order
+        width = int(np.count_nonzero(matrix, axis=0).max(initial=0))
+        rows = np.argsort(matrix.T == 0, axis=1, kind="stable")[:, :width]
+        vals = np.take_along_axis(matrix.T, rows, axis=1)
+        return cls(len(matrix), np.where(vals != 0, rows, len(matrix)), vals)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``M @ x`` as a scatter of the column hits."""
         contrib = (self.vals * x[:, None]).ravel()
@@ -250,12 +255,11 @@ class _Columns:
 
 
 def _operator_columns(op, n_blocks, block_size):
-    columns = getattr(op, "_columns", None)
-    if columns is not None:
-        return columns, op.l_taps, op.block_size
+    if hasattr(op, "columns"):
+        return op.columns, op.l_taps, op.block_size
     if n_blocks is None or block_size is None:
         raise ValueError("n_blocks and block_size are required with a bare matrix")
-    return _Columns(op), n_blocks, block_size
+    return _Columns.from_dense(op), n_blocks, block_size
 
 
 def restricted_least_squares(matrix, y, support: SupportSet, block_size: int) -> np.ndarray:
@@ -273,7 +277,7 @@ def restricted_least_squares(matrix, y, support: SupportSet, block_size: int) ->
     solve of the whole restricted system, so rank-deficient systems get the
     minimum-norm solution.
     """
-    cols = matrix if isinstance(matrix, _Columns) else _Columns(matrix)
+    cols = matrix if isinstance(matrix, _Columns) else _Columns.from_dense(matrix)
     m, ncols = cols.shape
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (m,):
@@ -369,8 +373,8 @@ def hihtp_recover(
 
     ``op`` is a MeasurementOperator or a bare matrix (then ``n_blocks``
     and ``block_size`` are required).  The column structure the pursuit
-    runs on is derived once per operator, or once per call for a bare
-    matrix.  Stops when the selected support
+    runs on is built with the operator, or derived once per call for a
+    bare matrix.  Stops when the selected support
     repeats or after ``k_max`` iterations; the estimate is hierarchically
     sparse with exact zeros off the support.  Once the supports cycle, the
     iterations left to ``k_max`` are read off the cycle rather than

@@ -102,6 +102,8 @@ class PilotScheme:
         back; reduced placement (always contiguous) spaces pilots exactly
         ``(l_taps - 1) chirp_num + 1`` apart.
         """
+        if n_pilots < 1:
+            raise ValueError(f"at least one pilot is required, got {n_pilots}")
         width = (l_taps - 1) * chirp_num + 2 * q_max + 1
         stride = (l_taps - 1) * chirp_num + 1
         if overlap_mode == "reduced":
@@ -161,12 +163,9 @@ def observation_index_set(
     if width > n:
         raise ValueError(f"observation window of {width} exceeds the frame length {n}")
     mask = np.zeros(n, dtype=bool)
-    total = 0
-    for m in scheme.positions:
-        mask[(m + offsets) % n] = True
-        total += width
+    mask[(np.asarray(scheme.positions)[:, None] + offsets) % n] = True
     size = int(mask.sum())
-    if scheme.overlap_mode == "disjoint" and size != total:
+    if scheme.overlap_mode == "disjoint" and size != width * scheme.n_pilots:
         raise ValueError("observation windows overlap in disjoint mode")
     if scheme.overlap_mode == "reduced":
         stride = (l_taps - 1) * params.chirp_num + 1
@@ -224,10 +223,12 @@ def build_pilot_frame(
 class MeasurementOperator:
     """Sensing matrix from vectorized profile to observed samples.
 
-    ``matrix`` is stored dense, with exact zeros off the hit pattern.
+    ``columns`` stores the hits, one observation row and value per pilot and
+    column, and the structure the pursuit runs on.  ``matrix`` is the dense
+    view, exact zeros off the hits, built on first access only.
     """
 
-    matrix: np.ndarray
+    columns: _Columns
     row_indices: np.ndarray
     params: AfdmParams
     scheme: PilotScheme
@@ -240,12 +241,13 @@ class MeasurementOperator:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return self.columns.shape
 
     @cached_property
-    def _columns(self) -> _Columns:
-        """Column-hit structure the pursuit runs on, derived on first use."""
-        return _Columns(self.matrix)
+    def matrix(self) -> np.ndarray:
+        dense = np.zeros((self.shape[0] + 1, self.shape[1]), dtype=np.complex128)
+        dense[self.columns.rows, np.arange(self.shape[1])[:, None]] = self.columns.vals
+        return dense[:-1]  # the last row took the padding
 
 
 def build_measurement_operator(
@@ -258,8 +260,8 @@ def build_measurement_operator(
     Doppler factor ``e^{i2pi q m/n}`` shifts the de-chirped spectrum by
     exactly ``q`` bins, so each delayed frame is transformed once: pilot
     ``m_p`` sits in bin ``base = (m_p - chirp_sign P l) mod n`` and column
-    (l, q) holds ``second[(base + q) mod n] * spectrum_l[base]`` at row
-    ``(base + q) mod n``, exact zeros elsewhere.  The build raises if the
+    (l, q) hits row ``(base + q) mod n`` with ``second[(base + q) mod n] *
+    spectrum_l[base]``; only these hits are stored.  The build raises if the
     spectra carry more than round-off outside the pilot bins.
     """
     n, nd = params.n, 2 * q_max + 1
@@ -277,14 +279,11 @@ def build_measurement_operator(
     stray = math.sqrt(np.vdot(spectra, spectra).real / max(np.vdot(kept, kept).real, 1e-300))
     if not stray <= _STRAY_TOL:  # a NaN norm is refused too
         raise ValueError(f"operator norm off the hit pattern is {stray:.3g} of the norm on it")
-    # one row per pilot in column l * nd + q + q_max
+    # one hit per pilot in column l * nd + q + q_max
     hits = ((base[:, :, None] + np.arange(-q_max, q_max + 1)) % n).reshape(len(base), -1)
-    matrix = np.zeros((len(indices), l_taps * nd), dtype=np.complex128)
-    matrix[np.searchsorted(indices, hits), np.arange(l_taps * nd)] = (
-        second[hits] * kept.repeat(nd, 1)
-    )
+    vals = second[hits] * kept.repeat(nd, 1)
     return MeasurementOperator(
-        matrix=matrix,
+        columns=_Columns(len(indices), np.searchsorted(indices, hits).T, vals.T),
         row_indices=indices,
         params=params,
         scheme=scheme,
@@ -384,14 +383,10 @@ class KroneckerReport:
     tiling_uniform: bool
     off_block_mass: float
     block_matrix: np.ndarray | None
-    max_block_deviation: float | None
-    gram_deviation: float | None
-    unit_modulus_deviation: float | None
-    row_scales: np.ndarray | None
-
-
-def _shift_value(hf: HierarchicalForm, l: int, q: int) -> int:
-    return q - hf.chirp_sign * hf.chirp_num * l
+    max_block_deviation: float | None = None
+    gram_deviation: float | None = None
+    unit_modulus_deviation: float | None = None
+    row_scales: np.ndarray | None = None
 
 
 def kronecker_diagnostic(op: MeasurementOperator, hf: HierarchicalForm) -> KroneckerReport:
@@ -439,10 +434,6 @@ def kronecker_diagnostic(op: MeasurementOperator, hf: HierarchicalForm) -> Krone
             tiling_uniform=False,
             off_block_mass=off_mass,
             block_matrix=block_list[0],
-            max_block_deviation=None,
-            gram_deviation=None,
-            unit_modulus_deviation=None,
-            row_scales=None,
         )
 
     n_rows = group_sizes[0]
@@ -455,9 +446,8 @@ def kronecker_diagnostic(op: MeasurementOperator, hf: HierarchicalForm) -> Krone
     scales = None
     gram_dev = 0.0
     for b, blk in enumerate(block_list):
-        wraps = np.array(
-            [(_shift_value(hf, l, q) - b) // blocks for (l, q) in hf.diagonal_sets[b]]
-        )
+        shifts = [q - hf.chirp_sign * hf.chirp_num * l for (l, q) in hf.diagonal_sets[b]]
+        wraps = (np.array(shifts) - b) // blocks
         rows = np.arange(n_rows)
         pilot_of_entry = (rows[:, None] - wraps[None, :]) % n_rows
         if len(pilot_mags) == n_rows:
@@ -508,9 +498,8 @@ def hirip_probe(
         x = np.zeros(op.l_taps * nd, dtype=np.complex128)
         for b in blocks:
             entries = rng.choice(nd, size=s_entry, replace=False)
-            vals = rng.standard_normal(s_entry) + 1j * rng.standard_normal(s_entry)
-            x[b * nd + entries] = vals
-        ratios[t] = np.linalg.norm(op.matrix @ x) ** 2 / (np.linalg.norm(x) ** 2 * col_sq)
+            x[b * nd + entries] = rng.standard_normal(s_entry) + 1j * rng.standard_normal(s_entry)
+        ratios[t] = np.linalg.norm(op.columns.matvec(x)) ** 2 / (np.linalg.norm(x) ** 2 * col_sq)
     return {
         "min_ratio": float(ratios.min()),
         "max_ratio": float(ratios.max()),
@@ -533,9 +522,8 @@ def export_operator(op: MeasurementOperator, path) -> None:
         f"rows {rows} cols {cols}",
         "indices " + " ".join(str(int(k)) for k in op.row_indices),
     ]
-    nz_r, nz_c = np.nonzero(np.abs(op.matrix) > 0)
-    for i, j in zip(nz_r, nz_c):
-        v = op.matrix[i, j]
+    nz_r, nz_c = np.nonzero(op.matrix)
+    for i, j, v in zip(nz_r, nz_c, op.matrix[nz_r, nz_c]):
         lines.append(f"{i} {j} {float(v.real)!r} {float(v.imag)!r}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -11,6 +11,7 @@ length no smaller than the observation count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -40,8 +41,8 @@ class RadarConfig:
     include_cpp_in_duration: bool = False
 
     def __post_init__(self) -> None:
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_hz}")
+        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
+            raise ValueError(f"bandwidth must be finite and positive, got {self.bandwidth_hz}")
         if self.n <= 0 or self.cpp_len < 0:
             raise ValueError("frame length must be positive and prefix length >= 0")
 

@@ -3,7 +3,6 @@ import pytest
 
 from afdm_sense import (
     AfdmParams,
-    build_daft_operator,
     cpp_extend,
     cpp_strip,
     daft_demodulate,
@@ -11,6 +10,11 @@ from afdm_sense import (
     idaft_modulate,
     select_chirp_rate,
 )
+
+
+def build_daft_operator(params):
+    """Dense forward transform, one demodulated unit frame per column."""
+    return np.stack([daft_demodulate(e, params) for e in np.eye(params.n)], axis=1)
 
 
 def kernel_matrix(params):

@@ -63,6 +63,22 @@ def test_config_round_trip_and_derived_fields():
         ExperimentConfig.from_dict({**doc, "bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", "100"), ("trials", 100.0), ("trials", True), ("contiguous", 1),
+     ("model", None), ("chirp_num", 2.5), ("n_pilots", ["8"]), ("snr_db", [True])],
+)
+def test_config_rejects_wrong_json_types(field, value):
+    doc = small_config().to_dict()
+    with pytest.raises(ValueError, match=f"config field '{field}' must be"):
+        ExperimentConfig.from_dict({**doc, field: value})
+    # numbers fill float fields, null fills optional ones, one number a list
+    ok = {**doc, "snr_db": 20, "p_delay": 1, "chirp_num": None, "n_pilots": 4}
+    assert ExperimentConfig.from_dict(ok).n_pilots == (4,)
+    with pytest.raises(ValueError, match="object of fields"):
+        ExperimentConfig.from_dict([doc])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(receiver="analog")
@@ -188,6 +204,20 @@ def test_failed_trials_counted_not_fatal(monkeypatch):
     assert rec.trials_ok == 5
 
 
+def test_sweep_never_builds_dense_operator(monkeypatch):
+    built, real_build = [], harness.build_measurement_operator
+
+    def build(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_measurement_operator", build)
+    for solver in ("hihtp", "htp"):
+        rec = run_monte_carlo(small_config(trials=3, solver=solver))[0]
+        assert rec.trials_ok == 3
+    assert len(built) == 2 and not any("matrix" in vars(op) for op in built)
+
+
 def test_thread_env_override_matches_serial(monkeypatch):
     cfg = small_config(trials=12)
     serial = records_to_csv_str(run_monte_carlo(cfg))
@@ -241,6 +271,34 @@ def test_cli_errors_are_reported(tmp_path, capsys):
     no_pilots.write_text(json.dumps({**small_config().to_dict(), "n_pilots": [0]}))
     assert cli_main(["run", str(no_pilots)]) == 1
     assert "error:" in capsys.readouterr().err
+    # a field of the wrong JSON type is refused before any comparison on it
+    wrong_type = tmp_path / "wrong_type.json"
+    wrong_type.write_text(json.dumps({**small_config().to_dict(), "trials": "100"}))
+    assert cli_main(["run", str(wrong_type)]) == 1
+    assert "'trials' must be int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["overhead", "afdm", "--n-pilots", "-3", "--l-taps", "30", "--q-max", "7"],
+        ["overhead", "afdm", "--n-pilots", "16", "--l-taps", "0", "--q-max", "7"],
+        ["overhead", "afdm", "--n-pilots", "16", "--l-taps", "30", "--q-max", "-1"],
+        ["overhead", "afdm", "--n-pilots", "16", "--l-taps", "30", "--q-max", "7", "--chirp-num", "0"],
+        ["overhead", "otfs", "--n-otfs", "0", "--m-otfs", "256", "--l-taps", "30", "--q-max", "7"],
+        ["rate", "--n-pilots", "16", "--l-taps", "30", "--n", "4096", "--bandwidth-hz", "nan"],
+        ["rate", "--n-pilots", "16", "--l-taps", "30", "--n", "4096", "--bandwidth-hz", "inf"],
+        ["rate", "--n-pilots", "0", "--l-taps", "30", "--n", "4096", "--bandwidth-hz", "30e6"],
+        ["rate", "--n-pilots", "16", "--l-taps", "30", "--chirp-num", "0", "--n", "4096",
+         "--bandwidth-hz", "30e6"],
+    ],
+    ids=["pilots", "taps", "q-max", "chirp-num", "otfs-grid", "nan-bandwidth", "inf-bandwidth",
+         "rate-pilots", "rate-chirp-num"],
+)
+def test_cli_rejects_out_of_range_inputs(argv, capsys):
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and not captured.out
 
 
 def test_support_rate_counts_true_set_size():

@@ -40,7 +40,7 @@ def best_support_oracle(x, n_blocks, block_size, s_block, s_entry):
 
 def exhaustive_recovery_oracle(matrix, y, n_blocks, block_size, s_block, s_entry):
     best, best_res = None, np.inf
-    cols = _Columns(matrix)  # derived once, not once per support
+    cols = _Columns.from_dense(matrix)  # derived once, not once per support
     for sup in all_hierarchical_supports(n_blocks, block_size, s_block, s_entry):
         z = restricted_least_squares(cols, y, sup, block_size)
         res = np.linalg.norm(y - matrix @ z)
@@ -241,9 +241,9 @@ def test_restricted_ls_matches_dense_lstsq(structured_systems, certified_systems
     group_sizes = set()
     for op, y, sup, bs in certified_systems:
         ref = lstsq_reference(op.matrix, y, sup, bs)
-        got = restricted_least_squares(op._columns, y, sup, bs)
+        got = restricted_least_squares(op.columns, y, sup, bs)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-        counts = np.bincount(op._columns.comp[sup.flat_indices(bs)])
+        counts = np.bincount(op.columns.comp[sup.flat_indices(bs)])
         group_sizes.update(counts[counts > 0].tolist())
     # the supports split into component groups of unequal size, one column included
     assert 1 in group_sizes and len(group_sizes) > 3
@@ -267,7 +267,7 @@ def test_restricted_ls_rank_rule_is_global():
 def test_column_structure_products_match_dense(structured_systems):
     rng = np.random.default_rng(22)
     for matrix, y, _, _ in structured_systems:
-        cols = _Columns(matrix)
+        cols = _Columns.from_dense(matrix)
         x = rng.standard_normal(matrix.shape[1]) + 1j * rng.standard_normal(matrix.shape[1])
         ref = matrix @ x
         assert np.linalg.norm(cols.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -279,23 +279,22 @@ def test_column_structure_products_match_dense(structured_systems):
 def test_column_structure_certificate():
     # columns within a component are exactly orthogonal at n_p=16 and 32
     for n_pilots in (16, 32):
-        assert abs(paper_operator(n_pilots)._columns.cond - 1.0) <= 1e-12
-    assert 1.0 < subnyquist_operator()._columns.cond <= _GRAM_COND_MAX
+        assert abs(paper_operator(n_pilots).columns.cond - 1.0) <= 1e-12
+    assert 1.0 < subnyquist_operator().columns.cond <= _GRAM_COND_MAX
     # 8 pilots give components of 15 columns on 8 rows
-    assert paper_operator(8)._columns.cond == np.inf
+    assert paper_operator(8).columns.cond == np.inf
     for n_pilots in (16, 32):
         for layout in (dict(contiguous=True), dict(overlap_mode="reduced")):
-            assert paper_operator(n_pilots, **layout)._columns.cond > _GRAM_COND_MAX
+            assert paper_operator(n_pilots, **layout).columns.cond > _GRAM_COND_MAX
     # a zero column is a component without rows
-    assert _Columns(np.eye(3, 2) * [1.0, 0.0]).cond == np.inf
-    assert _Columns(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])).cond > _GRAM_COND_MAX
-    assert _Columns(np.diag([1.0, 2.0, 4.0])).cond == pytest.approx(4.0, rel=1e-15)
+    assert _Columns.from_dense(np.eye(3, 2) * [1.0, 0.0]).cond == np.inf
+    assert _Columns.from_dense(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])).cond > _GRAM_COND_MAX
+    assert _Columns.from_dense(np.diag([1.0, 2.0, 4.0])).cond == pytest.approx(4.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("n_pilots, svd_calls", [(8, True), (16, False), (32, False)])
 def test_certified_refits_skip_svd(n_pilots, svd_calls, monkeypatch):
-    op = paper_operator(n_pilots)
-    op._columns  # the column structure takes its singular values once, here
+    op = paper_operator(n_pilots)  # the build takes the components' singular values once
     calls = []
     svd = np.linalg.svd
 
@@ -310,8 +309,7 @@ def test_certified_refits_skip_svd(n_pilots, svd_calls, monkeypatch):
 
 
 def test_column_structure_components(structured_systems):
-    (paper, _, _, _), (reduced, _, _, _), (dense, _, _, _) = structured_systems
-    cols = _Columns(paper)
+    cols = paper_operator().columns
     # shift classes of the paper operator: each column hits its class's 8 rows
     assert cols.comp.max() + 1 == 44
     assert np.bincount(cols.comp).max() == 15
@@ -319,14 +317,48 @@ def test_column_structure_components(structured_systems):
     for c in range(44):
         members = np.flatnonzero(cols.comp == c)
         assert all(set(cols.rows[j]) == set(cols.rows[members[0]]) for j in members)
-    cols = _Columns(reduced)
+    cols = subnyquist_operator().columns
     assert cols.comp.max() + 1 == 8 and np.bincount(cols.comp).tolist() == [7] * 8
     assert cols.rows.shape == (56, 255)
-    assert not _Columns(dense).comp.any()
+    assert not _Columns.from_dense(structured_systems[2][0]).comp.any()
     # a bidiagonal chain links its ends only through every column between them
     chain = np.eye(7, 6, dtype=complex) + np.eye(7, 6, k=-1)
     chain[:, 5] = 0.0
-    assert _Columns(chain).comp.tolist() == [0, 0, 0, 0, 0, 1]
+    assert _Columns.from_dense(chain).comp.tolist() == [0, 0, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "layout, chirp",
+    [
+        (dict(), dict()),
+        (dict(contiguous=True), dict()),
+        (dict(overlap_mode="reduced"), dict()),
+        (dict(), dict(chirp_sign=-1, c2=0.37)),
+        (dict(overlap_mode="reduced"), dict(chirp_sign=-1, chirp_num=2, c2=-0.21)),
+        (dict(start=0), dict(chirp_num=2, c2=0.11)),
+    ],
+    ids=["disjoint", "contiguous", "reduced", "negative-c2", "reduced-negative-p2", "wrapped"],
+)
+def test_built_structure_matches_dense_adapter(layout, chirp):
+    # the build hands its hits over unsorted (the first pilot's window wraps
+    # past index 0 in the last case); the structure must equal the one the
+    # dense adapter derives from the dense view
+    params = AfdmParams(n=256, cpp_len=5, **{"chirp_num": 1, **chirp})
+    scheme = PilotScheme.uniform(
+        256, 6, 6, 2, params.chirp_num, chirp_sign=params.chirp_sign, **layout
+    )
+    op = build_measurement_operator(scheme, params, 6, 2)
+    built, ref = op.columns, _Columns.from_dense(op.matrix)
+    assert built.shape == ref.shape == op.matrix.shape
+    for name in ("rows", "vals", "comp", "comp_rows", "local", "slot", "gram"):
+        assert np.array_equal(getattr(built, name), getattr(ref, name)), name
+    assert built.cond == ref.cond and built.sq_norm == ref.sq_norm
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
+    y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+    assert np.array_equal(built.matvec(x), ref.matvec(x))
+    assert np.array_equal(built.rmatvec(y), ref.rmatvec(y))
+    assert np.linalg.norm(built.matvec(x) - op.matrix @ x) <= 1e-12 * np.linalg.norm(x)
 
 
 def small_operator(n=32, l_taps=4, q_max=1, n_pilots=4, chirp_num=1):
@@ -544,7 +576,7 @@ def test_cycle_shortcut_matches_full_iterations_scripted(period, k_max):
 
         return threshold
 
-    cols = _Columns(matrix)
+    cols = _Columns.from_dense(matrix)
     ref = reference_pursuit(cols, y, scripted(), 3, k_max)
     calls.clear()
     got = _pursuit(cols, y, scripted(), 3, k_max)
@@ -582,13 +614,13 @@ def test_cycle_shortcut_matches_full_iterations_on_paper_trials(paper_np8, monke
     monkeypatch.setattr(hihtp, "restricted_least_squares", counting)
     for y in observations:
         ref = reference_pursuit(
-            op._columns, y, lambda g: hierarchical_threshold(g, 30, 15, 15, 8), 15, 20
+            op.columns, y, lambda g: hierarchical_threshold(g, 30, 15, 15, 8), 15, 20
         )
         refits.clear()
         got = hihtp_recover(op, y, 15, 8)
         assert_same_result(got, ref)
         assert got.iterations == 20 and len(refits) < 20
-        ref = reference_pursuit(op._columns, y, lambda g: flat_threshold(g, 30, 15, 120), 15, 20)
+        ref = reference_pursuit(op.columns, y, lambda g: flat_threshold(g, 30, 15, 120), 15, 20)
         assert_same_result(htp_recover(op, y, 120), ref)
 
 

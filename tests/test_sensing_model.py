@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +96,13 @@ def test_pilot_frame_single_nonzero():
 def test_pilot_frame_rejects_distinct_violations():
     with pytest.raises(ValueError, match="distinct"):
         PilotScheme(positions=(3, 3), values=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("n_pilots", [0, -1])
+def test_uniform_scheme_rejects_no_pilots(n_pilots):
+    # the default spread layout would divide the frame by the pilot count
+    with pytest.raises(ValueError, match="at least one pilot"):
+        PilotScheme.uniform(4096, n_pilots, 30, 7, 1)
 
 
 def test_data_fills_only_safe_slots_and_guard_isolation():
@@ -377,6 +385,22 @@ def test_hirip_probe_well_conditioned_band():
     probe = hirip_probe(op, 2, 1, trials=200, rng=np.random.default_rng(4))
     assert 0.3 < probe["min_ratio"] <= probe["max_ratio"] < 1.7
     assert probe["mean_ratio"] == pytest.approx(1.0, abs=0.15)
+
+
+def test_paper_build_allocates_no_dense_matrix():
+    # the paper n_p=32 cell, whose dense operator alone is 1408 x 450
+    # complex entries (9.7 MB); the build keeps 32 hits per column
+    params = AfdmParams(n=4096, chirp_num=1, cpp_len=64)
+    scheme = PilotScheme.uniform(4096, 32, 30, 7, 1, amplitude=25.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = build_measurement_operator(scheme, params, 30, 7)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+    assert op.columns.rows.shape == (450, 32) and "matrix" not in vars(op)
 
 
 def test_operator_export_roundtrip(tmp_path):
