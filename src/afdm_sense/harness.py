@@ -5,7 +5,8 @@ driver sweeps pilot counts and SNR points, runs seeded independent trials
 through the full chain (profile draw, frame synthesis, channel, receiver,
 recovery) and aggregates squared-error and support statistics.  Trial
 randomness is keyed by (master seed, pilot count, SNR, trial index), so
-serial and threaded runs produce identical records.
+serial runs and runs on any number of worker processes produce identical
+records.
 """
 
 from __future__ import annotations
@@ -17,24 +18,34 @@ import json
 import logging
 import math
 import os
+import pickle
+import select
+import sys
+import threading
 import time
 import typing
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import NoiseConfig, SparsityConfig, apply_channel, sample_profile, vectorize_profile
+from .channel import (
+    NoiseConfig,
+    SparsityConfig,
+    apply_channel,
+    doppler_phase,
+    sample_profile,
+    vectorize_profile,
+)
 from .daft_core import AfdmParams, cpp_extend, daft_demodulate, idaft_modulate, select_chirp_rate
 from .hihtp import hihtp_recover, htp_recover
 from .sensing_model import (
+    MeasurementOperator,
     PilotScheme,
     build_measurement_operator,
     build_pilot_frame,
     extract_measurements,
 )
-from .subnyquist import RadarConfig, dechirp_decimate_receive, sampling_rate
+from .subnyquist import RadarConfig, decimation_plan, dechirp_decimate_receive, sampling_rate
 
 __all__ = [
     "ExperimentConfig",
@@ -287,105 +298,243 @@ def _run_trial(cfg, sparsity, levels, op, s_cpp, noise, rng):
     return err, _support_matches(result.alpha, truth), result.iterations
 
 
-def _thread_count() -> int:
-    """Trial threads from ``AFDM_SENSE_THREADS`` (default 1), capped at the CPU count."""
-    raw = os.environ.get(_THREAD_ENV) or "1"
+def _usable_cpus() -> int:
     try:
-        threads = int(raw)
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count() -> int:
+    """Trial worker processes: the usable CPUs, or ``AFDM_SENSE_THREADS`` capped at them."""
+    cpus = _usable_cpus()
+    raw = os.environ.get(_THREAD_ENV)
+    if not raw:
+        return cpus
+    try:
+        workers = int(raw)
     except ValueError:
-        threads = 0
-    if threads < 1:
+        workers = 0
+    if workers < 1:
         raise ValueError(f"{_THREAD_ENV} must be an integer >= 1, got {raw!r}")
-    return min(threads, os.cpu_count() or 1)
+    return min(workers, cpus)
+
+
+class _TrialPool:
+    """Worker processes forked once, each running chunks of trial indices.
+
+    ``run(job, trial)`` and all it reads exist before the fork, so the
+    workers inherit them: only ``(job, start, stop)`` and a chunk's outcomes
+    cross the pipes.  Chunks shrink as a job nears its end, so no worker
+    waits long on another.  With fewer than two workers, where the platform
+    cannot fork, or while other threads run (a forked copy could deadlock on
+    a lock one of them held), ``map`` runs the trials in this process.
+    """
+
+    def __init__(self, run, workers: int) -> None:
+        self.run = run
+        self.workers: list[tuple[int, typing.BinaryIO, typing.BinaryIO]] = []
+        if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+            return
+        # a child must not write out again what this process still buffers
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            for _ in range(workers):
+                self._fork()
+        except OSError as exc:  # out of processes or memory
+            self.close()
+            log.warning("cannot fork trial workers (%s); running trials in this process", exc)
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self) -> None:
+        tasks_r, tasks_w = os.pipe()
+        results_r, results_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (tasks_r, tasks_w, results_r, results_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(tasks_w)
+                os.close(results_r)
+                for _, tasks, results in self.workers:  # the earlier workers' pipes
+                    tasks.close()
+                    results.close()
+                self._serve(tasks_r, results_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(tasks_r)
+        os.close(results_w)
+        self.workers.append((pid, open(tasks_w, "wb"), open(results_r, "rb")))
+
+    def _serve(self, tasks_fd: int, results_fd: int) -> None:
+        with open(tasks_fd, "rb") as tasks, open(results_fd, "wb") as results:
+            while True:
+                try:
+                    job, start, stop = pickle.load(tasks)
+                except EOFError:  # the pool is closed
+                    return
+                pickle.dump([self.run(job, t) for t in range(start, stop)], results)
+                results.flush()
+
+    def map(self, job, count: int) -> list:
+        """``[run(job, t) for t in range(count)]``, spread over the workers."""
+        if not self.workers:
+            return [self.run(job, t) for t in range(count)]
+        out: list = [None] * count
+        idle = list(self.workers)
+        busy = {}  # result pipe -> (worker, first trial of its chunk)
+        start = 0
+        while start < count or busy:
+            while idle and start < count:
+                worker = idle.pop()
+                _, tasks, results = worker
+                stop = start + max(1, (count - start) // (2 * len(self.workers)))
+                pickle.dump((job, start, stop), tasks)
+                tasks.flush()
+                busy[results.fileno()] = (worker, start)
+                start = stop
+            for fd in select.select(list(busy), [], [])[0]:
+                worker, first = busy.pop(fd)
+                pid, _, results = worker
+                try:
+                    chunk = pickle.load(results)
+                except EOFError:
+                    raise RuntimeError(f"trial worker {pid} ended mid-chunk") from None
+                out[first : first + len(chunk)] = chunk
+                idle.append(worker)
+        return out
+
+    def close(self) -> None:
+        """End the workers: each reads the end of its task pipe and exits."""
+        workers, self.workers = self.workers, []
+        for _, tasks, results in workers:
+            tasks.close()
+            results.close()
+        for pid, _, _ in workers:
+            os.waitpid(pid, 0)
+
+    def __enter__(self) -> "_TrialPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class _Cell(typing.NamedTuple):
+    """Fixed state of one (pilot count, SNR) cell, shared by its trials."""
+
+    n_p: int
+    snr_db: float
+    op: MeasurementOperator
+    s_cpp: np.ndarray
+    noise: NoiseConfig
+    overhead: int
+    f_s: float
 
 
 def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Sweep pilot counts and SNR points; one record per cell.
 
     Trials are independent and identically keyed, so results do not depend
-    on execution order or thread count.  Failed trials are counted and
+    on execution order or worker count.  Every cell's fixed state is built
+    here before the trial workers fork, with the lazily cached tables the
+    trials read, so no worker rebuilds them.  Failed trials are counted and
     logged, never silently dropped.
     """
-    records: list[ResultRecord] = []
+    workers = min(_worker_count(), cfg.trials)
     params = cfg.afdm_params()
     sparsity = cfg.sparsity()
     levels = sparsity.sparsity_levels()
     chash = cfg.config_hash()
-    threads = _thread_count()
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        trial_map = pool.map if pool is not None else map
-        for n_p in cfg.n_pilots:
-            scheme = PilotScheme.uniform(
-                cfg.n,
-                n_p,
-                cfg.l_taps,
-                cfg.q_max,
-                params.chirp_num,
-                chirp_sign=params.chirp_sign,
-                amplitude=cfg.pilot_amplitude,
-                overlap_mode=cfg.overlap_mode,
-                contiguous=cfg.contiguous,
-            )
-            op = build_measurement_operator(scheme, params, cfg.l_taps, cfg.q_max)
-            frame = build_pilot_frame(scheme, params, cfg.l_taps, cfg.q_max)
-            s_cpp = cpp_extend(idaft_modulate(frame, params), params)
-            overhead = pilot_overhead(
-                "afdm",
-                {
-                    "n_pilots": n_p,
-                    "l_taps": cfg.l_taps,
-                    "q_max": cfg.q_max,
-                    "chirp_num": params.chirp_num,
-                },
-            )
-            if cfg.receiver == "subnyquist":
-                f_s = sampling_rate(n_p, cfg.l_taps, params.chirp_num, cfg.radar_config()).f_s_hz
-            else:
-                f_s = cfg.bandwidth_hz
-            for snr_db in cfg.snr_db:
-                noise = NoiseConfig.from_snr_db(snr_db)
-                started = time.perf_counter()
+    cells: list[_Cell] = []
+    for n_p in cfg.n_pilots:
+        scheme = PilotScheme.uniform(
+            cfg.n,
+            n_p,
+            cfg.l_taps,
+            cfg.q_max,
+            params.chirp_num,
+            chirp_sign=params.chirp_sign,
+            amplitude=cfg.pilot_amplitude,
+            overlap_mode=cfg.overlap_mode,
+            contiguous=cfg.contiguous,
+        )
+        op = build_measurement_operator(scheme, params, cfg.l_taps, cfg.q_max)
+        frame = build_pilot_frame(scheme, params, cfg.l_taps, cfg.q_max)
+        s_cpp = cpp_extend(idaft_modulate(frame, params), params)
+        overhead = pilot_overhead(
+            "afdm",
+            {
+                "n_pilots": n_p,
+                "l_taps": cfg.l_taps,
+                "q_max": cfg.q_max,
+                "chirp_num": params.chirp_num,
+            },
+        )
+        if cfg.receiver == "subnyquist":
+            # the receiver's call passes cfg=None, which is part of the cache key
+            decimation_plan(scheme, params, cfg.l_taps, cfg.q_max, None)
+            f_s = sampling_rate(n_p, cfg.l_taps, params.chirp_num, cfg.radar_config()).f_s_hz
+        else:
+            f_s = cfg.bandwidth_hz
+        for snr_db in cfg.snr_db:
+            noise = NoiseConfig.from_snr_db(snr_db)
+            cells.append(_Cell(n_p, snr_db, op, s_cpp, noise, overhead, f_s))
+    for q in range(-cfg.q_max, cfg.q_max + 1):
+        doppler_phase(cfg.n, q)
 
-                # captures this cell's loop variables; every call ends inside the map below
-                def one(trial):
-                    try:
-                        rng = _trial_rng(cfg, n_p, snr_db, trial)
-                        return _run_trial(cfg, sparsity, levels, op, s_cpp, noise, rng)
-                    except Exception:
-                        log.exception(
-                            "trial %d failed (n_pilots=%d, snr=%.1f)", trial, n_p, snr_db
-                        )
-                        return None
+    def trial(job: int, index: int):
+        cell = cells[job]
+        try:
+            rng = _trial_rng(cfg, cell.n_p, cell.snr_db, index)
+            return _run_trial(cfg, sparsity, levels, cell.op, cell.s_cpp, cell.noise, rng)
+        except Exception:
+            log.exception(
+                "trial %d failed (n_pilots=%d, snr=%.1f)", index, cell.n_p, cell.snr_db
+            )
+            return None
 
-                outcomes = list(trial_map(one, range(cfg.trials)))
-                good = [o for o in outcomes if o is not None]
-                errs = np.array([o[0] for o in good]) if good else np.array([np.nan])
-                matches = [o[1] for o in good]
-                iters = [o[2] for o in good]
-                records.append(
-                    ResultRecord(
-                        config_hash=chash,
-                        n=cfg.n,
-                        l_taps=cfg.l_taps,
-                        q_max=cfg.q_max,
-                        p_delay=cfg.p_delay,
-                        p_doppler=sparsity.p_doppler,
-                        n_pilots=n_p,
-                        snr_db=snr_db,
-                        mse=float(errs.mean()),
-                        mse_stderr=float(errs.std(ddof=1) / np.sqrt(len(errs)))
-                        if len(errs) > 1
-                        else 0.0,
-                        support_rate=float(np.mean(matches)) if matches else 0.0,
-                        mean_iterations=float(np.mean(iters)) if iters else 0.0,
-                        overhead=overhead,
-                        f_s_hz=f_s,
-                        wall_time_s=time.perf_counter() - started,
-                        trials_ok=len(good),
-                        trials_failed=cfg.trials - len(good),
-                        master_seed=cfg.master_seed,
-                    )
+    records: list[ResultRecord] = []
+    with _TrialPool(trial, workers) as pool:
+        for index, cell in enumerate(cells):
+            started = time.perf_counter()
+            outcomes = pool.map(index, cfg.trials)
+            good = [o for o in outcomes if o is not None]
+            errs = np.array([o[0] for o in good]) if good else np.array([np.nan])
+            matches = [o[1] for o in good]
+            iters = [o[2] for o in good]
+            records.append(
+                ResultRecord(
+                    config_hash=chash,
+                    n=cfg.n,
+                    l_taps=cfg.l_taps,
+                    q_max=cfg.q_max,
+                    p_delay=cfg.p_delay,
+                    p_doppler=sparsity.p_doppler,
+                    n_pilots=cell.n_p,
+                    snr_db=cell.snr_db,
+                    mse=float(errs.mean()),
+                    mse_stderr=float(errs.std(ddof=1) / np.sqrt(len(errs)))
+                    if len(errs) > 1
+                    else 0.0,
+                    support_rate=float(np.mean(matches)) if matches else 0.0,
+                    mean_iterations=float(np.mean(iters)) if iters else 0.0,
+                    overhead=cell.overhead,
+                    f_s_hz=cell.f_s,
+                    wall_time_s=time.perf_counter() - started,
+                    trials_ok=len(good),
+                    trials_failed=cfg.trials - len(good),
+                    master_seed=cfg.master_seed,
                 )
+            )
     return records
 
 
@@ -397,6 +546,9 @@ def pilot_overhead(waveform: str, parameters: dict) -> int:
     * afdm: ``n_pilots ((L-1) P + 1) + (L-1) P + 4 Q``
     * ofdm: ``n_pilots_td * n_pilots_fd + (n_symbols - 1)(L - 1)``
     * otfs: ``min(4 Q + 1, n_otfs) * min(2 L - 1, m_otfs)``
+
+    Pilot counts below 0, ``l_taps`` or ``chirp_num`` below 1 and ``q_max``
+    below 0 are refused; zero pilots leaves the guard-only overhead.
     """
     required = {
         "afdm": ("n_pilots", "l_taps", "q_max", "chirp_num"),
@@ -409,6 +561,10 @@ def pilot_overhead(waveform: str, parameters: dict) -> int:
     if missing:
         raise ValueError(f"{waveform} overhead needs parameters {missing}")
     p = parameters
+    floors = {"n_pilots": 0, "l_taps": 1, "q_max": 0, "chirp_num": 1}
+    for key in required[waveform]:
+        if key in floors and p[key] < floors[key]:
+            raise ValueError(f"{key} must be >= {floors[key]}, got {p[key]}")
     if waveform == "afdm":
         spread = (p["l_taps"] - 1) * p["chirp_num"]
         return p["n_pilots"] * (spread + 1) + spread + 4 * p["q_max"]

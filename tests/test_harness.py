@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +49,19 @@ def test_overhead_reference_values():
         pilot_overhead("ofdm", dict(n_pilots_td=4, n_pilots_fd=8, n_symbols=16, l_taps=30))
         == 32 + 15 * 29
     )
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_pilots", -1), ("n_pilots", -3), ("l_taps", 0), ("q_max", -1), ("chirp_num", 0)],
+)
+def test_overhead_rejects_out_of_range_counts(key, value):
+    parameters = dict(n_pilots=16, l_taps=30, q_max=7, chirp_num=1)
+    parameters[key] = value
+    with pytest.raises(ValueError, match=f"{key} must be >="):
+        pilot_overhead("afdm", parameters)
+    with pytest.raises(ValueError, match="l_taps must be >= 1"):
+        pilot_overhead("otfs", dict(n_otfs=16, m_otfs=256, l_taps=0, q_max=7))
 
 
 def test_overhead_missing_parameters():
@@ -189,6 +207,8 @@ def test_emit_plotdata_series(tmp_path):
 
 
 def test_failed_trials_counted_not_fatal(monkeypatch):
+    # the call counter lives in one process, so the trials run serially
+    monkeypatch.setenv("AFDM_SENSE_THREADS", "1")
     original = harness._run_trial
     calls = {"k": 0}
 
@@ -204,7 +224,60 @@ def test_failed_trials_counted_not_fatal(monkeypatch):
     assert rec.trials_ok == 5
 
 
+def test_failed_trials_in_workers_are_counted(monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("AFDM_SENSE_THREADS", "2")
+    parent, original = os.getpid(), harness._run_trial
+
+    def fails_in_workers(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("synthetic failure")
+        return original(*args)
+
+    monkeypatch.setattr(harness, "_run_trial", fails_in_workers)
+    records = run_monte_carlo(small_config(trials=6, snr_db=(20.0, 30.0)))
+    assert [(r.trials_ok, r.trials_failed) for r in records] == [(0, 6), (0, 6)]
+    assert all(np.isnan(r.mse) for r in records)
+
+
+def refuse_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize(
+    "fork", [None, refuse_fork, "thread"], ids=["no-fork", "fork-fails", "thread"]
+)
+def test_sweep_without_fork_runs_in_process(monkeypatch, fork):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.delenv("AFDM_SENSE_THREADS", raising=False)
+    if fork is None:
+        monkeypatch.delattr(harness.os, "fork")
+    elif fork is refuse_fork:
+        monkeypatch.setattr(harness.os, "fork", fork)
+    parent, original = os.getpid(), harness._run_trial
+    pids = set()
+
+    def recording(*args):
+        pids.add(os.getpid())
+        return original(*args)
+
+    monkeypatch.setattr(harness, "_run_trial", recording)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    if fork == "thread":
+        other.start()
+    try:
+        rec = run_monte_carlo(small_config(trials=4))[0]
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join(timeout=60)
+    assert rec.trials_ok == 4 and pids == {parent}
+
+
 def test_sweep_never_builds_dense_operator(monkeypatch):
+    # trials in worker processes would build a dense view only in their copies
+    monkeypatch.setenv("AFDM_SENSE_THREADS", "1")
     built, real_build = [], harness.build_measurement_operator
 
     def build(*args):
@@ -218,12 +291,43 @@ def test_sweep_never_builds_dense_operator(monkeypatch):
     assert len(built) == 2 and not any("matrix" in vars(op) for op in built)
 
 
-def test_thread_env_override_matches_serial(monkeypatch):
-    cfg = small_config(trials=12)
-    serial = records_to_csv_str(run_monte_carlo(cfg))
-    monkeypatch.setenv("AFDM_SENSE_THREADS", "4")
-    threaded = records_to_csv_str(run_monte_carlo(cfg))
-    assert serial == threaded
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(snr_db=(15.0, 25.0), n_pilots=(4, 5)),
+        dict(receiver="subnyquist", overlap_mode="reduced", contiguous=True, n_pilots=(6,),
+             snr_db=(10.0, 20.0)),
+        dict(solver="htp", snr_db=(20.0,)),
+    ],
+    ids=["fullrate", "subnyquist", "htp"],
+)
+def test_thread_env_override_matches_serial(monkeypatch, overrides):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    cfg = small_config(trials=13, **overrides)
+    csv = {}
+    for workers in ("1", "2", "4"):
+        monkeypatch.setenv("AFDM_SENSE_THREADS", workers)
+        csv[workers] = records_to_csv_str(run_monte_carlo(cfg))
+    assert csv["2"] == csv["1"] and csv["4"] == csv["1"]
+
+
+def test_subnyquist_sweep_does_not_import_numpy_ma():
+    src = Path(harness.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from afdm_sense import ExperimentConfig, run_monte_carlo\n"
+        "cfg = ExperimentConfig(n=256, l_taps=4, q_max=2, model='type2', p_delay=0.3,\n"
+        "    p_doppler=0.3, trials=2, n_pilots=(8,), overlap_mode='reduced',\n"
+        "    receiver='subnyquist')\n"
+        "assert run_monte_carlo(cfg)[0].trials_ok == 2\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src), AFDM_SENSE_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_overhead_and_rate(capsys):
@@ -322,18 +426,29 @@ def test_support_match_is_not_decided_by_round_off():
         assert not harness._support_matches(np.array([0.5, nudged, 0.1, 1.0]), truth)
 
 
-@pytest.mark.parametrize("raw, threads", [(None, 1), ("", 1), ("1", 1), ("3", 3), ("64", 4)])
-def test_thread_count_default_and_cap(monkeypatch, raw, threads):
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+@pytest.mark.parametrize("raw, workers", [(None, 4), ("", 4), ("1", 1), ("3", 3), ("64", 4)])
+def test_thread_count_default_and_cap(monkeypatch, raw, workers):
+    # the usable CPUs are those of the affinity mask, not the machine's
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     if raw is None:
         monkeypatch.delenv("AFDM_SENSE_THREADS", raising=False)
     else:
         monkeypatch.setenv("AFDM_SENSE_THREADS", raw)
-    assert harness._thread_count() == threads
+    assert harness._worker_count() == workers
+
+
+def test_worker_count_without_affinity_call(monkeypatch):
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    monkeypatch.delenv("AFDM_SENSE_THREADS", raising=False)
+    assert harness._worker_count() == 3
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert harness._worker_count() == 1
 
 
 @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-2"])
 def test_thread_count_rejects_bad_values(monkeypatch, raw):
     monkeypatch.setenv("AFDM_SENSE_THREADS", raw)
     with pytest.raises(ValueError, match="AFDM_SENSE_THREADS"):
-        harness._thread_count()
+        harness._worker_count()
