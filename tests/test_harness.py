@@ -52,16 +52,21 @@ def test_overhead_reference_values():
 
 
 @pytest.mark.parametrize(
-    "key, value",
-    [("n_pilots", -1), ("n_pilots", -3), ("l_taps", 0), ("q_max", -1), ("chirp_num", 0)],
+    "waveform, key, value",
+    [
+        ("afdm", "n_pilots", -1),
+        ("afdm", "n_pilots", -3),
+        ("afdm", "l_taps", 0),
+        ("afdm", "q_max", -1),
+        ("afdm", "chirp_num", 0),
+        ("otfs", "l_taps", 0),
+    ],
 )
-def test_overhead_rejects_out_of_range_counts(key, value):
-    parameters = dict(n_pilots=16, l_taps=30, q_max=7, chirp_num=1)
+def test_overhead_rejects_out_of_range_counts(waveform, key, value):
+    parameters = dict(n_pilots=16, l_taps=30, q_max=7, chirp_num=1, n_otfs=16, m_otfs=256)
     parameters[key] = value
     with pytest.raises(ValueError, match=f"{key} must be >="):
-        pilot_overhead("afdm", parameters)
-    with pytest.raises(ValueError, match="l_taps must be >= 1"):
-        pilot_overhead("otfs", dict(n_otfs=16, m_otfs=256, l_taps=0, q_max=7))
+        pilot_overhead(waveform, parameters)
 
 
 def test_overhead_missing_parameters():
@@ -240,39 +245,44 @@ def test_failed_trials_in_workers_are_counted(monkeypatch):
     assert all(np.isnan(r.mse) for r in records)
 
 
-def refuse_fork():
-    raise BlockingIOError(11, "Resource temporarily unavailable")
-
-
-@pytest.mark.parametrize(
-    "fork", [None, refuse_fork, "thread"], ids=["no-fork", "fork-fails", "thread"]
-)
-def test_sweep_without_fork_runs_in_process(monkeypatch, fork):
+def sweep_trial_pids(monkeypatch):
+    """Process ids that a small sweep with two workers allowed ran trials in."""
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     monkeypatch.delenv("AFDM_SENSE_THREADS", raising=False)
-    if fork is None:
-        monkeypatch.delattr(harness.os, "fork")
-    elif fork is refuse_fork:
-        monkeypatch.setattr(harness.os, "fork", fork)
-    parent, original = os.getpid(), harness._run_trial
-    pids = set()
+    original, pids = harness._run_trial, set()
 
     def recording(*args):
-        pids.add(os.getpid())
+        pids.add(os.getpid())  # a worker adds to its own copy of the set
         return original(*args)
 
     monkeypatch.setattr(harness, "_run_trial", recording)
+    assert run_monte_carlo(small_config(trials=4))[0].trials_ok == 4
+    return pids
+
+
+def test_sweep_without_fork_runs_in_process(monkeypatch):
+    monkeypatch.delattr(harness.os, "fork")
+    assert sweep_trial_pids(monkeypatch) == {os.getpid()}
+
+
+def test_sweep_runs_in_process_when_fork_fails(monkeypatch):
+    def refuse():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(harness.os, "fork", refuse)
+    assert sweep_trial_pids(monkeypatch) == {os.getpid()}
+
+
+def test_sweep_runs_in_process_beside_other_threads(monkeypatch):
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
-    if fork == "thread":
-        other.start()
+    other.start()
     try:
-        rec = run_monte_carlo(small_config(trials=4))[0]
+        assert sweep_trial_pids(monkeypatch) == {os.getpid()}
     finally:
         release.set()
-        if other.is_alive():
-            other.join(timeout=60)
-    assert rec.trials_ok == 4 and pids == {parent}
+        other.join(timeout=60)
+    assert not other.is_alive()
 
 
 def test_sweep_never_builds_dense_operator(monkeypatch):
