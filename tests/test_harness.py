@@ -301,24 +301,22 @@ def test_sweep_never_builds_dense_operator(monkeypatch):
     assert len(built) == 2 and not any("matrix" in vars(op) for op in built)
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        dict(snr_db=(15.0, 25.0), n_pilots=(4, 5)),
-        dict(receiver="subnyquist", overlap_mode="reduced", contiguous=True, n_pilots=(6,),
-             snr_db=(10.0, 20.0)),
-        dict(solver="htp", snr_db=(20.0,)),
-    ],
-    ids=["fullrate", "subnyquist", "htp"],
-)
-def test_thread_env_override_matches_serial(monkeypatch, overrides):
+def test_thread_env_override_matches_serial(monkeypatch):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
-    cfg = small_config(trials=13, **overrides)
-    csv = {}
-    for workers in ("1", "2", "4"):
-        monkeypatch.setenv("AFDM_SENSE_THREADS", workers)
-        csv[workers] = records_to_csv_str(run_monte_carlo(cfg))
-    assert csv["2"] == csv["1"] and csv["4"] == csv["1"]
+    configs = {
+        "fullrate": small_config(trials=13, snr_db=(15.0, 25.0), n_pilots=(4, 5)),
+        "subnyquist": small_config(
+            trials=13, receiver="subnyquist", overlap_mode="reduced", contiguous=True,
+            n_pilots=(6,), snr_db=(10.0, 20.0),
+        ),
+        "htp": small_config(trials=13, solver="htp", snr_db=(20.0,)),
+    }
+    for name, cfg in configs.items():
+        csv = {}
+        for workers in ("1", "2", "4"):
+            monkeypatch.setenv("AFDM_SENSE_THREADS", workers)
+            csv[workers] = records_to_csv_str(run_monte_carlo(cfg))
+        assert csv["2"] == csv["1"] and csv["4"] == csv["1"], name
 
 
 def test_subnyquist_sweep_does_not_import_numpy_ma():
