@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import channel, daft_core, hihtp, sensing_model, subnyquist
 from .channel import (
     NoiseConfig,
     SparsityConfig,
@@ -327,14 +328,22 @@ class _TrialPool:
     workers inherit them: only ``(job, start, stop)`` and a chunk's outcomes
     cross the pipes.  Chunks shrink as a job nears its end, so no worker
     waits long on another.  With fewer than two workers, where the platform
-    cannot fork, or while other threads run (a forked copy could deadlock on
-    a lock one of them held), ``map`` runs the trials in this process.
+    cannot fork, while other threads run (a forked copy could deadlock on a
+    lock one of them held), or while a public function of the package is
+    rebound (a profiler's or a test's wrapper keeps what it sees in the
+    process it runs in, so a worker's copy would see the trials unseen),
+    ``map`` runs the trials in this process.
     """
 
     def __init__(self, run, workers: int) -> None:
         self.run = run
         self.workers: list[tuple[int, typing.BinaryIO, typing.BinaryIO]] = []
-        if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        if (
+            workers < 2
+            or not hasattr(os, "fork")
+            or threading.active_count() > 1
+            or _rebound()
+        ):
             return
         # a child must not write out again what this process still buffers
         sys.stdout.flush()
@@ -619,3 +628,22 @@ def emit_report(records: list[ResultRecord], fmt: str, out_path) -> str:
 def load_records_json(path) -> list[ResultRecord]:
     with open(path, encoding="utf-8") as fh:
         return [ResultRecord(**doc) for doc in json.load(fh)]
+
+
+def _public_callables() -> list[tuple]:
+    """``(module, name, value)`` of every public callable a trial can reach."""
+    modules = (sys.modules[__name__], channel, daft_core, hihtp, sensing_model, subnyquist)
+    return [
+        (module, name, value)
+        for module in modules
+        for name, value in vars(module).items()
+        if not name.startswith("_") and callable(value)
+    ]
+
+
+_AS_IMPORTED = _public_callables()
+
+
+def _rebound() -> bool:
+    """Whether a public callable of the package was replaced since import."""
+    return any(getattr(m, name, None) is not value for m, name, value in _AS_IMPORTED)

@@ -285,6 +285,20 @@ def test_sweep_runs_in_process_beside_other_threads(monkeypatch):
     assert not other.is_alive()
 
 
+def test_sweep_runs_in_process_while_a_public_function_is_wrapped(monkeypatch):
+    # unwrapped, every trial runs in a worker and adds its pid to a copy
+    assert sweep_trial_pids(monkeypatch) == set()
+    calls, real = [], harness.hihtp_recover
+
+    def counted(*args, **kwargs):
+        calls.append(os.getpid())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "hihtp_recover", counted)
+    assert sweep_trial_pids(monkeypatch) == {os.getpid()}
+    assert calls == [os.getpid()] * 4
+
+
 def test_sweep_never_builds_dense_operator(monkeypatch):
     # trials in worker processes would build a dense view only in their copies
     monkeypatch.setenv("AFDM_SENSE_THREADS", "1")
