@@ -630,18 +630,13 @@ def load_records_json(path) -> list[ResultRecord]:
         return [ResultRecord(**doc) for doc in json.load(fh)]
 
 
-def _public_callables() -> list[tuple]:
-    """``(module, name, value)`` of every public callable a trial can reach."""
-    modules = (sys.modules[__name__], channel, daft_core, hihtp, sensing_model, subnyquist)
-    return [
-        (module, name, value)
-        for module in modules
-        for name, value in vars(module).items()
-        if not name.startswith("_") and callable(value)
-    ]
-
-
-_AS_IMPORTED = _public_callables()
+# (module, name, value) of every public callable a trial can reach, as imported
+_AS_IMPORTED = [
+    (module, name, value)
+    for module in (sys.modules[__name__], channel, daft_core, hihtp, sensing_model, subnyquist)
+    for name, value in vars(module).items()
+    if not name.startswith("_") and callable(value)
+]
 
 
 def _rebound() -> bool:
