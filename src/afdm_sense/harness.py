@@ -126,8 +126,12 @@ class ExperimentConfig:
             raise ValueError("master_seed must be a non-negative integer")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.htp_sparsity is not None and self.htp_sparsity < 1:
-            raise ValueError(f"htp_sparsity must be >= 1, got {self.htp_sparsity}")
+        unknowns = self.l_taps * (2 * self.q_max + 1)
+        if self.htp_sparsity is not None and not 1 <= self.htp_sparsity <= unknowns:
+            raise ValueError(
+                f"htp_sparsity must lie in [1, l_taps (2 q_max + 1) = {unknowns}], "
+                f"got {self.htp_sparsity}"
+            )
         if not math.isfinite(self.pilot_amplitude) or self.pilot_amplitude == 0:
             raise ValueError(
                 f"pilot_amplitude must be finite and nonzero, got {self.pilot_amplitude}"
@@ -280,6 +284,13 @@ def _support_matches(alpha_hat: np.ndarray, truth: np.ndarray) -> bool:
     return not on.any() or bool(mags[on].min() > (1 + 1e-9) * mags[~on].max(initial=0.0))
 
 
+def _support_size(cfg: ExperimentConfig, levels: tuple[int, int]) -> int:
+    """Entries of every support the solver selects."""
+    if cfg.solver == "htp" and cfg.htp_sparsity is not None:
+        return cfg.htp_sparsity
+    return levels[0] * levels[1]
+
+
 def _run_trial(cfg, sparsity, levels, op, s_cpp, noise, rng):
     profile = sample_profile(sparsity, rng)
     truth = vectorize_profile(profile)
@@ -293,8 +304,7 @@ def _run_trial(cfg, sparsity, levels, op, s_cpp, noise, rng):
     if cfg.solver == "hihtp":
         result = hihtp_recover(op, y_p, levels[0], levels[1], k_max=cfg.k_max)
     else:
-        s = cfg.htp_sparsity if cfg.htp_sparsity is not None else levels[0] * levels[1]
-        result = htp_recover(op, y_p, s, k_max=cfg.k_max)
+        result = htp_recover(op, y_p, _support_size(cfg, levels), k_max=cfg.k_max)
     err = float(np.linalg.norm(result.alpha - truth) ** 2)
     return err, _support_matches(result.alpha, truth), result.iterations
 
@@ -462,6 +472,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     params = cfg.afdm_params()
     sparsity = cfg.sparsity()
     levels = sparsity.sparsity_levels()
+    support = _support_size(cfg, levels)
     chash = cfg.config_hash()
     cells: list[_Cell] = []
     for n_p in cfg.n_pilots:
@@ -477,6 +488,12 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
             contiguous=cfg.contiguous,
         )
         op = build_measurement_operator(scheme, params, cfg.l_taps, cfg.q_max)
+        if support > op.shape[0]:
+            # every trial's refit would refuse it
+            raise ValueError(
+                f"n_pilots={n_p} gives {op.shape[0]} observations, fewer than the "
+                f"{support} entries of the {cfg.solver} support"
+            )
         frame = build_pilot_frame(scheme, params, cfg.l_taps, cfg.q_max)
         s_cpp = cpp_extend(idaft_modulate(frame, params), params)
         overhead = pilot_overhead(

@@ -15,18 +15,29 @@ instead of being recomputed; the result equals that of running all
 
 The pursuit runs on the operator's column-hit structure rather than on its
 dense matrix: each column keeps only its exact nonzeros, and columns that
-share an observation row fall into one component.  Matrix-vector products
-scatter and gather over the hits, and the refit solves every component's
-block on its own.
+share an observation row fall into one component.  Every column hits one
+observation per pilot, so the Gram matrix ``G = M^H M`` is block-diagonal
+over the components, and the pursuit works in the coefficient domain: it
+gathers ``b = M^H y`` once per call and forms every gradient as
+``alpha + step (b - G alpha)``, one batched product of the stored Gram
+blocks.  The residual, which only the trace reads, scatters the hits of the
+support's columns alone; every other coefficient is exactly zero, so it
+equals the scatter of all columns bit for bit.
 
-The refit takes one of two paths, chosen once per operator from a
-conditioning certificate: the largest singular value over all components
+The refit takes one of three paths, chosen once per operator at build from
+a conditioning certificate (the largest singular value over all components
 divided by the smallest, infinite when a component has more columns than
-rows or a zero singular value.  An operator whose certificate is at most
-``_GRAM_COND_MAX`` has its refits solved from the component Gram blocks,
-stored once, by one batched ``np.linalg.solve`` on the normal equations;
-every other operator solves its support blocks by one batched SVD.  Both
-paths give the same solution to round-off (see ``_GRAM_COND_MAX``).
+rows or a zero singular value) and from the Gram blocks:
+
+* certificate at most ``_GRAM_COND_MAX`` and Gram blocks diagonal to a
+  relative ``_ORTHO_TOL``: every coefficient is its column's correlation
+  with the observations over its squared norm;
+* certificate at most ``_GRAM_COND_MAX`` otherwise: one batched
+  ``np.linalg.solve`` of the normal equations over all components, the
+  support masked into the stored Gram blocks;
+* every other operator: one batched SVD of the support's blocks.
+
+All paths give the same solution to round-off (see ``_GRAM_COND_MAX``).
 
 All tie-breaks go to the lowest index so identical inputs produce
 identical supports.
@@ -60,6 +71,11 @@ _RANK_TOL = 1e-10
 # normal equations square the condition number, so their relative error is
 # of order cond^2 * eps <= ~1e-10.
 _GRAM_COND_MAX = 1e3
+# A certified operator whose Gram blocks are diagonal to this relative
+# Frobenius norm refits by scaling: evenly spread pilots make the columns
+# within a component exactly orthogonal, off by transform round-off (about
+# 1e-16); the same bound as the operator build's tolerance off the hit pattern
+_ORTHO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -170,8 +186,12 @@ class _Columns:
     ``cond`` is the conditioning certificate: the largest singular value of
     any component's block over the smallest, infinite when a component has
     more columns than rows or a zero singular value.  ``gram`` holds each
-    component's Gram block ``A_c^H A_c`` indexed by ``slot``, with one extra
-    all-zero pad slot.
+    component's Gram block ``A_c^H A_c`` indexed by ``slot``, padded with
+    zeros to the widest component, and ``cell`` every column's position in
+    the flattened (component, slot) layout; ``diag`` is every column's Gram
+    diagonal entry, its squared norm.  ``refit`` names the refit path taken
+    for this operator: ``"scale"``, ``"solve"`` or ``"svd"`` (see
+    ``restricted_least_squares``).
     """
 
     def __init__(self, m: int, rows, vals) -> None:
@@ -214,10 +234,11 @@ class _Columns:
         order = np.argsort(self.comp, kind="stable")
         self.slot = np.empty(ncols, dtype=np.int64)
         self.slot[order] = np.arange(ncols) - (np.cumsum(comp_cols) - comp_cols)[self.comp[order]]
-        # every component's block, one spare row taking the padding hits and
-        # one pad column; both stay zero
-        pad = int(comp_cols.max(initial=0))
-        a = np.zeros((n_comp, depth + 1, pad + 1), dtype=np.complex128)
+        # every component's block, one spare row taking the padding hits; it
+        # stays zero, as do the slots past a smaller component's columns
+        slots = int(comp_cols.max(initial=1))
+        self.cell = self.comp * slots + self.slot
+        a = np.zeros((n_comp, depth + 1, slots), dtype=np.complex128)
         a[self.comp[:, None], self.local, self.slot[:, None]] = self.vals
         # a padded block's singular values are its own plus zeros, so a
         # full-column-rank component's smallest is at index (columns - 1)
@@ -226,6 +247,15 @@ class _Columns:
         s_min = s[np.arange(n_comp), comp_cols - 1].min(initial=np.inf) if tall else 0.0
         self.cond = float(s[:, 0].max(initial=0.0) / s_min) if s_min > 0.0 else np.inf
         self.gram = np.einsum("crj,crk->cjk", a.conj(), a)
+        diag = np.diagonal(self.gram, axis1=1, axis2=2)
+        self.diag = diag.real.reshape(-1)[self.cell]
+        off = np.linalg.norm(self.gram - diag[:, :, None] * np.eye(slots))
+        if not self.cond <= _GRAM_COND_MAX:  # a NaN certificate included
+            self.refit = "svd"
+        elif off <= _ORTHO_TOL * np.linalg.norm(diag):
+            self.refit = "scale"
+        else:
+            self.refit = "solve"
 
     @classmethod
     def from_dense(cls, matrix) -> "_Columns":
@@ -240,9 +270,14 @@ class _Columns:
         return cls(len(matrix), np.where(vals != 0, rows, len(matrix)), vals)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``M @ x`` as a scatter of the column hits."""
-        contrib = (self.vals * x[:, None]).ravel()
-        rows = self.rows.ravel()
+        """``M @ x`` as a scatter of the hits of the columns where ``x`` is nonzero.
+
+        The terms of an exact zero add nothing to any row's running sum, so
+        leaving them out changes no bit of the result.
+        """
+        on = np.flatnonzero(x)
+        contrib = (self.vals[on] * x[on, None]).ravel()
+        rows = self.rows[on].ravel()
         size = self.shape[0] + 1
         out = np.bincount(rows, weights=contrib.real, minlength=size) + 1j * np.bincount(
             rows, weights=contrib.imag, minlength=size
@@ -252,6 +287,13 @@ class _Columns:
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
         """``M^H r`` as a gather over the column hits."""
         return (self.vals.conj() * np.append(r, 0.0)[self.rows]).sum(axis=1)
+
+    def gram_matvec(self, x: np.ndarray) -> np.ndarray:
+        """``M^H M x`` as one batched product of the component Gram blocks."""
+        n_comp, slots = self.gram.shape[:2]
+        blocks = np.zeros(n_comp * slots, dtype=np.complex128)
+        blocks[self.cell] = x
+        return np.matmul(self.gram, blocks.reshape(n_comp, slots, 1)).reshape(-1)[self.cell]
 
 
 def _operator_columns(op, n_blocks, block_size):
@@ -266,16 +308,23 @@ def restricted_least_squares(matrix, y, support: SupportSet, block_size: int) ->
     """Least-squares fit constrained to the support, zero elsewhere.
 
     ``matrix`` is a dense matrix or the pursuit's column structure.  The
-    support columns are grouped by the component they belong to and all
-    component blocks are solved at once.  When the operator's conditioning
-    certificate is at most ``_GRAM_COND_MAX`` (1e3), the blocks of the
-    stored component Gram matrices and ``A_S^H y`` are solved by one batched
-    ``np.linalg.solve``; every support then has full column rank and the
-    result equals the SVD solve to round-off.  Otherwise the blocks are
-    solved by one batched SVD: singular values at or below 1e-10 times the
-    largest over all blocks count as zero, the rank rule of a dense SVD
-    solve of the whole restricted system, so rank-deficient systems get the
-    minimum-norm solution.
+    components' blocks are independent, and the operator's build chose one
+    of three ways to solve them (``_Columns.refit``):
+
+    * ``"scale"``: the certificate is at most ``_GRAM_COND_MAX`` (1e3) and
+      every Gram block is diagonal to a relative 1e-12, so each support
+      coefficient is its column's ``A_j^H y`` over its squared norm;
+    * ``"solve"``: the certificate is at most ``_GRAM_COND_MAX``, so every
+      support has full column rank; the stored Gram blocks, restricted to
+      the support by the identity elsewhere, and ``A_S^H y`` are solved by
+      one batched ``np.linalg.solve`` over all components;
+    * ``"svd"``: the support's columns are grouped by component and the
+      blocks solved by one batched SVD; singular values at or below 1e-10
+      times the largest over all blocks count as zero, the rank rule of a
+      dense SVD solve of the whole restricted system, so rank-deficient
+      systems get the minimum-norm solution.
+
+    The first two equal the SVD solve to round-off.
     """
     cols = matrix if isinstance(matrix, _Columns) else _Columns.from_dense(matrix)
     m, ncols = cols.shape
@@ -290,6 +339,22 @@ def restricted_least_squares(matrix, y, support: SupportSet, block_size: int) ->
     z = np.zeros(ncols, dtype=np.complex128)
     if not len(idx):
         return z
+    if cols.refit != "svd":
+        h = (cols.vals[idx].conj() * np.append(y, 0.0)[cols.rows[idx]]).sum(axis=1)
+        if cols.refit == "scale":
+            z[idx] = h / cols.diag[idx]
+            return z
+        # the support's entries of every Gram block, the identity elsewhere
+        n_comp, slots = cols.gram.shape[:2]
+        cell = cols.cell[idx]
+        on = np.zeros(n_comp * slots, dtype=bool)
+        on[cell] = True
+        on = on.reshape(n_comp, slots)
+        g = np.where(on[:, :, None] & on[:, None, :], cols.gram, np.eye(slots))
+        rhs = np.zeros(n_comp * slots, dtype=np.complex128)
+        rhs[cell] = h
+        z[idx] = np.linalg.solve(g, rhs.reshape(n_comp, slots, 1)).reshape(-1)[cell]
+        return z
     comp = cols.comp[idx]
     order = np.argsort(comp, kind="stable")
     idx, comp = idx[order], comp[order]
@@ -297,17 +362,6 @@ def restricted_least_squares(matrix, y, support: SupportSet, block_size: int) ->
     first = np.flatnonzero(starts)
     block_of = np.cumsum(starts) - 1
     slot = np.arange(len(idx)) - first[block_of]
-    if cols.cond <= _GRAM_COND_MAX:  # false for a NaN certificate
-        pad = cols.gram.shape[1] - 1
-        gslot = np.full((len(first), int(slot.max()) + 1), pad)
-        gslot[block_of, slot] = cols.slot[idx]
-        g = cols.gram[comp[first][:, None, None], gslot[:, :, None], gslot[:, None, :]]
-        b, j = np.nonzero(gslot == pad)
-        g[b, j, j] = 1.0
-        h = np.zeros(gslot.shape, dtype=np.complex128)
-        h[block_of, slot] = (cols.vals[idx].conj() * np.append(y, 0.0)[cols.rows[idx]]).sum(axis=1)
-        z[idx] = np.linalg.solve(g, h[..., None])[block_of, slot, 0]
-        return z
     depth = cols.comp_rows.shape[1]
     # one spare row takes the padding hits and is cut before the solve
     a = np.zeros((len(first), depth + 1, int(slot.max()) + 1), dtype=np.complex128)
@@ -332,8 +386,10 @@ def _pursuit(cols, y, threshold, block_size, k_max):
     # step ncols / ||M||_F^2 is the unit step after scaling the columns to unit
     # mean squared norm, the near-isometry the gradient iteration assumes
     step = ncols / cols.sq_norm if cols.sq_norm > 0.0 else 1.0
+    # the observations are read once: the gradient alpha + step M^H (y - M alpha)
+    # is alpha + step (b - G alpha) with b = M^H y and the Gram matrix G
+    b = cols.rmatvec(y)
     alpha = np.zeros(ncols, dtype=np.complex128)
-    residual = y
     trace = [float(np.linalg.norm(y))]
     prev: SupportSet | None = None
     # after a refit the next support depends only on the refit support, so a
@@ -341,7 +397,7 @@ def _pursuit(cols, y, threshold, block_size, k_max):
     history: list[tuple[SupportSet, np.ndarray, float]] = []
     seen: dict[SupportSet, int] = {}
     for it in range(1, k_max + 1):
-        gradient = alpha + step * cols.rmatvec(residual)
+        gradient = alpha + step * (b - cols.gram_matvec(alpha))
         support = threshold(gradient)
         if support == prev:
             return RecoveryResult(alpha, support, it, trace, "support_fixed")
@@ -352,8 +408,7 @@ def _pursuit(cols, y, threshold, block_size, k_max):
             support, alpha = cycle[r % len(cycle)][:2]
             return RecoveryResult(alpha, support, k_max, trace, "max_iter")
         alpha = restricted_least_squares(cols, y, support, block_size)
-        residual = y - cols.matvec(alpha)
-        trace.append(float(np.linalg.norm(residual)))
+        trace.append(float(np.linalg.norm(y - cols.matvec(alpha))))
         seen[support] = len(history)
         history.append((support, alpha, trace[-1]))
         prev = support

@@ -117,6 +117,10 @@ def test_config_validation():
         small_config(k_max=0)
     with pytest.raises(ValueError, match="htp_sparsity"):
         small_config(solver="htp", htp_sparsity=0)
+    # l_taps (2 q_max + 1) = 15 unknowns
+    with pytest.raises(ValueError, match="htp_sparsity"):
+        small_config(solver="htp", htp_sparsity=16)
+    assert small_config(solver="htp", htp_sparsity=15).htp_sparsity == 15
     for snr in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="snr_db"):
             small_config(snr_db=(20.0, snr))
@@ -129,6 +133,19 @@ def test_config_validation():
     for bandwidth in (float("nan"), float("inf"), 0.0, -30e6):
         with pytest.raises(ValueError, match="bandwidth_hz"):
             small_config(bandwidth_hz=bandwidth)
+
+
+@pytest.mark.parametrize(
+    "overrides, observations, support",
+    [(dict(n_pilots=(4, 1)), 7, 9), (dict(solver="htp", htp_sparsity=15, n_pilots=(1,)), 7, 15)],
+    ids=["hihtp", "htp"],
+)
+def test_support_above_observations_rejected_before_trials(monkeypatch, overrides, observations, support):
+    # one pilot gives (l_taps - 1) + 1 + 2 q_max = 7 observations; every
+    # trial's refit would refuse the support, so no trial runs
+    monkeypatch.setattr(harness, "_TrialPool", None)
+    with pytest.raises(ValueError, match=f"n_pilots=1 gives {observations} .* {support} entries"):
+        run_monte_carlo(small_config(**overrides))
 
 
 def test_noise_free_run_recovers_exactly():
@@ -417,12 +434,20 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         ["rate", "--n-pilots", "0", "--l-taps", "30", "--n", "4096", "--bandwidth-hz", "30e6"],
         ["rate", "--n-pilots", "16", "--l-taps", "30", "--chirp-num", "0", "--n", "4096",
          "--bandwidth-hz", "30e6"],
+        # a dict overrides the small config; one pilot gives fewer observations than the support
+        ["run", {"n_pilots": [4, 1]}],
+        ["run", {"solver": "htp", "htp_sparsity": 1000}],
     ],
     ids=["pilots", "taps", "q-max", "chirp-num", "otfs-grid", "nan-bandwidth", "inf-bandwidth",
-         "rate-pilots", "rate-chirp-num"],
+         "rate-pilots", "rate-chirp-num", "run-one-pilot", "run-htp-sparsity"],
 )
-def test_cli_rejects_out_of_range_inputs(argv, capsys):
+def test_cli_rejects_out_of_range_inputs(argv, capsys, tmp_path):
+    if argv[0] == "run":
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**small_config().to_dict(), **argv[1]}))
+        argv = ["run", str(cfg_path), "--out", str(tmp_path / "out.csv")]
     assert cli_main(argv) == 1
+    assert not (tmp_path / "out.csv").exists()
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and not captured.out
 

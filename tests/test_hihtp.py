@@ -229,7 +229,8 @@ def certified_systems():
 
 def test_restricted_ls_matches_dense_lstsq(structured_systems, certified_systems):
     ranks = []
-    for matrix, y, sup, bs in structured_systems:
+    for (matrix, y, sup, bs), path in zip(structured_systems, ("svd", "solve", "solve")):
+        assert _Columns.from_dense(matrix).refit == path
         ref = lstsq_reference(matrix, y, sup, bs)
         got = restricted_least_squares(matrix, y, sup, bs)
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -239,7 +240,10 @@ def test_restricted_ls_matches_dense_lstsq(structured_systems, certified_systems
     assert len(structured_systems[0][2]) == 120 and ranks[0] < 120
     assert ranks[1:] == [56, 10]
     group_sizes = set()
-    for op, y, sup, bs in certified_systems:
+    # the paper n_p=16 and n_p=32 operators refit by scaling, the sub-Nyquist one by a solve
+    paths = ["scale"] * 6 + ["solve"] * 3
+    for (op, y, sup, bs), path in zip(certified_systems, paths, strict=True):
+        assert op.columns.refit == path
         ref = lstsq_reference(op.matrix, y, sup, bs)
         got = restricted_least_squares(op.columns, y, sup, bs)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -285,7 +289,11 @@ def test_column_structure_certificate():
     assert paper_operator(8).columns.cond == np.inf
     for n_pilots in (16, 32):
         for layout in (dict(contiguous=True), dict(overlap_mode="reduced")):
-            assert paper_operator(n_pilots, **layout).columns.cond > _GRAM_COND_MAX
+            cols = paper_operator(n_pilots, **layout).columns
+            assert cols.cond > _GRAM_COND_MAX and cols.refit == "svd"
+    # orthogonal columns of unequal norm scale; a certificate above the bound does not
+    assert _Columns.from_dense(np.diag([1.0, 2.0, 4.0])).refit == "scale"
+    assert _Columns.from_dense(np.diag([1.0, 2e3])).refit == "svd"
     # a zero column is a component without rows
     assert _Columns.from_dense(np.eye(3, 2) * [1.0, 0.0]).cond == np.inf
     assert _Columns.from_dense(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])).cond > _GRAM_COND_MAX
@@ -359,6 +367,75 @@ def test_built_structure_matches_dense_adapter(layout, chirp):
     assert np.array_equal(built.matvec(x), ref.matvec(x))
     assert np.array_equal(built.rmatvec(y), ref.rmatvec(y))
     assert np.linalg.norm(built.matvec(x) - op.matrix @ x) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.fixture(scope="module")
+def gradient_operators():
+    """(column structure, dense matrix, block size) for the paper n_p=8, 16 and
+    32 operators, the sub-Nyquist operator and a dense Gaussian matrix."""
+    ops = [(op.columns, op.matrix, bs) for op, bs in (
+        (paper_operator(8), 15), (paper_operator(16), 15), (paper_operator(32), 15),
+        (subnyquist_operator(), 7),
+    )]
+    dense = np.random.default_rng(25).standard_normal((40, 24)) + 0.5j
+    return ops + [(_Columns.from_dense(dense), dense, 3)]
+
+
+def sparse_coefficients(rng, ncols, k):
+    alpha = np.zeros(ncols, dtype=complex)
+    alpha[rng.choice(ncols, k, replace=False)] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return alpha
+
+
+def test_gram_gradient_matches_observation_domain(gradient_operators):
+    # the pursuit's gradient alpha + step (M^H y - G alpha) against the one
+    # formed from the residual in the observation domain
+    rng = np.random.default_rng(26)
+    for cols, matrix, _ in gradient_operators:
+        m, ncols = matrix.shape
+        step = ncols / cols.sq_norm
+        y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        for k in (0, 1, ncols // 4, ncols):
+            alpha = sparse_coefficients(rng, ncols, k)
+            ref = alpha + step * (matrix.conj().T @ (y - matrix @ alpha))
+            got = alpha + step * (cols.rmatvec(y) - cols.gram_matvec(alpha))
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_support_scatter_equals_full_scatter(gradient_operators):
+    # matvec scatters only the columns where x is nonzero; the scatter over
+    # every column's hits gives the same bytes
+    rng = np.random.default_rng(27)
+    for cols, _, _ in gradient_operators:
+        m, ncols = cols.shape
+        for k in (0, 1, ncols // 4, ncols):
+            x = sparse_coefficients(rng, ncols, k)
+            contrib = (cols.vals * x[:, None]).ravel()
+            rows = cols.rows.ravel()
+            full = np.bincount(rows, weights=contrib.real, minlength=m + 1) + 1j * np.bincount(
+                rows, weights=contrib.imag, minlength=m + 1
+            )
+            assert cols.matvec(x).tobytes() == full[:-1].tobytes()
+
+
+def test_pursuit_reads_observations_once(paper_np8, monkeypatch):
+    calls = []
+    rmatvec = _Columns.rmatvec
+
+    def counting(self, r):
+        calls.append(1)
+        return rmatvec(self, r)
+
+    monkeypatch.setattr(_Columns, "rmatvec", counting)
+    op, observations = paper_np8
+    for y in observations[:2]:
+        calls.clear()
+        assert hihtp_recover(op, y, 15, 8).iterations == 20
+        assert len(calls) == 1
+    op = subnyquist_operator()
+    calls.clear()
+    res = htp_recover(op, op.columns.matvec((np.arange(56) % 5 == 0).astype(complex)) + 0.1, 12)
+    assert res.iterations > 1 and len(calls) == 1
 
 
 def small_operator(n=32, l_taps=4, q_max=1, n_pilots=4, chirp_num=1):
