@@ -27,17 +27,11 @@ equals the scatter of all columns bit for bit.
 The refit takes one of three paths, chosen once per operator at build from
 a conditioning certificate (the largest singular value over all components
 divided by the smallest, infinite when a component has more columns than
-rows or a zero singular value) and from the Gram blocks:
-
-* certificate at most ``_GRAM_COND_MAX`` and Gram blocks diagonal to a
-  relative ``_ORTHO_TOL``: every coefficient is its column's correlation
-  with the observations over its squared norm;
-* certificate at most ``_GRAM_COND_MAX`` otherwise: one batched
-  ``np.linalg.solve`` of the normal equations over all components, the
-  support masked into the stored Gram blocks;
-* every other operator: one batched SVD of the support's blocks.
-
-All paths give the same solution to round-off (see ``_GRAM_COND_MAX``).
+rows or a zero singular value) and from the Gram blocks: a scale of each
+column's correlation by its squared norm where the blocks are diagonal, one
+batched solve of the normal equations where the certificate is small, and
+one batched SVD otherwise (see ``restricted_least_squares``).  All paths
+give the same solution to round-off (see ``_GRAM_COND_MAX``).
 
 All tie-breaks go to the lowest index so identical inputs produce
 identical supports.

@@ -371,14 +371,11 @@ def test_built_structure_matches_dense_adapter(layout, chirp):
 
 @pytest.fixture(scope="module")
 def gradient_operators():
-    """(column structure, dense matrix, block size) for the paper n_p=8, 16 and
-    32 operators, the sub-Nyquist operator and a dense Gaussian matrix."""
-    ops = [(op.columns, op.matrix, bs) for op, bs in (
-        (paper_operator(8), 15), (paper_operator(16), 15), (paper_operator(32), 15),
-        (subnyquist_operator(), 7),
-    )]
+    """(column structure, dense matrix) of the paper n_p=8, 16 and 32
+    operators, the sub-Nyquist operator and a dense Gaussian matrix."""
+    ops = [paper_operator(8), paper_operator(16), paper_operator(32), subnyquist_operator()]
     dense = np.random.default_rng(25).standard_normal((40, 24)) + 0.5j
-    return ops + [(_Columns.from_dense(dense), dense, 3)]
+    return [(op.columns, op.matrix) for op in ops] + [(_Columns.from_dense(dense), dense)]
 
 
 def sparse_coefficients(rng, ncols, k):
@@ -391,7 +388,7 @@ def test_gram_gradient_matches_observation_domain(gradient_operators):
     # the pursuit's gradient alpha + step (M^H y - G alpha) against the one
     # formed from the residual in the observation domain
     rng = np.random.default_rng(26)
-    for cols, matrix, _ in gradient_operators:
+    for cols, matrix in gradient_operators:
         m, ncols = matrix.shape
         step = ncols / cols.sq_norm
         y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -406,7 +403,7 @@ def test_support_scatter_equals_full_scatter(gradient_operators):
     # matvec scatters only the columns where x is nonzero; the scatter over
     # every column's hits gives the same bytes
     rng = np.random.default_rng(27)
-    for cols, _, _ in gradient_operators:
+    for cols, _ in gradient_operators:
         m, ncols = cols.shape
         for k in (0, 1, ncols // 4, ncols):
             x = sparse_coefficients(rng, ncols, k)
