@@ -67,8 +67,8 @@ class SparsityConfig:
             raise ValueError("l_taps must be >= 1 and q_max >= 0")
         if not 0.0 < self.p_delay < 1.0:
             raise ValueError(f"p_delay must lie in (0, 1), got {self.p_delay}")
-        if self.margin < 0.0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
+        if not (math.isfinite(self.margin) and self.margin >= 0.0):
+            raise ValueError(f"margin must be finite and >= 0, got {self.margin}")
         if self.model == "type3":
             if self.cluster_len is None:
                 raise ValueError("type3 requires cluster_len")
@@ -99,10 +99,9 @@ class SparsityConfig:
     def sparsity_levels(self) -> tuple[int, int]:
         """Margin-inflated levels used by the recovery algorithms."""
         scale = 1.0 + self.margin
-        s_d = min(self.l_taps, max(1, _fuzzy_ceil(scale * self.p_delay * self.l_taps)))
-        s_dop = min(
-            self.n_doppler, max(1, _fuzzy_ceil(scale * self.p_doppler * self.n_doppler))
-        )
+        # clamped before rounding: a huge margin inflates the product to infinity
+        s_d = max(1, _fuzzy_ceil(min(scale * self.p_delay * self.l_taps, self.l_taps)))
+        s_dop = max(1, _fuzzy_ceil(min(scale * self.p_doppler * self.n_doppler, self.n_doppler)))
         return s_d, s_dop
 
 
@@ -138,12 +137,18 @@ class NoiseConfig:
     sigma_w2: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sigma_w2 < 0.0:
-            raise ValueError(f"noise variance must be >= 0, got {self.sigma_w2}")
+        if not (math.isfinite(self.sigma_w2) and self.sigma_w2 >= 0.0):
+            raise ValueError(f"noise variance must be finite and >= 0, got {self.sigma_w2}")
 
     @classmethod
     def from_snr_db(cls, snr_db: float) -> "NoiseConfig":
-        return cls(sigma_w2=10.0 ** (-snr_db / 10.0))
+        try:
+            sigma_w2 = 10.0 ** (-snr_db / 10.0)
+        except OverflowError:
+            sigma_w2 = math.inf
+        if not math.isfinite(sigma_w2):
+            raise ValueError(f"snr_db must give a finite noise variance, got {snr_db}")
+        return cls(sigma_w2=sigma_w2)
 
 
 def sample_profile(cfg: SparsityConfig, rng: np.random.Generator) -> DelayDopplerProfile:

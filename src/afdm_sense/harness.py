@@ -142,6 +142,8 @@ class ExperimentConfig:
             raise ValueError(f"bandwidth_hz must be finite and positive, got {self.bandwidth_hz}")
         object.__setattr__(self, "n_pilots", _as_int_tuple(self.n_pilots, "n_pilots"))
         object.__setattr__(self, "snr_db", _as_float_tuple(self.snr_db, "snr_db"))
+        for snr_db in self.snr_db:  # refuses an SNR whose noise variance overflows
+            NoiseConfig.from_snr_db(snr_db)
         if self.receiver == "subnyquist" and not (
             self.contiguous or self.overlap_mode == "reduced"
         ):

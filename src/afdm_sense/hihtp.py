@@ -24,14 +24,17 @@ blocks.  The residual, which only the trace reads, scatters the hits of the
 support's columns alone; every other coefficient is exactly zero, so it
 equals the scatter of all columns bit for bit.
 
-The refit takes one of three paths, chosen once per operator at build from
-a conditioning certificate (the largest singular value over all components
+The refit takes one of three paths, chosen once per operator at build.
+Where every pair of columns within a component is orthogonal or parallel,
+as with evenly spread pilots (parallel pairs are Dopplers that alias onto
+one Fourier column below 2Q+1 pilots), each class of parallel columns is a
+rank-one block and the refit is a closed-form scale.  Otherwise a
+conditioning certificate (the largest singular value over all components
 divided by the smallest, infinite when a component has more columns than
-rows or a zero singular value) and from the Gram blocks: a scale of each
-column's correlation by its squared norm where the blocks are diagonal, one
-batched solve of the normal equations where the certificate is small, and
-one batched SVD otherwise (see ``restricted_least_squares``).  All paths
-give the same solution to round-off (see ``_GRAM_COND_MAX``).
+rows or a zero singular value) picks one batched solve of the normal
+equations where it is small, and one batched SVD where it is not (see
+``restricted_least_squares``).  All paths give the same solution to
+round-off (see ``_GRAM_COND_MAX``).
 
 All tie-breaks go to the lowest index so identical inputs produce
 identical supports.
@@ -65,11 +68,17 @@ _RANK_TOL = 1e-10
 # normal equations square the condition number, so their relative error is
 # of order cond^2 * eps <= ~1e-10.
 _GRAM_COND_MAX = 1e3
-# A certified operator whose Gram blocks are diagonal to this relative
-# Frobenius norm refits by scaling: evenly spread pilots make the columns
-# within a component exactly orthogonal, off by transform round-off (about
-# 1e-16); the same bound as the operator build's tolerance off the hit pattern
-_ORTHO_TOL = 1e-12
+# Two columns a_j, a_k of one component count as orthogonal when
+# |a_j^H a_k| <= _PAIR_TOL ||a_j|| ||a_k||, and as parallel when the residual of
+# projecting a_k on a_j is at most _PAIR_TOL ||a_k||.  Evenly spread pilots
+# make every pair one or the other, off by transform round-off (about 1e-16);
+# the same bound as the operator build's tolerance off the hit pattern
+_PAIR_TOL = 1e-12
+# The Gram alone resolves angles down to about 1e-8: a non-orthogonal pair whose
+# squared sine, taken from the Gram, exceeds this is not parallel.  Only the
+# other pairs have their projection residuals formed; those of every linked
+# pair of a contiguous layout at n=16384, L=128 would take over a gigabyte
+_NEAR_PARALLEL_SIN2 = 1e-6
 
 
 @dataclass(frozen=True)
@@ -183,8 +192,11 @@ class _Columns:
     component's Gram block ``A_c^H A_c`` indexed by ``slot``, padded with
     zeros to the widest component, and ``cell`` every column's position in
     the flattened (component, slot) layout; ``diag`` is every column's Gram
-    diagonal entry, its squared norm.  ``refit`` names the refit path taken
-    for this operator: ``"scale"``, ``"solve"`` or ``"svd"`` (see
+    diagonal entry, its squared norm.  ``alias`` is set when every pair of
+    columns within a component is orthogonal or parallel, and parallelism
+    partitions them into classes: it gives every column the ``cell`` of its
+    class's first column; otherwise it is None.  ``refit`` names the refit
+    path taken for this operator: ``"scale"``, ``"solve"`` or ``"svd"`` (see
     ``restricted_least_squares``).
     """
 
@@ -241,15 +253,15 @@ class _Columns:
         s_min = s[np.arange(n_comp), comp_cols - 1].min(initial=np.inf) if tall else 0.0
         self.cond = float(s[:, 0].max(initial=0.0) / s_min) if s_min > 0.0 else np.inf
         self.gram = np.einsum("crj,crk->cjk", a.conj(), a)
-        diag = np.diagonal(self.gram, axis1=1, axis2=2)
-        self.diag = diag.real.reshape(-1)[self.cell]
-        off = np.linalg.norm(self.gram - diag[:, :, None] * np.eye(slots))
-        if not self.cond <= _GRAM_COND_MAX:  # a NaN certificate included
-            self.refit = "svd"
-        elif off <= _ORTHO_TOL * np.linalg.norm(diag):
+        self.diag = np.diagonal(self.gram, axis1=1, axis2=2).real.reshape(-1)[self.cell]
+        label = _parallel_classes(a, self.gram, comp_cols)
+        self.alias = None if label is None else self.comp * slots + label[self.comp, self.slot]
+        if self.alias is not None:
             self.refit = "scale"
-        else:
+        elif self.cond <= _GRAM_COND_MAX:  # a NaN certificate excluded
             self.refit = "solve"
+        else:
+            self.refit = "svd"
 
     @classmethod
     def from_dense(cls, matrix) -> "_Columns":
@@ -290,6 +302,37 @@ class _Columns:
         return np.matmul(self.gram, blocks.reshape(n_comp, slots, 1)).reshape(-1)[self.cell]
 
 
+def _parallel_classes(a, gram, comp_cols):
+    """Every slot's class within its component, or None when some pair of a
+    component's columns is neither orthogonal nor parallel, or parallelism
+    does not partition the columns.
+
+    ``a`` holds the component blocks, ``gram`` their Gram blocks and
+    ``comp_cols`` every component's column count.  A slot's class is the
+    first slot it is parallel to; a zero column is orthogonal to every
+    column and forms its own class.
+    """
+    n_comp, slots = gram.shape[:2]
+    energy = np.diagonal(gram, axis1=1, axis2=2).real
+    used = np.arange(slots) < comp_cols[:, None]
+    pair = used[:, :, None] & used[:, None, :] & ~np.eye(slots, dtype=bool)
+    outer = energy[:, :, None] * energy[:, None, :]
+    mag2 = gram.real**2 + gram.imag**2
+    linked = pair & (mag2 > _PAIR_TOL**2 * outer)
+    if np.any(linked & (mag2 < (1.0 - _NEAR_PARALLEL_SIN2) * outer)):
+        return None
+    c, j, k = np.nonzero(linked)
+    resid = a[c, :, k] - (gram[c, j, k] / gram[c, j, j])[:, None] * a[c, :, j]
+    if np.any(np.linalg.norm(resid, axis=1) > _PAIR_TOL * np.sqrt(energy[c, k])):
+        return None
+    parallel = linked | np.eye(slots, dtype=bool)
+    label = np.argmax(parallel, axis=1)
+    same = label[:, :, None] == label[:, None, :]
+    if np.any(pair & (same != parallel)):
+        return None
+    return label
+
+
 def _operator_columns(op, n_blocks, block_size):
     if hasattr(op, "columns"):
         return op.columns, op.l_taps, op.block_size
@@ -305,10 +348,15 @@ def restricted_least_squares(matrix, y, support: SupportSet, block_size: int) ->
     components' blocks are independent, and the operator's build chose one
     of three ways to solve them (``_Columns.refit``):
 
-    * ``"scale"``: the certificate is at most ``_GRAM_COND_MAX`` (1e3) and
-      every Gram block is diagonal to a relative 1e-12, so each support
-      coefficient is its column's ``A_j^H y`` over its squared norm;
-    * ``"solve"``: the certificate is at most ``_GRAM_COND_MAX``, so every
+    * ``"scale"``: the columns fall into classes of parallel columns,
+      orthogonal to one another (``_Columns.alias``), so the support's
+      columns of one class form a rank-one block whose minimum-norm fit is
+      ``z_j = A_j^H y / sum_k ||A_k||^2`` over the class's support columns
+      ``k``; a class whose singular value, the root of that sum, is at or
+      below 1e-10 times the largest among the support's classes is zeroed,
+      the SVD path's rank rule, so no conditioning bound is needed.  A
+      class of one column divides by its squared norm;
+    * ``"solve"``: the certificate is at most ``_GRAM_COND_MAX`` (1e3), so every
       support has full column rank; the stored Gram blocks, restricted to
       the support by the identity elsewhere, and ``A_S^H y`` are solved by
       one batched ``np.linalg.solve`` over all components;
@@ -336,7 +384,14 @@ def restricted_least_squares(matrix, y, support: SupportSet, block_size: int) ->
     if cols.refit != "svd":
         h = (cols.vals[idx].conj() * np.append(y, 0.0)[cols.rows[idx]]).sum(axis=1)
         if cols.refit == "scale":
-            z[idx] = h / cols.diag[idx]
+            # a class of parallel columns is a rank-one block, whose squared
+            # singular value is the sum of its columns' squared norms
+            alias = cols.alias[idx]
+            energy = np.bincount(alias, weights=cols.diag[idx])[alias]
+            weak = energy <= _RANK_TOL**2 * energy.max()
+            if weak.any():
+                h[weak], energy[weak] = 0.0, 1.0
+            z[idx] = h / energy
             return z
         # the support's entries of every Gram block, the identity elsewhere
         n_comp, slots = cols.gram.shape[:2]

@@ -182,6 +182,25 @@ def test_c9_determinism_byte_identical_csv(paper_sweep_records):
     report(9, csv_a == csv_b, f"re-run CSV identical ({len(csv_b.encode())} bytes)")
 
 
+# The C4 band is wide enough that a refit or support path gone astray could
+# stay inside it; the sweep's exact outcome at the C4 seed pins it down.
+PAPER_SWEEP_PIN = {
+    8: (0.3200460884430407, 0.05, 20.0),
+    16: (2.1656870557527856e-4, 1.0, 2.0),
+    32: (1.0774101562628055e-4, 1.0, 2.0),
+}
+
+
+def test_paper_sweep_pinned(paper_sweep_records):
+    got = {r.n_pilots: r for r in paper_sweep_records}
+    assert sorted(got) == sorted(PAPER_SWEEP_PIN)
+    for n_p, (mse, support_rate, mean_iterations) in PAPER_SWEEP_PIN.items():
+        rec = got[n_p]
+        assert (rec.support_rate, rec.mean_iterations) == (support_rate, mean_iterations), n_p
+        assert (rec.trials_ok, rec.trials_failed) == (PAPER_SWEEP.trials, 0), n_p
+        assert rec.mse == pytest.approx(mse, rel=1e-12, abs=0.0), n_p
+
+
 # ---------------------------------------------------------------- criterion 5
 
 

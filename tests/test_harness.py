@@ -10,6 +10,7 @@ import pytest
 
 from afdm_sense import (
     ExperimentConfig,
+    NoiseConfig,
     emit_report,
     load_records_json,
     pilot_overhead,
@@ -133,6 +134,17 @@ def test_config_validation():
     for bandwidth in (float("nan"), float("inf"), 0.0, -30e6):
         with pytest.raises(ValueError, match="bandwidth_hz"):
             small_config(bandwidth_hz=bandwidth)
+    # the sweep derives the channel model's config before any trial
+    for margin in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(ValueError, match="margin"):
+            small_config(margin=margin).sparsity()
+    # a huge finite margin saturates the sparsity levels instead of overflowing
+    assert small_config(margin=1e308).sparsity().sparsity_levels() == (3, 5)
+    with pytest.raises(ValueError, match="snr_db"):
+        small_config(snr_db=(20.0, -4000.0))
+    with pytest.raises(ValueError, match="noise variance"):
+        NoiseConfig(float("inf"))
+    assert NoiseConfig.from_snr_db(4000.0).sigma_w2 == 0.0
 
 
 @pytest.mark.parametrize(
@@ -437,9 +449,14 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         # a dict overrides the small config; one pilot gives fewer observations than the support
         ["run", {"n_pilots": [4, 1]}],
         ["run", {"solver": "htp", "htp_sparsity": 1000}],
+        # json writes and reads these as Infinity and NaN
+        ["run", {"margin": float("inf")}],
+        ["run", {"margin": float("nan")}],
+        ["run", {"snr_db": [-4000.0]}],
     ],
     ids=["pilots", "taps", "q-max", "chirp-num", "otfs-grid", "nan-bandwidth", "inf-bandwidth",
-         "rate-pilots", "rate-chirp-num", "run-one-pilot", "run-htp-sparsity"],
+         "rate-pilots", "rate-chirp-num", "run-one-pilot", "run-htp-sparsity", "run-inf-margin",
+         "run-nan-margin", "run-snr-overflow"],
 )
 def test_cli_rejects_out_of_range_inputs(argv, capsys, tmp_path):
     if argv[0] == "run":

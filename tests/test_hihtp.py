@@ -186,7 +186,8 @@ def subnyquist_operator():
 def structured_systems():
     """(matrix, y, support, block_size) for the paper n_p=8 operator with a
     rank-deficient hierarchical support, the sub-Nyquist operator on its
-    full support and a dense Gaussian matrix."""
+    full support, a dense Gaussian matrix, and a rank-deficient dense matrix
+    whose third column is the sum of the first two."""
     rng = np.random.default_rng(20)
     systems = []
     op = paper_operator()
@@ -198,59 +199,114 @@ def structured_systems():
     systems.append((op.matrix, SupportSet.from_flat(np.arange(op.shape[1]), 7)))
     dense = rng.standard_normal((40, 24)) + 1j * rng.standard_normal((40, 24))
     systems.append((dense, SupportSet.from_flat(rng.choice(24, 10, replace=False), 3)))
+    dependent = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
+    dependent[:, 2] = dependent[:, 0] + dependent[:, 1]
+    systems.append((dependent, SupportSet.from_flat(range(6), 3)))
     return [
         (m, rng.standard_normal(m.shape[0]) + 1j * rng.standard_normal(m.shape[0]), sup, bs)
-        for (m, sup), bs in zip(systems, (15, 7, 3))
+        for (m, sup), bs in zip(systems, (15, 7, 3, 3))
     ]
 
 
 @pytest.fixture(scope="module")
 def certified_systems():
-    """(matrix, y, support, block_size) for the operators whose refits take
-    the normal-equation path: the paper n_p=16 and n_p=32 operators and the
-    sub-Nyquist operator, each with random hierarchical supports whose
-    blocks hold between one column and a full block."""
+    """(matrix, y, support, block_size) for the operators whose refits skip
+    the SVD: the paper n_p=8, 16 and 32 operators and the sub-Nyquist
+    operator, each with random hierarchical supports whose blocks hold
+    between one column and a full block.  The n_p=8 supports take at most
+    20 blocks, so they fit its 352 observations, plus one pair of columns
+    that alias onto one Fourier column: taps l and l+8 at Dopplers q and q+8."""
     rng = np.random.default_rng(23)
     systems = []
-    for op, n_blocks, bs in (
-        (paper_operator(16), 30, 15),
-        (paper_operator(32), 30, 15),
-        (subnyquist_operator(), 8, 7),
+    for op, n_blocks, max_blocks, bs, draws in (
+        (paper_operator(8), 30, 20, 15, 6),
+        (paper_operator(16), 30, 30, 15, 3),
+        (paper_operator(32), 30, 30, 15, 3),
+        (subnyquist_operator(), 8, 8, 7, 3),
     ):
-        for _ in range(3):
-            blocks = rng.choice(n_blocks, rng.integers(2, n_blocks + 1), replace=False)
+        for _ in range(draws):
+            blocks = rng.choice(n_blocks, rng.integers(2, max_blocks + 1), replace=False)
             sizes = rng.integers(1, bs + 1, len(blocks))
             sizes[0] = 1
             flat = [b * bs + rng.choice(bs, k, replace=False) for b, k in zip(blocks, sizes)]
+            if op.shape[0] == 352:
+                tap, doppler = rng.integers(0, 22), rng.integers(0, 7)
+                flat.append(np.array([tap * bs + doppler, (tap + 8) * bs + doppler + 8]))
             y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
-            systems.append((op, y, SupportSet.from_flat(np.concatenate(flat), bs), bs))
+            systems.append((op, y, SupportSet.from_flat(np.unique(np.concatenate(flat)), bs), bs))
     return systems
 
 
 def test_restricted_ls_matches_dense_lstsq(structured_systems, certified_systems):
     ranks = []
-    for (matrix, y, sup, bs), path in zip(structured_systems, ("svd", "solve", "solve")):
+    paths = ("scale", "solve", "solve", "svd")
+    for (matrix, y, sup, bs), path in zip(structured_systems, paths, strict=True):
         assert _Columns.from_dense(matrix).refit == path
         ref = lstsq_reference(matrix, y, sup, bs)
         got = restricted_least_squares(matrix, y, sup, bs)
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
         sv = np.linalg.svd(matrix[:, sup.flat_indices(bs)], compute_uv=False)
         ranks.append(int((sv > 1e-10 * sv[0]).sum()))
-    # the paper n_p=8 support is rank-deficient, the others have full column rank
+    # the paper n_p=8 and the dependent supports are rank-deficient, the others
+    # have full column rank
     assert len(structured_systems[0][2]) == 120 and ranks[0] < 120
-    assert ranks[1:] == [56, 10]
+    assert ranks[1:] == [56, 10, 5]
     group_sizes = set()
-    # the paper n_p=16 and n_p=32 operators refit by scaling, the sub-Nyquist one by a solve
-    paths = ["scale"] * 6 + ["solve"] * 3
+    # the paper operators refit by scaling, the sub-Nyquist one by a solve
+    paths = ["scale"] * 12 + ["solve"] * 3
     for (op, y, sup, bs), path in zip(certified_systems, paths, strict=True):
         assert op.columns.refit == path
         ref = lstsq_reference(op.matrix, y, sup, bs)
         got = restricted_least_squares(op.columns, y, sup, bs)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-        counts = np.bincount(op.columns.comp[sup.flat_indices(bs)])
+        idx = sup.flat_indices(bs)
+        counts = np.bincount(op.columns.comp[idx])
         group_sizes.update(counts[counts > 0].tolist())
+        if op.shape[0] == 352:
+            # every n_p=8 support holds Dopplers that alias onto one column
+            assert len(np.unique(op.columns.alias[idx])) < len(idx)
     # the supports split into component groups of unequal size, one column included
     assert 1 in group_sizes and len(group_sizes) > 3
+
+
+def test_scale_refit_on_parallel_classes():
+    # two exactly parallel columns and one orthogonal to both: two classes
+    rng = np.random.default_rng(26)
+    y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    col = np.array([1.0, 2.0j, -1.0, 0.0, 0.0, 0.0])
+    matrix = np.stack([col, (2.0 - 1.0j) * col, [0, 0, 0, 3.0, 1.0j, 0]], axis=1)
+    sup = SupportSet.from_flat(range(3), 3)
+    cols = _Columns.from_dense(matrix)
+    assert cols.refit == "scale" and cols.alias[0] == cols.alias[1] != cols.alias[2]
+    ref = lstsq_reference(matrix, y, sup, 3)
+    got = restricted_least_squares(matrix, y, sup, 3)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    # pairs at sine 1e-6 and 1e-9: their squared sines from the Gram are
+    # 1e-12 and exactly 0, but the projection residuals are 1e-6 and 1e-9 of
+    # the column
+    for sine in (1e-9, 1e-6):
+        tilted = matrix.copy()
+        tilted[:, 1] = col + sine * np.linalg.norm(col) * np.eye(6)[5]
+        cols = _Columns.from_dense(tilted)
+        assert cols.refit != "scale" and cols.alias is None
+    ref = lstsq_reference(tilted, y, sup, 3)
+    got = restricted_least_squares(tilted, y, sup, 3)
+    assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+    # parallel pairs must partition the columns: a Gram block linking column
+    # 0 to column 1 but not 1 to 0 gives no classes
+    a = np.array([[[1.0, 2.0], [0.0, 0.0]]], dtype=complex)
+    gram = np.array([[[1.0, 2.0], [0.0, 4.0]]], dtype=complex)
+    assert hihtp._parallel_classes(a, gram, np.array([2])) is None
+    hermitian = a.conj().transpose(0, 2, 1) @ a
+    assert hihtp._parallel_classes(a, hermitian, np.array([2])).tolist() == [[0, 0]]
+    # orthogonal columns of norms 1 and 1e-11: the weak one is dropped by the
+    # global rank rule, as lstsq(rcond=1e-10) drops it
+    weak = np.diag([1.0, 1e-11, 0.0])[:, :2] + 0j
+    sup = SupportSet.from_flat(range(2), 2)
+    y = y[:3]
+    assert _Columns.from_dense(weak).refit == "scale"
+    got = restricted_least_squares(weak, y, sup, 2)
+    assert got[1] == 0.0 and np.abs(got - lstsq_reference(weak, y, sup, 2)).max() <= 1e-15
 
 
 def test_restricted_ls_rank_rule_is_global():
@@ -280,29 +336,44 @@ def test_column_structure_products_match_dense(structured_systems):
         assert cols.sq_norm == pytest.approx(np.vdot(matrix, matrix).real, rel=1e-12)
 
 
-def test_column_structure_certificate():
+def test_column_structure_certificate(monkeypatch):
     # columns within a component are exactly orthogonal at n_p=16 and 32
     for n_pilots in (16, 32):
         assert abs(paper_operator(n_pilots).columns.cond - 1.0) <= 1e-12
     assert 1.0 < subnyquist_operator().columns.cond <= _GRAM_COND_MAX
     # 8 pilots give components of 15 columns on 8 rows
     assert paper_operator(8).columns.cond == np.inf
+    # contiguous and reduced layouts link most pairs of a component; the Gram
+    # rules them out as parallel before any projection residual is formed
+    norm = np.linalg.norm
+    residuals = []
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: residuals.append(1) or norm(*a, **k))
     for n_pilots in (16, 32):
         for layout in (dict(contiguous=True), dict(overlap_mode="reduced")):
             cols = paper_operator(n_pilots, **layout).columns
-            assert cols.cond > _GRAM_COND_MAX and cols.refit == "svd"
-    # orthogonal columns of unequal norm scale; a certificate above the bound does not
+            assert cols.cond > _GRAM_COND_MAX and cols.refit == "svd" and cols.alias is None
+    assert not residuals
+    monkeypatch.undo()
+    # orthogonal columns of unequal norm scale, whatever their certificate;
+    # columns neither orthogonal nor parallel with a certificate above the
+    # bound take the SVD
     assert _Columns.from_dense(np.diag([1.0, 2.0, 4.0])).refit == "scale"
-    assert _Columns.from_dense(np.diag([1.0, 2e3])).refit == "svd"
+    assert _Columns.from_dense(np.diag([1.0, 2e3])).refit == "scale"
+    assert _Columns.from_dense(np.array([[1.0, 1.0], [0.0, 1e-4]])).refit == "svd"
     # a zero column is a component without rows
     assert _Columns.from_dense(np.eye(3, 2) * [1.0, 0.0]).cond == np.inf
     assert _Columns.from_dense(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])).cond > _GRAM_COND_MAX
     assert _Columns.from_dense(np.diag([1.0, 2.0, 4.0])).cond == pytest.approx(4.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("n_pilots, svd_calls", [(8, True), (16, False), (32, False)])
-def test_certified_refits_skip_svd(n_pilots, svd_calls, monkeypatch):
-    op = paper_operator(n_pilots)  # the build takes the components' singular values once
+@pytest.mark.parametrize(
+    "n_pilots, layout, svd_calls",
+    [(8, {}, False), (16, {}, False), (32, {}, False), (16, dict(contiguous=True), True)],
+    ids=["8-False", "16-False", "32-False", "16-contiguous-True"],
+)
+def test_certified_refits_skip_svd(n_pilots, layout, svd_calls, monkeypatch):
+    # the build takes the components' singular values once
+    op = paper_operator(n_pilots, **layout)
     calls = []
     svd = np.linalg.svd
 
@@ -358,7 +429,7 @@ def test_built_structure_matches_dense_adapter(layout, chirp):
     op = build_measurement_operator(scheme, params, 6, 2)
     built, ref = op.columns, _Columns.from_dense(op.matrix)
     assert built.shape == ref.shape == op.matrix.shape
-    for name in ("rows", "vals", "comp", "comp_rows", "local", "slot", "gram"):
+    for name in ("rows", "vals", "comp", "comp_rows", "local", "slot", "gram", "alias"):
         assert np.array_equal(getattr(built, name), getattr(ref, name)), name
     assert built.cond == ref.cond and built.sq_norm == ref.sq_norm
     rng = np.random.default_rng(24)
