@@ -148,6 +148,11 @@ class ExperimentConfig:
             self.contiguous or self.overlap_mode == "reduced"
         ):
             raise ValueError("the sub-Nyquist receiver needs a contiguous pilot layout")
+        if self.cpp_len is not None and self.cpp_len < self.l_taps - 1:  # the channel refuses it
+            raise ValueError(f"cpp_len {self.cpp_len} is below l_taps - 1 = {self.l_taps - 1}")
+        # the channel model and the waveform refuse what they cannot describe
+        self.sparsity()
+        self.afdm_params()
 
     # -- derived pieces -------------------------------------------------
 

@@ -5,7 +5,8 @@ The hierarchical thresholding operator keeps, inside every block, the
 with the largest kept energy.  The pursuit alternates a gradient step, the
 thresholding operator and a least-squares refit on the selected support
 until the support repeats or the iteration cap is reached.  A flat top-s
-variant serves as the classical baseline.
+variant serves as the classical baseline.  From threshold to refit, a
+support is the sorted flat indices of its columns (``SupportSet``).
 
 After a refit the next support depends only on the refit support, so once
 a support selected earlier comes back the pursuit has entered a cycle.
@@ -42,9 +43,7 @@ identical supports.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -81,50 +80,45 @@ _PAIR_TOL = 1e-12
 _NEAR_PARALLEL_SIN2 = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportSet:
-    """Sorted (block, within-block index) pairs."""
+    """Support on the block grid: the sorted, duplicate-free, read-only flat
+    indices ``block * block_size + entry``, compared and hashed by their bytes
+    and ``block_size``.  ``pairs`` gives the (block, within-block index) pairs."""
 
-    pairs: tuple[tuple[int, int], ...]
+    indices: np.ndarray
+    block_size: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
-        if len(set(self.pairs)) != len(self.pairs):
+        indices = np.sort(np.asarray(self.indices, dtype=np.int64).reshape(-1))
+        if np.any(indices[1:] == indices[:-1]):
             raise ValueError("support contains duplicate entries")
+        indices.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "_key", (self.block_size, indices.tobytes()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SupportSet) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.indices)
 
-    def flat_indices(self, block_size: int) -> np.ndarray:
-        pairs = np.fromiter(chain.from_iterable(self.pairs), np.int64, 2 * len(self.pairs))
-        return pairs[0::2] * block_size + pairs[1::2]
-
-    @classmethod
-    def from_flat(cls, indices, block_size: int) -> "SupportSet":
-        flat = np.sort(np.asarray(indices, dtype=np.int64).reshape(-1))
-        if np.any(flat[1:] == flat[:-1]):
-            raise ValueError("support contains duplicate entries")
-        return cls._from_sorted_flat(flat, block_size)
-
-    @classmethod
-    def _from_sorted_flat(cls, flat: np.ndarray, block_size: int) -> "SupportSet":
-        # strictly increasing flat indices map to pairs already in sorted order
-        support = cls.__new__(cls)
-        pairs = zip((flat // block_size).tolist(), (flat % block_size).tolist())
-        object.__setattr__(support, "pairs", tuple(pairs))
-        return support
-
-    def block_counts(self) -> dict[int, int]:
-        return dict(Counter(b for b, _ in self.pairs))
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        blocks, entries = np.divmod(self.indices, self.block_size)
+        return tuple(zip(blocks.tolist(), entries.tolist()))
 
     def is_hierarchical(self, s_block: int, s_entry: int) -> bool:
-        counts = self.block_counts()
-        return len(counts) <= s_block and all(c <= s_entry for c in counts.values())
+        counts = np.bincount(self.indices // self.block_size)
+        return bool(np.count_nonzero(counts) <= s_block and counts.max(initial=0) <= s_entry)
 
 
 @dataclass
 class RecoveryResult:
-    """Estimate, selected support and the iteration trace."""
+    """Estimate (zero off its support), that support as flat indices, and the trace."""
 
     alpha: np.ndarray
     support: SupportSet
@@ -159,8 +153,7 @@ def hierarchical_threshold(
     kept = np.argsort(-mags, axis=1, kind="stable")[:, :s_entry]
     kept_energy = np.take_along_axis(mags, kept, axis=1) ** 2
     block_order = np.argsort(-kept_energy.sum(axis=1), kind="stable")[:s_block]
-    flat = (block_order[:, None] * block_size + kept[block_order]).ravel()
-    return SupportSet._from_sorted_flat(np.sort(flat), block_size)
+    return SupportSet(block_order[:, None] * block_size + kept[block_order], block_size)
 
 
 def flat_threshold(x, n_blocks: int, block_size: int, s: int) -> SupportSet:
@@ -170,7 +163,7 @@ def flat_threshold(x, n_blocks: int, block_size: int, s: int) -> SupportSet:
     if not 1 <= s <= x.size:
         raise ValueError(f"s must lie in [1, {x.size}], got {s}")
     order = np.argsort(-np.abs(x), kind="stable")[:s]
-    return SupportSet.from_flat(order, block_size)
+    return SupportSet(order, block_size)
 
 
 class _Columns:
@@ -341,10 +334,11 @@ def _operator_columns(op, n_blocks, block_size):
     return _Columns.from_dense(op), n_blocks, block_size
 
 
-def restricted_least_squares(matrix, y, support: SupportSet, block_size: int) -> np.ndarray:
+def restricted_least_squares(matrix, y, support: SupportSet) -> np.ndarray:
     """Least-squares fit constrained to the support, zero elsewhere.
 
-    ``matrix`` is a dense matrix or the pursuit's column structure.  The
+    ``matrix`` is a dense matrix or the pursuit's column structure, and
+    ``support.indices`` are the matrix columns the fit may use.  The
     components' blocks are independent, and the operator's build chose one
     of three ways to solve them (``_Columns.refit``):
 
@@ -373,7 +367,7 @@ def restricted_least_squares(matrix, y, support: SupportSet, block_size: int) ->
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (m,):
         raise ValueError(f"observation vector must have shape ({m},)")
-    idx = support.flat_indices(block_size)
+    idx = support.indices
     if len(idx) > m:
         raise ValueError(f"support of {len(idx)} exceeds the {m} observations")
     if len(idx) and (idx[0] < 0 or idx[-1] >= ncols):
@@ -425,7 +419,7 @@ def restricted_least_squares(matrix, y, support: SupportSet, block_size: int) ->
     return z
 
 
-def _pursuit(cols, y, threshold, block_size, k_max):
+def _pursuit(cols, y, threshold, k_max):
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     m, ncols = cols.shape
@@ -456,7 +450,7 @@ def _pursuit(cols, y, threshold, block_size, k_max):
             trace.extend(cycle[i % len(cycle)][2] for i in range(r + 1))
             support, alpha = cycle[r % len(cycle)][:2]
             return RecoveryResult(alpha, support, k_max, trace, "max_iter")
-        alpha = restricted_least_squares(cols, y, support, block_size)
+        alpha = restricted_least_squares(cols, y, support)
         trace.append(float(np.linalg.norm(y - cols.matvec(alpha))))
         seen[support] = len(history)
         history.append((support, alpha, trace[-1]))
@@ -489,7 +483,6 @@ def hihtp_recover(
         cols,
         y,
         lambda g: hierarchical_threshold(g, nb, bs, s_block, s_entry),
-        bs,
         k_max,
     )
 
@@ -504,4 +497,4 @@ def htp_recover(
 ) -> RecoveryResult:
     """Classical pursuit baseline with flat top-s thresholding."""
     cols, nb, bs = _operator_columns(op, n_blocks, block_size)
-    return _pursuit(cols, y, lambda g: flat_threshold(g, nb, bs, s), bs, k_max)
+    return _pursuit(cols, y, lambda g: flat_threshold(g, nb, bs, s), k_max)

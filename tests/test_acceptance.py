@@ -80,7 +80,9 @@ def test_c1_cross_path_consistency():
 def all_hierarchical_supports(n_blocks, block_size, s_block, s_entry):
     for blocks in combinations(range(n_blocks), s_block):
         for picks in product(*(combinations(range(block_size), s_entry) for _ in blocks)):
-            yield SupportSet(tuple((b, j) for b, pick in zip(blocks, picks) for j in pick))
+            yield SupportSet(
+                [b * block_size + j for b, pick in zip(blocks, picks) for j in pick], block_size
+            )
 
 
 def test_c2_threshold_matches_exhaustive_best_approximation():
@@ -125,7 +127,7 @@ def test_c3_noise_free_exact_recovery():
         estimate = hihtp_recover(op, y, 2, 1).alpha
         best, best_res = None, np.inf
         for sup in all_hierarchical_supports(l_taps, nd, 2, 1):
-            z = restricted_least_squares(op.matrix, y, sup, nd)
+            z = restricted_least_squares(op.matrix, y, sup)
             res = float(np.linalg.norm(y - op.matrix @ z))
             if res < best_res - 1e-12:
                 best, best_res = z, res

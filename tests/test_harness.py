@@ -97,7 +97,7 @@ def test_config_rejects_wrong_json_types(field, value):
     with pytest.raises(ValueError, match=f"config field '{field}' must be"):
         ExperimentConfig.from_dict({**doc, field: value})
     # numbers fill float fields, null fills optional ones, one number a list
-    ok = {**doc, "snr_db": 20, "p_delay": 1, "chirp_num": None, "n_pilots": 4}
+    ok = {**doc, "snr_db": 20, "pilot_amplitude": 2, "chirp_num": None, "n_pilots": 4}
     assert ExperimentConfig.from_dict(ok).n_pilots == (4,)
     with pytest.raises(ValueError, match="object of fields"):
         ExperimentConfig.from_dict([doc])
@@ -134,10 +134,25 @@ def test_config_validation():
     for bandwidth in (float("nan"), float("inf"), 0.0, -30e6):
         with pytest.raises(ValueError, match="bandwidth_hz"):
             small_config(bandwidth_hz=bandwidth)
-    # the sweep derives the channel model's config before any trial
+    # the config builds its channel model and waveform, so what only they
+    # check is refused at construction, before any sweep
     for margin in (float("nan"), float("inf"), -0.5):
         with pytest.raises(ValueError, match="margin"):
-            small_config(margin=margin).sparsity()
+            small_config(margin=margin)
+    for overrides, match in [
+        (dict(p_delay=1.0), "p_delay"),
+        (dict(model="type2", p_doppler=0.0), "p_doppler"),
+        (dict(model="type2", p_doppler=1.0), "p_doppler"),
+        (dict(n=63), "frame length"),
+        (dict(chirp_sign=2), "chirp sign"),
+        (dict(chirp_num=0), "chirp numerator"),
+        # l_taps = 3 needs a prefix of at least 2 samples
+        (dict(cpp_len=1), "cpp_len"),
+        (dict(cpp_len=0), "cpp_len"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            small_config(**overrides)
+    assert small_config(cpp_len=2).afdm_params().cpp_len == 2
     # a huge finite margin saturates the sparsity levels instead of overflowing
     assert small_config(margin=1e308).sparsity().sparsity_levels() == (3, 5)
     with pytest.raises(ValueError, match="snr_db"):
@@ -453,10 +468,12 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         ["run", {"margin": float("inf")}],
         ["run", {"margin": float("nan")}],
         ["run", {"snr_db": [-4000.0]}],
+        # every trial's channel would refuse a prefix shorter than l_taps - 1 = 2
+        ["run", {"cpp_len": 0}],
     ],
     ids=["pilots", "taps", "q-max", "chirp-num", "otfs-grid", "nan-bandwidth", "inf-bandwidth",
          "rate-pilots", "rate-chirp-num", "run-one-pilot", "run-htp-sparsity", "run-inf-margin",
-         "run-nan-margin", "run-snr-overflow"],
+         "run-nan-margin", "run-snr-overflow", "run-short-prefix"],
 )
 def test_cli_rejects_out_of_range_inputs(argv, capsys, tmp_path):
     if argv[0] == "run":
