@@ -23,8 +23,6 @@ from .channel import (
     vectorize_profile,
 )
 from .sensing_model import (
-    HierarchicalForm,
-    KroneckerReport,
     MeasurementOperator,
     PilotScheme,
     build_measurement_operator,
@@ -32,9 +30,7 @@ from .sensing_model import (
     data_slots,
     export_operator,
     extract_measurements,
-    hierarchical_permutation,
     hirip_probe,
-    kronecker_diagnostic,
     load_operator,
     observation_index_set,
     window_offsets,

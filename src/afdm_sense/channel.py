@@ -328,12 +328,24 @@ def profile_to_json(profile: DelayDopplerProfile) -> str:
 
 
 def profile_from_json(text: str) -> DelayDopplerProfile:
-    """Inverse of :func:`profile_to_json`."""
+    """Inverse of :func:`profile_to_json`.
+
+    An active entry off the grid, or a second entry for the same (l, q),
+    raises ``ValueError`` naming the entry.
+    """
     doc = json.loads(text)
     l_taps, q_max = int(doc["l_taps"]), int(doc["q_max"])
     gains = np.zeros((l_taps, 2 * q_max + 1), dtype=np.complex128)
     mask = np.zeros_like(gains, dtype=bool)
-    for l, q, re, im in doc["active"]:
-        gains[int(l), int(q) + q_max] = complex(re, im)
-        mask[int(l), int(q) + q_max] = True
+    for k, (l, q, re, im) in enumerate(doc["active"]):
+        l, q = int(l), int(q)
+        if not (0 <= l < l_taps and -q_max <= q <= q_max):
+            raise ValueError(
+                f"active entry {k} (l={l}, q={q}) lies outside the grid "
+                f"l in [0, {l_taps}), q in [{-q_max}, {q_max}]"
+            )
+        if mask[l, q + q_max]:
+            raise ValueError(f"active entry {k} (l={l}, q={q}) repeats an earlier entry")
+        gains[l, q + q_max] = complex(re, im)
+        mask[l, q + q_max] = True
     return DelayDopplerProfile(gains=gains, mask=mask, gain_var=float(doc["gain_var"]))

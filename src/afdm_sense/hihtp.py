@@ -173,7 +173,11 @@ class _Columns:
     ``from_dense`` from a dense matrix.  ``rows`` and ``vals`` hold them in
     increasing row order, padded with row ``m`` and value 0; row ``m``
     addresses a zero appended to each observation vector.  ``comp`` labels
-    the connected components of columns that share a row.  ``comp_rows``
+    the connected components of columns that share a row.  For an operator
+    built on the delay-Doppler grid these are the paper's residue classes of
+    the window shift ``q - chirp_sign P l``: taken mod ``(L-1) P + 1`` when a
+    reduced pilot train wraps the frame, and unreduced for spread disjoint
+    pilots; acceptance criterion 5 checks this.  ``comp_rows``
     lists each component's rows in increasing order (padded with ``m``) and
     ``local`` gives every hit's position in its component's list; padding
     points one past the longest list.  ``slot`` is every column's position

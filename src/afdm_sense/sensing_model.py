@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -32,16 +31,12 @@ from .hihtp import _Columns
 __all__ = [
     "PilotScheme",
     "MeasurementOperator",
-    "HierarchicalForm",
-    "KroneckerReport",
     "window_offsets",
     "observation_index_set",
     "data_slots",
     "build_pilot_frame",
     "build_measurement_operator",
     "extract_measurements",
-    "hierarchical_permutation",
-    "kronecker_diagnostic",
     "hirip_probe",
     "export_operator",
     "load_operator",
@@ -301,181 +296,6 @@ def extract_measurements(y, indices) -> np.ndarray:
     if len(indices) and (indices[0] < 0 or indices[-1] >= len(y)):
         raise ValueError("observation index out of range")
     return y[indices]
-
-
-@dataclass
-class HierarchicalForm:
-    """Grid partition into transform-domain residue classes.
-
-    ``diagonal_sets[j]`` lists the (delay, Doppler) points whose window
-    shift is congruent to ``j`` modulo ``(l_taps - 1) chirp_num + 1``; with
-    a negative chirp slope the congruence reads
-    ``(q + chirp_num * l) mod block_count == j`` and with a positive slope
-    the Doppler sign flips.  ``column_permutation[new] = old`` reorders the
-    vectorized profile into the concatenation of the classes.
-    """
-
-    l_taps: int
-    q_max: int
-    chirp_num: int
-    chirp_sign: int
-    block_count: int
-    diagonal_sets: tuple[tuple[tuple[int, int], ...], ...]
-    column_permutation: np.ndarray
-
-    @property
-    def block_widths(self) -> tuple[int, ...]:
-        return tuple(len(d) for d in self.diagonal_sets)
-
-
-def hierarchical_permutation(
-    l_taps: int, q_max: int, chirp_num: int, chirp_sign: int = -1
-) -> HierarchicalForm:
-    """Partition the grid by the residue of the window shift.
-
-    The default negative slope matches the congruence
-    ``(q + chirp_num * l) mod ((l_taps - 1) chirp_num + 1)``; classes come
-    out as whole or wrapped grid diagonals.  Residues are canonicalized to
-    ``[0, (l_taps - 1) chirp_num]``.
-    """
-    if chirp_sign not in (-1, 1):
-        raise ValueError("chirp_sign must be +1 or -1")
-    block_count = (l_taps - 1) * chirp_num + 1
-    nd = 2 * q_max + 1
-    groups: list[list[tuple[int, int]]] = [[] for _ in range(block_count)]
-    for l, q in product(range(l_taps), range(-q_max, q_max + 1)):
-        groups[(q - chirp_sign * chirp_num * l) % block_count].append((l, q))
-    diagonal_sets = tuple(tuple(sorted(g)) for g in groups)
-    perm = np.fromiter(
-        (l * nd + q + q_max for group in diagonal_sets for (l, q) in group),
-        dtype=np.int64,
-        count=l_taps * nd,
-    )
-    return HierarchicalForm(
-        l_taps=l_taps,
-        q_max=q_max,
-        chirp_num=chirp_num,
-        chirp_sign=chirp_sign,
-        block_count=block_count,
-        diagonal_sets=diagonal_sets,
-        column_permutation=perm,
-    )
-
-
-@dataclass
-class KroneckerReport:
-    """Result of tiling the permuted operator into residue-class blocks.
-
-    ``off_block_mass`` is the largest entry magnitude outside the paired
-    row/column blocks.  When the tiling is uniform, ``block_matrix`` holds
-    the first diagonal block, ``max_block_deviation`` the largest entrywise
-    distance of any block from it, ``gram_deviation`` the largest distance
-    of any block Gram matrix from ``n_pilots x identity`` after row
-    rescaling (the partial-Fourier signature), ``unit_modulus_deviation``
-    the largest deviation of block entry magnitudes from the contributing
-    pilot magnitude, and ``row_scales`` the per-row pilot magnitudes
-    recovered from unwrapped columns.
-    """
-
-    block_count: int
-    block_widths: tuple[int, ...]
-    group_sizes: tuple[int, ...]
-    tiling_uniform: bool
-    off_block_mass: float
-    block_matrix: np.ndarray | None
-    max_block_deviation: float | None = None
-    gram_deviation: float | None = None
-    unit_modulus_deviation: float | None = None
-    row_scales: np.ndarray | None = None
-
-
-def kronecker_diagnostic(op: MeasurementOperator, hf: HierarchicalForm) -> KroneckerReport:
-    """Permute the operator into residue-class blocks and measure structure.
-
-    Rows are grouped by the residue of their index relative to the first
-    pilot position, columns by ``hf.diagonal_sets``.  With equal-magnitude
-    pilots spaced so that the whole frame is covered periodically, the
-    permuted operator is exactly block diagonal with unit-modulus
-    partial-Fourier blocks; other layouts are reported with
-    ``tiling_uniform`` false rather than rejected.
-    """
-    if hf.l_taps != op.l_taps or hf.q_max != op.q_max:
-        raise ValueError("hierarchical form and operator grids disagree")
-    if hf.chirp_num != op.params.chirp_num or hf.chirp_sign != op.params.chirp_sign:
-        raise ValueError("hierarchical form and operator chirp conventions disagree")
-    n = op.params.n
-    blocks = hf.block_count
-    anchor = op.scheme.positions[0]
-    rel = (op.row_indices - anchor) % n
-    residues = rel % blocks
-    order = np.lexsort((rel // blocks, residues))
-    group_sizes = tuple(int((residues == b).sum()) for b in range(blocks))
-    permuted = op.matrix[np.ix_(order, hf.column_permutation)]
-
-    widths = hf.block_widths
-    uniform = len(set(group_sizes)) == 1 and len(set(widths)) == 1
-
-    row_edges = np.concatenate([[0], np.cumsum(group_sizes)])
-    col_edges = np.concatenate([[0], np.cumsum(widths)])
-    off = permuted.copy()
-    block_list = []
-    for b in range(blocks):
-        r0, r1 = row_edges[b], row_edges[b + 1]
-        c0, c1 = col_edges[b], col_edges[b + 1]
-        block_list.append(permuted[r0:r1, c0:c1].copy())
-        off[r0:r1, c0:c1] = 0.0
-    off_mass = float(np.abs(off).max()) if off.size else 0.0
-
-    if not uniform:
-        return KroneckerReport(
-            block_count=blocks,
-            block_widths=widths,
-            group_sizes=group_sizes,
-            tiling_uniform=False,
-            off_block_mass=off_mass,
-            block_matrix=block_list[0],
-        )
-
-    n_rows = group_sizes[0]
-    first = block_list[0]
-    max_dev = max(float(np.abs(blk - first).max()) for blk in block_list)
-
-    # per-entry expected magnitude: the pilot the entry travelled through
-    pilot_mags = np.abs(np.asarray(op.scheme.values))
-    mod_dev = 0.0
-    scales = None
-    gram_dev = 0.0
-    for b, blk in enumerate(block_list):
-        shifts = [q - hf.chirp_sign * hf.chirp_num * l for (l, q) in hf.diagonal_sets[b]]
-        wraps = (np.array(shifts) - b) // blocks
-        rows = np.arange(n_rows)
-        pilot_of_entry = (rows[:, None] - wraps[None, :]) % n_rows
-        if len(pilot_mags) == n_rows:
-            expected = pilot_mags[pilot_of_entry]
-            mod_dev = max(mod_dev, float(np.abs(np.abs(blk) - expected).max()))
-            normalized = blk / np.where(expected == 0, 1.0, expected)
-        else:
-            normalized = blk
-        gram = normalized.conj().T @ normalized
-        gram_dev = max(
-            gram_dev, float(np.abs(gram - n_rows * np.eye(gram.shape[0])).max())
-        )
-        if b == 0 and len(pilot_mags) == n_rows:
-            unwrapped = np.flatnonzero(wraps == 0)
-            if len(unwrapped):
-                scales = np.abs(blk[:, unwrapped[0]])
-    return KroneckerReport(
-        block_count=blocks,
-        block_widths=widths,
-        group_sizes=group_sizes,
-        tiling_uniform=True,
-        off_block_mass=off_mass,
-        block_matrix=first,
-        max_block_deviation=max_dev,
-        gram_deviation=gram_dev,
-        unit_modulus_deviation=mod_dev if len(pilot_mags) == n_rows else None,
-        row_scales=scales,
-    )
 
 
 def hirip_probe(

@@ -27,11 +27,9 @@ from afdm_sense import (
     dechirp_decimate_receive,
     empirical_sparsity_stats,
     extract_measurements,
-    hierarchical_permutation,
     hierarchical_threshold,
     hihtp_recover,
     idaft_modulate,
-    kronecker_diagnostic,
     observation_index_set,
     pilot_overhead,
     records_to_csv_str,
@@ -207,26 +205,45 @@ def test_paper_sweep_pinned(paper_sweep_records):
 
 
 def test_c5_kronecker_factorization_structure():
-    n, l_taps, q_max, p = 256, 8, 3, 1
-    params = AfdmParams(n=n, chirp_num=p, chirp_sign=-1, cpp_len=l_taps - 1)
-    n_pilots = n // ((l_taps - 1) * p + 1)
+    # a reduced pilot train that wraps the frame: the operator's components
+    # are the paper's residue classes, each a partial-Fourier block
+    n, l_taps, q_max, p, sign = 256, 8, 3, 1, -1
+    params = AfdmParams(n=n, chirp_num=p, chirp_sign=sign, cpp_len=l_taps - 1)
+    classes = (l_taps - 1) * p + 1
+    n_pilots = n // classes
     scheme = PilotScheme.uniform(
-        n, n_pilots, l_taps, q_max, p, chirp_sign=-1, overlap_mode="reduced"
+        n, n_pilots, l_taps, q_max, p, chirp_sign=sign, overlap_mode="reduced"
     )
-    op = build_measurement_operator(scheme, params, l_taps, q_max)
-    rep = kronecker_diagnostic(op, hierarchical_permutation(l_taps, q_max, p))
+    cols = build_measurement_operator(scheme, params, l_taps, q_max).columns
+    m, ncols = cols.shape
+    l, q = np.divmod(np.arange(ncols), 2 * q_max + 1)
+    residue = (q - q_max - sign * p * l) % classes
+    n_comp = len(set(cols.comp.tolist()))
+    pairs = set(zip(cols.comp.tolist(), residue.tolist()))
+    partition = len(pairs) == n_comp == len(set(residue.tolist()))
+    # every component's rows, counted from the hits; padding points at row m
+    hit = cols.rows < m
+    comp = np.broadcast_to(cols.comp[:, None], cols.rows.shape)[hit]
+    keys = np.unique(comp * (m + 1) + cols.rows[hit])
+    shapes = set(zip(np.bincount(keys // (m + 1)).tolist(), np.bincount(cols.comp).tolist()))
+    mod_dev = float(np.abs(np.abs(cols.vals[hit]) - 1.0).max())
+    gram_dev = max(
+        float(np.abs(cols.gram[c, :w, :w] - n_pilots * np.eye(w)).max())
+        for c, w in enumerate(np.bincount(cols.comp))
+    )
     structural = (
-        rep.tiling_uniform
-        and rep.off_block_mass <= 1e-9
-        and rep.unit_modulus_deviation <= 1e-9
-        and rep.gram_deviation <= 1e-9
-        and rep.block_matrix.shape == (n_pilots, 2 * q_max + 1)
+        n_comp == classes
+        and partition
+        and shapes == {(n_pilots, 2 * q_max + 1)}
+        and mod_dev <= 1e-9
+        and gram_dev <= 1e-9
+        and cols.refit == "scale"
     )
     detail = (
-        f"block-diagonal mass {rep.off_block_mass:.1e}, unit-modulus dev "
-        f"{rep.unit_modulus_deviation:.1e}, partial-Fourier gram dev {rep.gram_deviation:.1e}; "
-        f"entrywise inter-block deviation {rep.max_block_deviation:.2f} "
-        f"(blocks sense shifted delay subsets, see test_sensing_model xfail)"
+        f"{n_comp} components of (rows, columns) {sorted(shapes)}, "
+        f"equal to the classes (q - chirp_sign P l) mod {classes}: {partition}; "
+        f"hit modulus dev {mod_dev:.1e}, Gram dev from {n_pilots} I {gram_dev:.1e}; "
+        f"refit {cols.refit}"
     )
     report(5, structural, detail)
 

@@ -279,3 +279,24 @@ def test_profile_json_roundtrip():
     assert np.array_equal(back.gains, prof.gains)
     assert np.array_equal(back.mask, prof.mask)
     assert back.gain_var == prof.gain_var
+
+
+@pytest.mark.parametrize(
+    "active, reason",
+    [
+        ([[-1, 0, 1.0, 0.0]], r"active entry 0 \(l=-1, q=0\) lies outside the grid"),
+        ([[0, 0, 1.0, 0.0], [1, -3, 1.0, 0.0]], r"active entry 1 \(l=1, q=-3\) lies outside the grid"),
+        ([[0, 5, 1.0, 0.0]], r"active entry 0 \(l=0, q=5\) lies outside the grid"),
+        (
+            [[1, 1, 1.0, 0.0], [1, 1, 2.0, 0.0]],
+            r"active entry 1 \(l=1, q=1\) repeats an earlier entry",
+        ),
+    ],
+    ids=["negative-delay", "doppler-below", "doppler-above", "duplicate"],
+)
+def test_profile_json_rejects_off_grid_and_duplicate_entries(active, reason):
+    # each of these used to load: l=-1 on tap 1, q=-3 wrapped onto q=0 and a
+    # repeat overwrote the earlier gain; q=5 raised IndexError
+    doc = json.dumps({"l_taps": 2, "q_max": 1, "gain_var": 0.5, "active": active})
+    with pytest.raises(ValueError, match=reason):
+        profile_from_json(doc)

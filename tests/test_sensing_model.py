@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,10 +16,8 @@ from afdm_sense import (
     daft_demodulate,
     data_slots,
     extract_measurements,
-    hierarchical_permutation,
     hirip_probe,
     idaft_modulate,
-    kronecker_diagnostic,
     load_operator,
     export_operator,
     observation_index_set,
@@ -264,36 +263,25 @@ def test_extract_measurements_examples():
         extract_measurements(y, [9, -1])
 
 
-def test_hierarchical_permutation_degenerate_single_tap():
-    hf = hierarchical_permutation(1, 2, 1)
-    assert hf.block_count == 1
-    assert len(hf.diagonal_sets[0]) == 5  # the whole grid in one class
+def window_shifts(op):
+    """Every column's window shift ``q - chirp_sign P l``, in column order."""
+    l, q = np.divmod(np.arange(op.shape[1]), op.block_size)
+    return q - op.q_max - op.params.chirp_sign * op.params.chirp_num * l
 
 
-def test_hierarchical_permutation_small_case_oracle():
-    hf = hierarchical_permutation(3, 1, 1)
-    oracle = {j: set() for j in range(3)}
-    for l in range(3):
-        for q in (-1, 0, 1):
-            oracle[(q + l) % 3].add((l, q))
-    for j in range(3):
-        assert set(hf.diagonal_sets[j]) == oracle[j]
+def same_partition(a, b):
+    """Whether two labellings group the same items alike."""
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
 
 
-def test_hierarchical_permutation_partitions_grid():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        l_taps = int(rng.integers(1, 9))
-        q_max = int(rng.integers(0, 5))
-        p = int(rng.integers(1, 4))
-        hf = hierarchical_permutation(l_taps, q_max, p)
-        sizes = sum(len(d) for d in hf.diagonal_sets)
-        assert sizes == l_taps * (2 * q_max + 1)
-        assert sorted(np.asarray(hf.column_permutation).tolist()) == list(range(sizes))
-        seen = set()
-        for d in hf.diagonal_sets:
-            assert seen.isdisjoint(d)
-            seen.update(d)
+def component_shapes(cols):
+    """Rows and columns of every component, its rows counted from the hits."""
+    m = cols.shape[0]
+    hit = cols.rows < m  # padding points at row m
+    comp = np.broadcast_to(cols.comp[:, None], cols.rows.shape)[hit]
+    keys = np.unique(comp * (m + 1) + cols.rows[hit])  # distinct (component, row)
+    return np.bincount(keys // (m + 1)), np.bincount(cols.comp)
 
 
 def full_wrap_setup(n=256, l_taps=8, q_max=3, values=None):
@@ -310,71 +298,75 @@ def full_wrap_setup(n=256, l_taps=8, q_max=3, values=None):
             overlap_mode="reduced",
             contiguous=True,
         )
-    op = build_measurement_operator(scheme, params, l_taps, q_max)
-    hf = hierarchical_permutation(l_taps, q_max, p)
-    return op, hf
+    return build_measurement_operator(scheme, params, l_taps, q_max)
+
+
+def test_components_are_the_residue_classes():
+    grids = list(product((1, 2, 3, 5, 8), range(4), range(1, 4), (-1, 1)))
+    # a reduced train that wraps the frame: the window shift mod (L-1)P+1
+    reduced = 0
+    for (l_taps, q_max, p, sign), n_pilots in product(grids, (2, 4, 6)):
+        stride = (l_taps - 1) * p + 1
+        n = n_pilots * stride
+        if (l_taps - 1) * p + 2 * q_max + 1 > n:
+            continue  # one window would exceed the frame
+        params = AfdmParams(n=n, chirp_num=p, chirp_sign=sign)
+        scheme = PilotScheme.uniform(
+            n, n_pilots, l_taps, q_max, p, chirp_sign=sign, overlap_mode="reduced"
+        )
+        op = build_measurement_operator(scheme, params, l_taps, q_max)
+        assert same_partition(op.columns.comp, window_shifts(op) % stride), (params, l_taps, q_max)
+        reduced += 1
+    assert reduced == 306  # of the 360 reduced grids, those whose window fits the frame
+    # spread disjoint pilots: the window shift itself
+    for (l_taps, q_max, p, sign), n_pilots in product(grids, (1, 2, 4)):
+        params = AfdmParams(n=256, chirp_num=p, chirp_sign=sign)
+        scheme = PilotScheme.uniform(256, n_pilots, l_taps, q_max, p, chirp_sign=sign)
+        op = build_measurement_operator(scheme, params, l_taps, q_max)
+        assert same_partition(op.columns.comp, window_shifts(op)), (n_pilots, params, l_taps, q_max)
 
 
 def test_kronecker_block_diagonal_support_and_modulus():
-    op, hf = full_wrap_setup()
-    rep = kronecker_diagnostic(op, hf)
-    assert rep.tiling_uniform
-    assert rep.off_block_mass < 1e-9
-    assert rep.unit_modulus_deviation < 1e-9
-    assert rep.gram_deviation < 1e-9
-    assert rep.block_matrix.shape == (32, 7)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "blocks agree in support, modulus and partial-Fourier Gram but not "
-        "entrywise: each residue class senses a shifted delay subset"
-    ),
-)
-def test_kronecker_literal_block_equality():
-    op, hf = full_wrap_setup()
-    rep = kronecker_diagnostic(op, hf)
-    assert rep.max_block_deviation < 1e-9
+    op = full_wrap_setup()
+    cols = op.columns
+    assert same_partition(cols.comp, window_shifts(op) % 8)
+    rows, widths = component_shapes(cols)
+    assert rows.tolist() == [32] * 8 and widths.tolist() == [7] * 8
+    hits = cols.vals[cols.rows < cols.shape[0]]
+    assert np.abs(np.abs(hits) - 1.0).max() < 1e-9
+    # every Gram block is 32 I: the partial-Fourier signature
+    assert all(np.abs(cols.gram[c, :7, :7] - 32 * np.eye(7)).max() < 1e-9 for c in range(8))
+    assert cols.refit == "scale"
 
 
 def test_kronecker_recovers_pilot_magnitudes():
     rng = np.random.default_rng(3)
     mags = rng.uniform(0.5, 2.0, 32)
-    op, hf = full_wrap_setup(values=mags.astype(complex))
-    rep = kronecker_diagnostic(op, hf)
-    assert np.abs(rep.row_scales - mags).max() < 1e-12
-    assert rep.unit_modulus_deviation < 1e-12
+    cols = full_wrap_setup(values=mags.astype(complex)).columns
+    # every column passes each pilot once, so it carries each magnitude once
+    got = np.sort(np.abs(cols.vals), axis=1)
+    assert np.abs(got - np.sort(mags)).max() < 1e-12
 
 
 def test_kronecker_single_pilot_single_row_blocks():
     params = AfdmParams(n=32, chirp_num=1, chirp_sign=-1)
     scheme = PilotScheme(positions=(0,), values=(1.0,), overlap_mode="disjoint")
     op = build_measurement_operator(scheme, params, 4, 0)
-    rep = kronecker_diagnostic(op, hierarchical_permutation(4, 0, 1))
-    assert rep.group_sizes == (1, 1, 1, 1)
-    assert rep.block_widths == (1, 1, 1, 1)
-    assert rep.off_block_mass < 1e-12
-    assert rep.max_block_deviation is not None  # measurable, blocks differ in phase
-
-
-def test_kronecker_rejects_mismatched_conventions():
-    op, _ = full_wrap_setup()
-    wrong = hierarchical_permutation(8, 3, 1, chirp_sign=1)
-    with pytest.raises(ValueError, match="chirp conventions"):
-        kronecker_diagnostic(op, wrong)
+    rows, widths = component_shapes(op.columns)
+    assert rows.tolist() == [1, 1, 1, 1] and widths.tolist() == [1, 1, 1, 1]
 
 
 def test_kronecker_nonuniform_reported_not_fatal():
-    # disjoint spread pilots: residue classes are unequal, tiling impossible
+    # disjoint spread pilots: the shift classes, of unequal widths, are not
+    # folded into (L-1)P+1 residues, and the build reports them as they are
     n, l_taps, q_max, p = 256, 8, 3, 1
     params = AfdmParams(n=n, chirp_num=p, chirp_sign=-1)
     scheme = PilotScheme.uniform(n, 16, l_taps, q_max, p, chirp_sign=-1)
     op = build_measurement_operator(scheme, params, l_taps, q_max)
-    rep = kronecker_diagnostic(op, hierarchical_permutation(l_taps, q_max, p))
-    assert not rep.tiling_uniform
-    assert rep.max_block_deviation is None
-    assert rep.off_block_mass >= 0.0
+    assert same_partition(op.columns.comp, window_shifts(op))
+    rows, widths = component_shapes(op.columns)
+    assert len(widths) == 14 and sorted(set(widths.tolist())) == list(range(1, 8))
+    assert rows.tolist() == [16] * 14
 
 
 def test_hirip_probe_well_conditioned_band():
