@@ -284,6 +284,54 @@ def component_shapes(cols):
     return np.bincount(keys // (m + 1)), np.bincount(cols.comp)
 
 
+def reduced_train_operator(l_taps, q_max, p, n_pilots, chirp_sign=-1):
+    """The operator of a reduced pilot train that wraps the frame exactly."""
+    n = n_pilots * ((l_taps - 1) * p + 1)
+    params = AfdmParams(n=n, chirp_num=p, chirp_sign=chirp_sign)
+    scheme = PilotScheme.uniform(
+        n, n_pilots, l_taps, q_max, p, chirp_sign=chirp_sign, overlap_mode="reduced"
+    )
+    return build_measurement_operator(scheme, params, l_taps, q_max)
+
+
+def component_cells(op):
+    """The delay-Doppler cells ``(l, q)`` of every component, as a set of sets."""
+    l, q = np.divmod(np.arange(op.shape[1]), op.block_size)
+    cells = {}
+    for c, li, qi in zip(op.columns.comp.tolist(), l.tolist(), (q - op.q_max).tolist()):
+        cells.setdefault(c, set()).add((li, qi))
+    return {frozenset(s) for s in cells.values()}
+
+
+def test_hierarchical_permutation_degenerate_single_tap():
+    op = reduced_train_operator(1, 2, 1, 8)
+    assert component_cells(op) == {frozenset((0, q) for q in range(-2, 3))}  # the whole grid in one class
+
+
+def test_hierarchical_permutation_small_case_oracle():
+    op = reduced_train_operator(3, 1, 1, 4)
+    oracle = {j: set() for j in range(3)}
+    for l in range(3):
+        for q in (-1, 0, 1):
+            oracle[(q + l) % 3].add((l, q))
+    assert component_cells(op) == {frozenset(s) for s in oracle.values()}
+
+
+def test_hierarchical_permutation_partitions_grid():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        l_taps = int(rng.integers(1, 9))
+        q_max = int(rng.integers(0, 5))
+        p = int(rng.integers(1, 4))
+        params = AfdmParams(n=256, chirp_num=p)
+        scheme = PilotScheme.uniform(256, 2, l_taps, q_max, p)
+        op = build_measurement_operator(scheme, params, l_taps, q_max)
+        cells = component_cells(op)
+        assert sum(len(s) for s in cells) == l_taps * (2 * q_max + 1)
+        assert set().union(*cells) == {(l, q) for l in range(l_taps) for q in range(-q_max, q_max + 1)}
+        assert sorted(np.unique(op.columns.comp).tolist()) == list(range(len(cells)))
+
+
 def full_wrap_setup(n=256, l_taps=8, q_max=3, values=None):
     p = 1
     params = AfdmParams(n=n, chirp_num=p, chirp_sign=-1, cpp_len=l_taps - 1)
