@@ -327,18 +327,35 @@ def profile_to_json(profile: DelayDopplerProfile) -> str:
     )
 
 
+def _json_int(value, name: str) -> int:
+    # bool is an int in Python but not in JSON, and int() would truncate a float
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_finite(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def profile_from_json(text: str) -> DelayDopplerProfile:
     """Inverse of :func:`profile_to_json`.
 
-    An active entry off the grid, or a second entry for the same (l, q),
-    raises ``ValueError`` naming the entry.
+    Grid sizes and coordinates must be JSON integers, gains finite and the
+    gain variance finite and positive.  An active entry off the grid, or a
+    second entry for the same (l, q), raises ``ValueError`` naming the entry.
     """
     doc = json.loads(text)
-    l_taps, q_max = int(doc["l_taps"]), int(doc["q_max"])
+    l_taps, q_max = _json_int(doc["l_taps"], "l_taps"), _json_int(doc["q_max"], "q_max")
+    gain_var = _json_finite(doc["gain_var"], "gain_var")
+    if gain_var <= 0:
+        raise ValueError(f"gain_var must be positive, got {gain_var}")
     gains = np.zeros((l_taps, 2 * q_max + 1), dtype=np.complex128)
     mask = np.zeros_like(gains, dtype=bool)
     for k, (l, q, re, im) in enumerate(doc["active"]):
-        l, q = int(l), int(q)
+        l, q = _json_int(l, f"active entry {k}: l"), _json_int(q, f"active entry {k}: q")
         if not (0 <= l < l_taps and -q_max <= q <= q_max):
             raise ValueError(
                 f"active entry {k} (l={l}, q={q}) lies outside the grid "
@@ -346,6 +363,8 @@ def profile_from_json(text: str) -> DelayDopplerProfile:
             )
         if mask[l, q + q_max]:
             raise ValueError(f"active entry {k} (l={l}, q={q}) repeats an earlier entry")
-        gains[l, q + q_max] = complex(re, im)
+        gains[l, q + q_max] = complex(
+            _json_finite(re, f"active entry {k}: re"), _json_finite(im, f"active entry {k}: im")
+        )
         mask[l, q + q_max] = True
-    return DelayDopplerProfile(gains=gains, mask=mask, gain_var=float(doc["gain_var"]))
+    return DelayDopplerProfile(gains=gains, mask=mask, gain_var=gain_var)

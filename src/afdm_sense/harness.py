@@ -40,6 +40,7 @@ from .channel import (
 from .daft_core import AfdmParams, cpp_extend, daft_demodulate, idaft_modulate, select_chirp_rate
 from .hihtp import hihtp_recover, htp_recover
 from .sensing_model import (
+    _OVERLAP_MODES,
     MeasurementOperator,
     PilotScheme,
     build_measurement_operator,
@@ -120,6 +121,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown receiver {self.receiver!r}")
         if self.solver not in ("hihtp", "htp"):
             raise ValueError(f"unknown solver {self.solver!r}")
+        if self.overlap_mode not in _OVERLAP_MODES:
+            raise ValueError(
+                f"overlap_mode must be one of {_OVERLAP_MODES}, got {self.overlap_mode!r}"
+            )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.master_seed < 0:
@@ -144,10 +149,9 @@ class ExperimentConfig:
         object.__setattr__(self, "snr_db", _as_float_tuple(self.snr_db, "snr_db"))
         for snr_db in self.snr_db:  # refuses an SNR whose noise variance overflows
             NoiseConfig.from_snr_db(snr_db)
-        if self.receiver == "subnyquist" and not (
-            self.contiguous or self.overlap_mode == "reduced"
-        ):
-            raise ValueError("the sub-Nyquist receiver needs a contiguous pilot layout")
+        # f_s_hz reports the reduced train's rate; another layout needs a higher one
+        if self.receiver == "subnyquist" and self.overlap_mode != "reduced":
+            raise ValueError("the sub-Nyquist receiver needs overlap_mode 'reduced'")
         if self.cpp_len is not None and self.cpp_len < self.l_taps - 1:  # the channel refuses it
             raise ValueError(f"cpp_len {self.cpp_len} is below l_taps - 1 = {self.l_taps - 1}")
         # the channel model and the waveform refuse what they cannot describe

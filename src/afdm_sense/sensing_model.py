@@ -9,12 +9,12 @@ operator maps the vectorized delay-Doppler profile to the observed
 samples.  A Doppler shift moves the de-chirped spectrum of a delayed
 frame by whole bins, so the operator takes one transform per delay tap.
 
-Two guard layouts are supported.  In ``disjoint`` mode the per-pilot
-windows must not overlap, giving ``n_pilots * ((L-1) P + 2 Q + 1)``
-observations.  In ``reduced`` mode pilots sit exactly ``(L-1) P + 1``
-apart so neighbouring windows share their Doppler fringes, giving
-``n_pilots * ((L-1) P + 1) + 2 Q`` observations (capped at ``n`` when the
-pilot train wraps the whole frame).
+``PilotScheme.uniform`` offers three placements.  Spread pilots sit
+``n // n_pilots`` apart and packed ones (``contiguous=True``) put their
+windows back to back, giving ``n_pilots * ((L-1) P + 2 Q + 1)``
+observations.  Reduced pilots sit exactly ``(L-1) P + 1`` apart so
+neighbouring windows share their Doppler fringes, giving ``n_pilots *
+((L-1) P + 1) + 2 Q`` observations (capped at ``n`` when the train wraps).
 """
 
 from __future__ import annotations
@@ -52,19 +52,15 @@ _STRAY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PilotScheme:
-    """Pilot positions and values plus the guard layout they follow."""
+    """Pilot positions and values."""
 
     positions: tuple[int, ...]
     values: tuple[complex, ...]
-    overlap_mode: str = "disjoint"
-    contiguous: bool = False
 
     def __post_init__(self) -> None:
         # tuples keep the scheme hashable, as the per-scheme caches need
         object.__setattr__(self, "positions", tuple(self.positions))
         object.__setattr__(self, "values", tuple(self.values))
-        if self.overlap_mode not in _OVERLAP_MODES:
-            raise ValueError(f"overlap_mode must be one of {_OVERLAP_MODES}")
         if len(self.positions) == 0:
             raise ValueError("at least one pilot is required")
         if len(self.positions) != len(self.values):
@@ -97,13 +93,14 @@ class PilotScheme:
         back; reduced placement (always contiguous) spaces pilots exactly
         ``(l_taps - 1) chirp_num + 1`` apart.
         """
+        if overlap_mode not in _OVERLAP_MODES:
+            raise ValueError(f"overlap_mode must be one of {_OVERLAP_MODES}")
         if n_pilots < 1:
             raise ValueError(f"at least one pilot is required, got {n_pilots}")
         width = (l_taps - 1) * chirp_num + 2 * q_max + 1
         stride = (l_taps - 1) * chirp_num + 1
         if overlap_mode == "reduced":
             spacing = stride
-            contiguous = True
         elif contiguous:
             spacing = width
         else:
@@ -122,7 +119,7 @@ class PilotScheme:
             start = (-lo) % n
         positions = tuple(int((start + p * spacing) % n) for p in range(n_pilots))
         values = tuple(complex(amplitude) for _ in range(n_pilots))
-        return cls(positions=positions, values=values, overlap_mode=overlap_mode, contiguous=contiguous)
+        return cls(positions=positions, values=values)
 
 
 def window_offsets(params: AfdmParams, l_taps: int, q_max: int) -> np.ndarray:
@@ -132,46 +129,25 @@ def window_offsets(params: AfdmParams, l_taps: int, q_max: int) -> np.ndarray:
     return np.arange(min(ends), max(ends) + 1)
 
 
-def _is_circular_interval(mask: np.ndarray) -> bool:
-    size = int(mask.sum())
-    if size == 0 or size == mask.size:
-        return True
-    # exactly one run of missing indices on the circle
-    gaps = np.flatnonzero(mask & ~np.roll(mask, -1))
-    return len(gaps) == 1
-
-
 @lru_cache(maxsize=64)
 def observation_index_set(
     scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int
 ) -> np.ndarray:
     """Sorted union of the per-pilot observation windows (cached, read-only).
 
-    Validates the guard layout: disjoint mode requires non-overlapping
-    windows, reduced mode requires the cardinality the tight pilot spacing
-    produces, and the contiguous flag requires the union to be one
-    circular interval.
+    Refuses a pilot position outside ``[0, n)``: distinct positions in range
+    put distinct pilots on distinct rows of every operator column.
     """
     n = params.n
     offsets = window_offsets(params, l_taps, q_max)
     width = len(offsets)
     if width > n:
         raise ValueError(f"observation window of {width} exceeds the frame length {n}")
+    outside = [m for m in scheme.positions if not 0 <= m < n]
+    if outside:
+        raise ValueError(f"pilot positions {outside} lie outside [0, {n})")
     mask = np.zeros(n, dtype=bool)
     mask[(np.asarray(scheme.positions)[:, None] + offsets) % n] = True
-    size = int(mask.sum())
-    if scheme.overlap_mode == "disjoint" and size != width * scheme.n_pilots:
-        raise ValueError("observation windows overlap in disjoint mode")
-    if scheme.overlap_mode == "reduced":
-        stride = (l_taps - 1) * params.chirp_num + 1
-        expected = min(n, scheme.n_pilots * stride + 2 * q_max)
-        if size != expected:
-            raise ValueError(
-                f"reduced mode expects {expected} observation indices "
-                f"(pilots spaced {stride} apart), found {size}"
-            )
-    if scheme.contiguous and not _is_circular_interval(mask):
-        raise ValueError("observation set is not a circular interval")
     indices = np.flatnonzero(mask)
     indices.setflags(write=False)
     return indices
@@ -201,10 +177,10 @@ def build_pilot_frame(
     an observation window; remaining positions are filled from ``data`` in
     increasing index order (zero when ``data`` is shorter or absent).
     """
-    observation_index_set(scheme, params, l_taps, q_max)  # validates the layout
+    observation_index_set(scheme, params, l_taps, q_max)  # refuses positions outside the frame
     x = np.zeros(params.n, dtype=np.complex128)
     for m, v in zip(scheme.positions, scheme.values):
-        x[m % params.n] = v
+        x[m] = v
     if data is not None:
         data = np.asarray(data, dtype=np.complex128).reshape(-1)
         slots = data_slots(scheme, params, l_taps, q_max)

@@ -2,11 +2,11 @@
 
 Multiplying the received frame by the conjugate zero-th chirp carrier
 turns the pilot response into a signal whose DFT occupies exactly the
-observation index set.  When that set is one circular interval of length
-at most K, keeping every (n / K)-th sample folds the spectrum without
-collision, so a K-point DFT recovers the observed samples at a fraction
-of the full rate.  K is rounded up to the smallest divisor of the frame
-length no smaller than the observation count.
+observation index set.  Keeping every (n / K)-th sample folds bin k onto
+k mod K; when the observed bins have distinct residues mod K, as a
+circular interval of length at most K has, a K-point DFT recovers the
+observed samples at a fraction of the full rate.  K is the smallest
+divisor of the frame length no smaller than the observation count.
 """
 
 from __future__ import annotations
@@ -101,14 +101,12 @@ def decimation_plan(
     q_max: int,
     cfg: RadarConfig | None = None,
 ) -> DecimationPlan:
-    """Choose the folded DFT size for a contiguous observation set.
+    """Choose the folded DFT size for an observation set.
 
     K is the smallest divisor of the frame length that is at least the
     observation count; the emulated receiver then keeps one sample in
-    every n / K.  The plan is cached; a set that folds with collisions raises.
+    every n / K.  The plan is cached; bins sharing a residue mod K raise.
     """
-    if not scheme.contiguous:
-        raise ValueError("sub-Nyquist reception requires a contiguous observation set")
     indices = observation_index_set(scheme, params, l_taps, q_max)
     n = params.n
     k_points = next(k for k in range(len(indices), n + 1) if n % k == 0)
@@ -153,13 +151,14 @@ def dechirp_decimate_receive(
         raise ValueError(
             f"received frame must have {n} or {n + params.cpp_len} samples, got {r.shape}"
         )
+    # refuses positions outside the frame before the check below indexes by them
+    indices = observation_index_set(scheme, params, l_taps, q_max)
     if frame is not None:
         frame = np.asarray(frame, dtype=np.complex128)
         allowed = np.zeros(n, dtype=bool)
-        allowed[np.asarray(scheme.positions) % n] = True
+        allowed[np.asarray(scheme.positions)] = True
         if np.any(np.abs(frame[~allowed]) > 0):
             raise ValueError("data symbols present: the folded band would be corrupted")
-    indices = observation_index_set(scheme, params, l_taps, q_max)
     plan = decimation_plan(scheme, params, l_taps, q_max, cfg)
     step = plan.decimation
     first, second = _chirp_tables(params)

@@ -282,21 +282,35 @@ def test_profile_json_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "active, reason",
+    "fields, reason",
     [
-        ([[-1, 0, 1.0, 0.0]], r"active entry 0 \(l=-1, q=0\) lies outside the grid"),
-        ([[0, 0, 1.0, 0.0], [1, -3, 1.0, 0.0]], r"active entry 1 \(l=1, q=-3\) lies outside the grid"),
-        ([[0, 5, 1.0, 0.0]], r"active entry 0 \(l=0, q=5\) lies outside the grid"),
+        ({"active": [[-1, 0, 1.0, 0.0]]}, r"active entry 0 \(l=-1, q=0\) lies outside the grid"),
         (
-            [[1, 1, 1.0, 0.0], [1, 1, 2.0, 0.0]],
+            {"active": [[0, 0, 1.0, 0.0], [1, -3, 1.0, 0.0]]},
+            r"active entry 1 \(l=1, q=-3\) lies outside the grid",
+        ),
+        ({"active": [[0, 5, 1.0, 0.0]]}, r"active entry 0 \(l=0, q=5\) lies outside the grid"),
+        (
+            {"active": [[1, 1, 1.0, 0.0], [1, 1, 2.0, 0.0]]},
             r"active entry 1 \(l=1, q=1\) repeats an earlier entry",
         ),
+        ({"active": [[1.5, 0.7, 1.0, 0.0]]}, r"active entry 0: l must be a JSON integer"),
+        ({"active": [[1, 0.7, 1.0, 0.0]]}, r"active entry 0: q must be a JSON integer"),
+        ({"active": [[1, 0, float("nan"), 0.0]]}, r"active entry 0: re must be a finite number"),
+        ({"active": [[1, 0, 1.0, float("inf")]]}, r"active entry 0: im must be a finite number"),
+        ({"l_taps": 2.9}, r"l_taps must be a JSON integer"),
+        ({"q_max": True}, r"q_max must be a JSON integer"),
+        ({"gain_var": float("nan")}, r"gain_var must be a finite number"),
+        ({"gain_var": 0.0}, r"gain_var must be positive"),
     ],
-    ids=["negative-delay", "doppler-below", "doppler-above", "duplicate"],
+    ids=["negative-delay", "doppler-below", "doppler-above", "duplicate", "fractional-delay",
+         "fractional-doppler", "nan-gain", "inf-gain", "fractional-taps", "boolean-doppler",
+         "nan-gain-var", "zero-gain-var"],
 )
-def test_profile_json_rejects_off_grid_and_duplicate_entries(active, reason):
-    # each of these used to load: l=-1 on tap 1, q=-3 wrapped onto q=0 and a
-    # repeat overwrote the earlier gain; q=5 raised IndexError
-    doc = json.dumps({"l_taps": 2, "q_max": 1, "gain_var": 0.5, "active": active})
+def test_profile_json_rejects_off_grid_and_duplicate_entries(fields, reason):
+    # each of these used to load: l=-1 on tap 1, q=-3 wrapped onto q=0, a
+    # repeat overwrote the earlier gain, (1.5, 0.7) was truncated to (1, 0),
+    # l_taps 2.9 to 2, and a NaN gain variance was kept; q=5 raised IndexError
+    doc = {"l_taps": 2, "q_max": 1, "gain_var": 0.5, "active": [], **fields}
     with pytest.raises(ValueError, match=reason):
-        profile_from_json(doc)
+        profile_from_json(json.dumps(doc))

@@ -110,8 +110,12 @@ def test_config_validation():
         small_config(solver="omp")
     with pytest.raises(ValueError):
         small_config(trials=0)
-    with pytest.raises(ValueError):
-        small_config(receiver="subnyquist")  # needs a contiguous layout
+    with pytest.raises(ValueError, match="overlap_mode must be one of"):
+        small_config(overlap_mode="foo")
+    # f_s_hz would report the reduced train's rate for a disjoint layout
+    for contiguous in (False, True):
+        with pytest.raises(ValueError, match="overlap_mode 'reduced'"):
+            small_config(receiver="subnyquist", contiguous=contiguous)
     with pytest.raises(ValueError, match="n_pilots"):
         small_config(n_pilots=(4, 0))
     with pytest.raises(ValueError, match="k_max"):
@@ -470,10 +474,13 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         ["run", {"snr_db": [-4000.0]}],
         # every trial's channel would refuse a prefix shorter than l_taps - 1 = 2
         ["run", {"cpp_len": 0}],
+        ["run", {"overlap_mode": "foo"}],
+        ["run", {"receiver": "subnyquist", "contiguous": True}],
     ],
     ids=["pilots", "taps", "q-max", "chirp-num", "otfs-grid", "nan-bandwidth", "inf-bandwidth",
          "rate-pilots", "rate-chirp-num", "run-one-pilot", "run-htp-sparsity", "run-inf-margin",
-         "run-nan-margin", "run-snr-overflow", "run-short-prefix"],
+         "run-nan-margin", "run-snr-overflow", "run-short-prefix", "run-unknown-overlap-mode",
+         "run-disjoint-subnyquist"],
 )
 def test_cli_rejects_out_of_range_inputs(argv, capsys, tmp_path):
     if argv[0] == "run":

@@ -67,18 +67,33 @@ def test_trivial_window():
     assert observation_index_set(scheme, params, 1, 0).tolist() == [5]
 
 
-def test_disjoint_mode_rejects_overlap():
-    params = AfdmParams(n=32, chirp_num=1)
-    scheme = PilotScheme(positions=(4, 6), values=(1.0, 1.0))
-    with pytest.raises(ValueError, match="overlap"):
-        observation_index_set(scheme, params, 3, 2)
+def test_overlapping_windows_match_the_chain():
+    # overlapping windows share observations, as those of a reduced train do
+    n, l_taps, q_max = 64, 3, 1
+    params = AfdmParams(n=n, chirp_num=1, cpp_len=l_taps - 1)
+    scheme = PilotScheme(positions=(10, 12), values=(1.0, 1.0))
+    op = build_measurement_operator(scheme, params, l_taps, q_max)
+    unit = np.eye(op.shape[1], dtype=complex)
+    for j in range(op.shape[1]):
+        gains = unit[j].reshape(l_taps, 2 * q_max + 1)
+        path = DelayDopplerProfile(gains=gains, mask=gains != 0, gain_var=1.0)
+        chain = simulate_observations(scheme, params, l_taps, q_max, path)
+        assert np.abs(chain - op.matrix[:, j]).max() <= 1e-12
+        assert np.abs(chain - op.columns.matvec(unit[j])).max() <= 1e-12
 
 
-def test_contiguous_flag_validated():
+@pytest.mark.parametrize("positions", [(10, 74), (10, -54)])
+def test_positions_outside_the_frame_rejected(positions):
+    # both pilots would land on bin 10 and give every column two hits on one row
     params = AfdmParams(n=64, chirp_num=1)
-    spread = PilotScheme(positions=(10, 40), values=(1.0, 1.0), contiguous=True)
-    with pytest.raises(ValueError, match="interval"):
-        observation_index_set(spread, params, 2, 1)
+    scheme = PilotScheme(positions=positions, values=(1.0, 1.0))
+    for build in (observation_index_set, build_pilot_frame, build_measurement_operator):
+        with pytest.raises(ValueError, match=r"outside \[0, 64\)"):
+            build(scheme, params, 3, 1)
+
+
+def test_contiguous_placement_packs_windows():
+    params = AfdmParams(n=64, chirp_num=1)
     packed = PilotScheme.uniform(64, 2, 2, 1, 1, contiguous=True)
     idx = observation_index_set(packed, params, 2, 1)
     assert np.array_equal(np.diff(idx), np.ones(len(idx) - 1, dtype=np.int64))
@@ -340,12 +355,7 @@ def full_wrap_setup(n=256, l_taps=8, q_max=3, values=None):
         n, n_pilots, l_taps, q_max, p, chirp_sign=-1, overlap_mode="reduced"
     )
     if values is not None:
-        scheme = PilotScheme(
-            positions=scheme.positions,
-            values=tuple(values),
-            overlap_mode="reduced",
-            contiguous=True,
-        )
+        scheme = PilotScheme(positions=scheme.positions, values=tuple(values))
     return build_measurement_operator(scheme, params, l_taps, q_max)
 
 
@@ -398,7 +408,7 @@ def test_kronecker_recovers_pilot_magnitudes():
 
 def test_kronecker_single_pilot_single_row_blocks():
     params = AfdmParams(n=32, chirp_num=1, chirp_sign=-1)
-    scheme = PilotScheme(positions=(0,), values=(1.0,), overlap_mode="disjoint")
+    scheme = PilotScheme(positions=(0,), values=(1.0,))
     op = build_measurement_operator(scheme, params, 4, 0)
     rows, widths = component_shapes(op.columns)
     assert rows.tolist() == [1, 1, 1, 1] and widths.tolist() == [1, 1, 1, 1]

@@ -110,13 +110,35 @@ def test_cpp_accepted_and_stripped():
     assert np.array_equal(y1, y2)
 
 
-def test_noncontiguous_scheme_rejected():
+def test_colliding_fold_rejected():
     n = 64
     params = AfdmParams(n=n, chirp_num=1)
-    spread = PilotScheme.uniform(n, 2, 3, 2, 1)  # disjoint, not contiguous
+    # windows [0, 7) and [32, 39): 14 bins, K = 16, and both fold onto [0, 7)
+    spread = PilotScheme.uniform(n, 2, 3, 2, 1)
     r = np.zeros(n, dtype=complex)
-    with pytest.raises(ValueError, match="contiguous"):
+    with pytest.raises(ValueError, match="folds with collisions"):
         dechirp_decimate_receive(r, spread, params, 3, 2)
+
+
+@pytest.mark.parametrize("c2", [0.0, 0.137, -0.21])
+@pytest.mark.parametrize("chirp_sign", [1, -1])
+def test_collision_free_fold_of_a_non_interval_set(chirp_sign, c2):
+    n, l_taps, q_max = 64, 3, 2
+    params = AfdmParams(n=n, chirp_num=1, chirp_sign=chirp_sign, cpp_len=l_taps - 1, c2=c2)
+    # two 7-bin windows 23 bins apart: not one interval, but 23 = 7 mod 16
+    # puts the second window's residues right after the first's
+    scheme = PilotScheme(positions=(10, 33), values=(1.0, 1.0))
+    idx = observation_index_set(scheme, params, l_taps, q_max)
+    assert len(idx) == 14 and np.count_nonzero(np.diff(idx) > 1) == 1
+    plan = decimation_plan(scheme, params, l_taps, q_max)
+    assert plan.k_points == 16 and plan.decimation == 4
+    cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.6, p_doppler=0.6)
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        frame, r = received_frame(scheme, params, l_taps, q_max, sample_profile(cfg, rng))
+        y_full = extract_measurements(daft_demodulate(r, params), idx)
+        y_sub = dechirp_decimate_receive(r, scheme, params, l_taps, q_max, frame=frame)
+        assert np.linalg.norm(y_sub - y_full) <= 1e-12 * np.linalg.norm(y_full)
 
 
 def test_data_symbols_rejected():
