@@ -21,9 +21,12 @@ observation per pilot, so the Gram matrix ``G = M^H M`` is block-diagonal
 over the components, and the pursuit works in the coefficient domain: it
 gathers ``b = M^H y`` once per call and forms every gradient as
 ``alpha + step (b - G alpha)``, one batched product of the stored Gram
-blocks.  The residual, which only the trace reads, scatters the hits of the
-support's columns alone; every other coefficient is exactly zero, so it
-equals the scatter of all columns bit for bit.
+blocks; the first gradient, from ``alpha = 0``, is ``step b``.  The refits
+take their right-hand side ``A_S^H y`` as ``b[S]``.  The residual trace is
+computed the first time it is read, from the refit estimates and a private
+copy of ``y``; each residual scatters the hits of the support's columns
+alone, and every other coefficient is exactly zero, so it equals the
+scatter of all columns bit for bit.
 
 The refit takes one of three paths, chosen once per operator at build.
 Where every pair of columns within a component is orthogonal or parallel,
@@ -44,6 +47,7 @@ identical supports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -116,15 +120,25 @@ class SupportSet:
         return bool(np.count_nonzero(counts) <= s_block and counts.max(initial=0) <= s_entry)
 
 
-@dataclass
 class RecoveryResult:
-    """Estimate (zero off its support), that support as flat indices, and the trace."""
+    """Estimate (zero off its support), that support as flat indices, and the trace.
 
-    alpha: np.ndarray
-    support: SupportSet
-    iterations: int
-    residual_trace: list[float]
-    converged_by: str
+    ``residual_trace`` is given as a list, or as a function of no arguments
+    that returns it, called the first time the trace is read.
+    """
+
+    def __init__(self, alpha, support, iterations, residual_trace, converged_by) -> None:
+        self.alpha: np.ndarray = alpha
+        self.support: SupportSet = support
+        self.iterations: int = iterations
+        self._trace = residual_trace
+        self.converged_by: str = converged_by
+
+    @property
+    def residual_trace(self) -> list[float]:
+        if callable(self._trace):
+            self._trace = self._trace()
+        return self._trace
 
 
 def _check_grid(x: np.ndarray, n_blocks: int, block_size: int) -> None:
@@ -151,7 +165,7 @@ def hierarchical_threshold(
         raise ValueError(f"s_block must lie in [1, {n_blocks}], got {s_block}")
     mags = np.abs(x).reshape(n_blocks, block_size)
     kept = np.argsort(-mags, axis=1, kind="stable")[:, :s_entry]
-    kept_energy = np.take_along_axis(mags, kept, axis=1) ** 2
+    kept_energy = mags[np.arange(n_blocks)[:, None], kept] ** 2
     block_order = np.argsort(-kept_energy.sum(axis=1), kind="stable")[:s_block]
     return SupportSet(block_order[:, None] * block_size + kept[block_order], block_size)
 
@@ -338,11 +352,14 @@ def _operator_columns(op, n_blocks, block_size):
     return _Columns.from_dense(op), n_blocks, block_size
 
 
-def restricted_least_squares(matrix, y, support: SupportSet) -> np.ndarray:
+def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarray:
     """Least-squares fit constrained to the support, zero elsewhere.
 
     ``matrix`` is a dense matrix or the pursuit's column structure, and
-    ``support.indices`` are the matrix columns the fit may use.  The
+    ``support.indices`` are the matrix columns the fit may use.  ``b``, when
+    given, is ``M^H y`` as ``_Columns.rmatvec`` forms it; the first two paths
+    below then read ``A_S^H y`` as ``b[S]`` instead of gathering it from
+    ``y``, the same bytes.  The
     components' blocks are independent, and the operator's build chose one
     of three ways to solve them (``_Columns.refit``):
 
@@ -380,7 +397,10 @@ def restricted_least_squares(matrix, y, support: SupportSet) -> np.ndarray:
     if not len(idx):
         return z
     if cols.refit != "svd":
-        h = (cols.vals[idx].conj() * np.append(y, 0.0)[cols.rows[idx]]).sum(axis=1)
+        if b is None:
+            h = (cols.vals[idx].conj() * np.append(y, 0.0)[cols.rows[idx]]).sum(axis=1)
+        else:
+            h = b[idx]
         if cols.refit == "scale":
             # a class of parallel columns is a rank-one block, whose squared
             # singular value is the sum of its columns' squared norms
@@ -423,13 +443,22 @@ def restricted_least_squares(matrix, y, support: SupportSet) -> np.ndarray:
     return z
 
 
+def _residual_trace(cols, y, estimates) -> list[float]:
+    """``||y||``, then ``||y - M alpha||`` for every estimate in turn."""
+    return [float(np.linalg.norm(y))] + [
+        float(np.linalg.norm(y - cols.matvec(alpha))) for alpha in estimates
+    ]
+
+
 def _pursuit(cols, y, threshold, k_max):
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     m, ncols = cols.shape
-    y = np.asarray(y, dtype=np.complex128)
+    # a private read-only copy: the trace is computed from it when first read
+    y = np.array(y, dtype=np.complex128)
     if y.shape != (m,):
         raise ValueError(f"observation vector must have shape ({m},)")
+    y.flags.writeable = False
     # step ncols / ||M||_F^2 is the unit step after scaling the columns to unit
     # mean squared norm, the near-isometry the gradient iteration assumes
     step = ncols / cols.sq_norm if cols.sq_norm > 0.0 else 1.0
@@ -437,27 +466,30 @@ def _pursuit(cols, y, threshold, k_max):
     # is alpha + step (b - G alpha) with b = M^H y and the Gram matrix G
     b = cols.rmatvec(y)
     alpha = np.zeros(ncols, dtype=np.complex128)
-    trace = [float(np.linalg.norm(y))]
     prev: SupportSet | None = None
     # after a refit the next support depends only on the refit support, so a
     # support seen before starts a cycle that the remaining iterations replay
-    history: list[tuple[SupportSet, np.ndarray, float]] = []
+    history: list[tuple[SupportSet, np.ndarray]] = []
     seen: dict[SupportSet, int] = {}
+    # every iteration's refit, read by the trace
+    estimates: list[np.ndarray] = []
+    trace = partial(_residual_trace, cols, y, estimates)
     for it in range(1, k_max + 1):
-        gradient = alpha + step * (b - cols.gram_matvec(alpha))
+        # alpha is zero on the first iteration, where the Gram product adds nothing
+        gradient = step * b if it == 1 else alpha + step * (b - cols.gram_matvec(alpha))
         support = threshold(gradient)
         if support == prev:
             return RecoveryResult(alpha, support, it, trace, "support_fixed")
         if support in seen:
             cycle = history[seen[support] :]
             r = k_max - it
-            trace.extend(cycle[i % len(cycle)][2] for i in range(r + 1))
-            support, alpha = cycle[r % len(cycle)][:2]
+            estimates.extend(cycle[i % len(cycle)][1] for i in range(r + 1))
+            support, alpha = cycle[r % len(cycle)]
             return RecoveryResult(alpha, support, k_max, trace, "max_iter")
-        alpha = restricted_least_squares(cols, y, support)
-        trace.append(float(np.linalg.norm(y - cols.matvec(alpha))))
+        alpha = restricted_least_squares(cols, y, support, b)
         seen[support] = len(history)
-        history.append((support, alpha, trace[-1]))
+        history.append((support, alpha))
+        estimates.append(alpha)
         prev = support
     return RecoveryResult(alpha, prev, k_max, trace, "max_iter")
 
