@@ -125,6 +125,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"overlap_mode must be one of {_OVERLAP_MODES}, got {self.overlap_mode!r}"
             )
+        # only a disjoint train has a spread and a packed placement
+        if self.contiguous and self.overlap_mode != "disjoint":
+            raise ValueError(
+                f"contiguous=True needs overlap_mode 'disjoint', got {self.overlap_mode!r}"
+            )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.master_seed < 0:

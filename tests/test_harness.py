@@ -116,6 +116,10 @@ def test_config_validation():
     for contiguous in (False, True):
         with pytest.raises(ValueError, match="overlap_mode 'reduced'"):
             small_config(receiver="subnyquist", contiguous=contiguous)
+    # a reduced train is spaced the same either way; only a disjoint one is packed
+    with pytest.raises(ValueError, match="contiguous=True needs overlap_mode 'disjoint'"):
+        small_config(overlap_mode="reduced", contiguous=True)
+    small_config(overlap_mode="disjoint", contiguous=True)
     with pytest.raises(ValueError, match="n_pilots"):
         small_config(n_pilots=(4, 0))
     with pytest.raises(ValueError, match="k_max"):
@@ -216,7 +220,6 @@ def test_doubling_trials_shrinks_standard_error():
 def test_receiver_equivalence_noise_free():
     shared = dict(
         overlap_mode="reduced",
-        contiguous=True,
         trials=15,
         snr_db=(1000.0,),
         n_pilots=(6,),
@@ -368,8 +371,8 @@ def test_thread_env_override_matches_serial(monkeypatch):
     configs = {
         "fullrate": small_config(trials=13, snr_db=(15.0, 25.0), n_pilots=(4, 5)),
         "subnyquist": small_config(
-            trials=13, receiver="subnyquist", overlap_mode="reduced", contiguous=True,
-            n_pilots=(6,), snr_db=(10.0, 20.0),
+            trials=13, receiver="subnyquist", overlap_mode="reduced", n_pilots=(6,),
+            snr_db=(10.0, 20.0),
         ),
         "htp": small_config(trials=13, solver="htp", snr_db=(20.0,)),
     }
@@ -476,11 +479,12 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         ["run", {"cpp_len": 0}],
         ["run", {"overlap_mode": "foo"}],
         ["run", {"receiver": "subnyquist", "contiguous": True}],
+        ["run", {"overlap_mode": "reduced", "contiguous": True}],
     ],
     ids=["pilots", "taps", "q-max", "chirp-num", "otfs-grid", "nan-bandwidth", "inf-bandwidth",
          "rate-pilots", "rate-chirp-num", "run-one-pilot", "run-htp-sparsity", "run-inf-margin",
          "run-nan-margin", "run-snr-overflow", "run-short-prefix", "run-unknown-overlap-mode",
-         "run-disjoint-subnyquist"],
+         "run-disjoint-subnyquist", "run-reduced-contiguous"],
 )
 def test_cli_rejects_out_of_range_inputs(argv, capsys, tmp_path):
     if argv[0] == "run":
