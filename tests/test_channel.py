@@ -205,6 +205,24 @@ def test_noise_statistics():
     assert np.mean(np.abs(r) ** 2) == pytest.approx(0.25, rel=0.1)
 
 
+def test_noise_stream_is_pinned():
+    # every seeded result rests on this stream: n normals for the real parts,
+    # then n for the imaginary parts, added to the noise-free samples
+    cfg = SparsityConfig("type2", l_taps=8, q_max=3, p_delay=0.3, p_doppler=0.3)
+    params = AfdmParams(n=256, chirp_num=1, cpp_len=7)
+    rng = np.random.default_rng(12)
+    s = rng.standard_normal(263) + 1j * rng.standard_normal(263)
+    prof = sample_profile(cfg, rng)
+    noise = NoiseConfig.from_snr_db(10.0)
+    got_rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+    got = apply_channel(s, prof, params, noise, got_rng)
+    r = apply_channel(s, prof, params)
+    scale = math.sqrt(noise.sigma_w2 / 2.0)
+    ref = r + scale * (ref_rng.standard_normal(256) + 1j * ref_rng.standard_normal(256))
+    assert got.tobytes() == ref.tobytes()
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_chernoff_bound_value():
     manual = (0.2 / 0.3) ** 9 * (0.8 / 0.7) ** 21
     assert chernoff_tail_bound(30, 0.2, 9) == pytest.approx(manual, rel=1e-12)

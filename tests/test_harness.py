@@ -17,7 +17,7 @@ from afdm_sense import (
     records_to_csv_str,
     run_monte_carlo,
 )
-from afdm_sense import harness
+from afdm_sense import harness, hihtp
 from afdm_sense.cli import main as cli_main
 
 
@@ -382,6 +382,26 @@ def test_thread_env_override_matches_serial(monkeypatch):
             monkeypatch.setenv("AFDM_SENSE_THREADS", workers)
             csv[workers] = records_to_csv_str(run_monte_carlo(cfg))
         assert csv["2"] == csv["1"] and csv["4"] == csv["1"], name
+
+
+def test_serial_sweep_forms_no_residual(monkeypatch):
+    # a sweep reads no residual trace, so no trial scatters an estimate
+    calls = []
+    matvec = hihtp._Columns.matvec
+
+    def counting(self, x):
+        calls.append(1)
+        return matvec(self, x)
+
+    monkeypatch.setattr(hihtp._Columns, "matvec", counting)
+    monkeypatch.setenv("AFDM_SENSE_THREADS", "1")
+    for cfg in (
+        small_config(trials=5, snr_db=(20.0,)),
+        small_config(trials=5, snr_db=(20.0,), solver="htp"),
+        small_config(trials=5, receiver="subnyquist", overlap_mode="reduced", n_pilots=(6,)),
+    ):
+        assert run_monte_carlo(cfg)[0].trials_ok == 5
+    assert not calls
 
 
 def test_subnyquist_sweep_does_not_import_numpy_ma():

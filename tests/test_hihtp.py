@@ -827,3 +827,66 @@ def test_max_iter_contract(paper_np8, k_max):
     off = np.ones(op.shape[1], dtype=bool)
     off[res.support.indices] = False
     assert not res.alpha[off].any()
+
+
+def test_trace_is_computed_on_read(paper_np8, monkeypatch):
+    # no residual is formed until the trace is read, which then equals the
+    # trace of the pursuit forming every residual, from the observations as
+    # they were at the call
+    calls = []
+    matvec = _Columns.matvec
+
+    def counting(self, x):
+        calls.append(1)
+        return matvec(self, x)
+
+    op, observations = paper_np8
+    sub = subnyquist_operator()
+    y_sub = sub.columns.matvec((np.arange(56) % 5 == 0).astype(complex)) + 0.1
+    cases = [
+        (op, observations[0], lambda g: hierarchical_threshold(g, 30, 15, 15, 8),
+         lambda o, y: hihtp_recover(o, y, 15, 8)),
+        (op, observations[1], lambda g: flat_threshold(g, 30, 15, 120),
+         lambda o, y: htp_recover(o, y, 120)),
+        (sub, y_sub, lambda g: hierarchical_threshold(g, 8, 7, 6, 4),
+         lambda o, y: hihtp_recover(o, y, 6, 4)),
+        (sub, y_sub, lambda g: flat_threshold(g, 8, 7, 12), lambda o, y: htp_recover(o, y, 12)),
+    ]
+    monkeypatch.setattr(_Columns, "matvec", counting)
+    results = []
+    for operator, y, threshold, recover in cases:
+        kept = y.copy()
+        calls.clear()
+        results.append(recover(operator, kept))
+        assert not calls
+        kept[:] = 0.0
+        ref = reference_pursuit(operator.columns, y, threshold, 20)
+        assert_same_result(results[-1], ref)
+    # the paper n_p=8 trials cycle, so their traces replay the cycle's residuals
+    assert [r.iterations for r in results[:2]] == [20, 20]
+
+
+@pytest.mark.parametrize(
+    "n_pilots, layout, path",
+    [(16, {}, "scale"), (8, {}, "scale"), (255, None, "solve"), (16, dict(contiguous=True), "svd")],
+    ids=["16-scale", "8-scale", "subnyquist-solve", "16-contiguous-svd"],
+)
+def test_refit_from_pursuit_gradient_matches_gather(n_pilots, layout, path):
+    # the pursuit hands its b = M^H y to every refit, which reads A_S^H y as b[S];
+    # the SVD path does not read b at all
+    op = subnyquist_operator() if layout is None else paper_operator(n_pilots, **layout)
+    cols = op.columns
+    assert cols.refit == path
+    n_blocks, block_size = op.l_taps, op.block_size
+    s_block, s_entry = (15, 8) if n_blocks == 30 else (6, 4)
+    rng = np.random.default_rng(31)
+    m, ncols = cols.shape
+    for _ in range(4):
+        y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        x = rng.standard_normal(ncols) + 1j * rng.standard_normal(ncols)
+        sup = hierarchical_threshold(x, n_blocks, block_size, s_block, s_entry)
+        ref = restricted_least_squares(cols, y, sup).tobytes()
+        assert restricted_least_squares(cols, y, sup, cols.rmatvec(y)).tobytes() == ref
+        if path == "svd":
+            unused = np.full(ncols, np.nan, dtype=complex)
+            assert restricted_least_squares(cols, y, sup, unused).tobytes() == ref
