@@ -127,12 +127,19 @@ class RecoveryResult:
     that returns it, called the first time the trace is read.
     """
 
-    def __init__(self, alpha, support, iterations, residual_trace, converged_by) -> None:
-        self.alpha: np.ndarray = alpha
-        self.support: SupportSet = support
-        self.iterations: int = iterations
+    def __init__(
+        self,
+        alpha: np.ndarray,
+        support: SupportSet,
+        iterations: int,
+        residual_trace,
+        converged_by: str,
+    ) -> None:
+        self.alpha = alpha
+        self.support = support
+        self.iterations = iterations
         self._trace = residual_trace
-        self.converged_by: str = converged_by
+        self.converged_by = converged_by
 
     @property
     def residual_trace(self) -> list[float]:
@@ -443,10 +450,10 @@ def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarr
     return z
 
 
-def _residual_trace(cols, y, estimates) -> list[float]:
-    """``||y||``, then ``||y - M alpha||`` for every estimate in turn."""
+def _residual_trace(cols, y, history) -> list[float]:
+    """``||y||``, then ``||y - M alpha||`` for every (support, alpha) in turn."""
     return [float(np.linalg.norm(y))] + [
-        float(np.linalg.norm(y - cols.matvec(alpha))) for alpha in estimates
+        float(np.linalg.norm(y - cols.matvec(alpha))) for _, alpha in history
     ]
 
 
@@ -468,12 +475,11 @@ def _pursuit(cols, y, threshold, k_max):
     alpha = np.zeros(ncols, dtype=np.complex128)
     prev: SupportSet | None = None
     # after a refit the next support depends only on the refit support, so a
-    # support seen before starts a cycle that the remaining iterations replay
+    # support seen before starts a cycle that the remaining iterations replay;
+    # the trace reads every iteration's refit from the history
     history: list[tuple[SupportSet, np.ndarray]] = []
     seen: dict[SupportSet, int] = {}
-    # every iteration's refit, read by the trace
-    estimates: list[np.ndarray] = []
-    trace = partial(_residual_trace, cols, y, estimates)
+    trace = partial(_residual_trace, cols, y, history)
     for it in range(1, k_max + 1):
         # alpha is zero on the first iteration, where the Gram product adds nothing
         gradient = step * b if it == 1 else alpha + step * (b - cols.gram_matvec(alpha))
@@ -483,13 +489,12 @@ def _pursuit(cols, y, threshold, k_max):
         if support in seen:
             cycle = history[seen[support] :]
             r = k_max - it
-            estimates.extend(cycle[i % len(cycle)][1] for i in range(r + 1))
+            history.extend(cycle[i % len(cycle)] for i in range(r + 1))
             support, alpha = cycle[r % len(cycle)]
             return RecoveryResult(alpha, support, k_max, trace, "max_iter")
         alpha = restricted_least_squares(cols, y, support, b)
         seen[support] = len(history)
         history.append((support, alpha))
-        estimates.append(alpha)
         prev = support
     return RecoveryResult(alpha, prev, k_max, trace, "max_iter")
 
