@@ -237,10 +237,8 @@ def apply_channel(
     if sigma > 0.0:
         if rng is None:
             raise ValueError("rng required when noise variance is positive")
-        # the real parts' normals, then the imaginary parts', drawn in one call
-        w = math.sqrt(sigma / 2.0) * rng.standard_normal(2 * n)
-        r.real += w[:n]
-        r.imag += w[n:]
+        scale = math.sqrt(sigma / 2.0)
+        r += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return r
 
 

@@ -124,7 +124,11 @@ class RecoveryResult:
     """Estimate (zero off its support), that support as flat indices, and the trace.
 
     ``residual_trace`` is given as a list, or as a function of no arguments
-    that returns it, called the first time the trace is read.
+    that returns it, called the first time the trace is read.  Until then a
+    pursuit's result holds what that function reads: the operator's column
+    structure, a copy of ``y`` and up to ``k_max`` refit estimates, all
+    released once the trace is read.  ``alpha`` is the result's own copy, so
+    changing it leaves the trace as it was.
     """
 
     def __init__(
@@ -363,12 +367,11 @@ def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarr
     """Least-squares fit constrained to the support, zero elsewhere.
 
     ``matrix`` is a dense matrix or the pursuit's column structure, and
-    ``support.indices`` are the matrix columns the fit may use.  ``b``, when
-    given, is ``M^H y`` as ``_Columns.rmatvec`` forms it; the first two paths
-    below then read ``A_S^H y`` as ``b[S]`` instead of gathering it from
-    ``y``, the same bytes.  The
-    components' blocks are independent, and the operator's build chose one
-    of three ways to solve them (``_Columns.refit``):
+    ``support.indices`` are the matrix columns the fit may use.  ``b`` is
+    ``M^H y`` as ``_Columns.rmatvec`` forms it, gathered here when not given;
+    the first two paths below read ``A_S^H y`` as ``b[S]``.  The components'
+    blocks are independent, and the operator's build chose one of three ways
+    to solve them (``_Columns.refit``):
 
     * ``"scale"``: the columns fall into classes of parallel columns,
       orthogonal to one another (``_Columns.alias``), so the support's
@@ -405,9 +408,8 @@ def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarr
         return z
     if cols.refit != "svd":
         if b is None:
-            h = (cols.vals[idx].conj() * np.append(y, 0.0)[cols.rows[idx]]).sum(axis=1)
-        else:
-            h = b[idx]
+            b = cols.rmatvec(y)
+        h = b[idx]
         if cols.refit == "scale":
             # a class of parallel columns is a rank-one block, whose squared
             # singular value is the sum of its columns' squared norms
@@ -476,7 +478,8 @@ def _pursuit(cols, y, threshold, k_max):
     prev: SupportSet | None = None
     # after a refit the next support depends only on the refit support, so a
     # support seen before starts a cycle that the remaining iterations replay;
-    # the trace reads every iteration's refit from the history
+    # the trace reads every iteration's refit from the history, so the result
+    # gets its own copy of the estimate
     history: list[tuple[SupportSet, np.ndarray]] = []
     seen: dict[SupportSet, int] = {}
     trace = partial(_residual_trace, cols, y, history)
@@ -485,18 +488,18 @@ def _pursuit(cols, y, threshold, k_max):
         gradient = step * b if it == 1 else alpha + step * (b - cols.gram_matvec(alpha))
         support = threshold(gradient)
         if support == prev:
-            return RecoveryResult(alpha, support, it, trace, "support_fixed")
+            return RecoveryResult(alpha.copy(), support, it, trace, "support_fixed")
         if support in seen:
             cycle = history[seen[support] :]
             r = k_max - it
             history.extend(cycle[i % len(cycle)] for i in range(r + 1))
             support, alpha = cycle[r % len(cycle)]
-            return RecoveryResult(alpha, support, k_max, trace, "max_iter")
+            return RecoveryResult(alpha.copy(), support, k_max, trace, "max_iter")
         alpha = restricted_least_squares(cols, y, support, b)
         seen[support] = len(history)
         history.append((support, alpha))
         prev = support
-    return RecoveryResult(alpha, prev, k_max, trace, "max_iter")
+    return RecoveryResult(alpha.copy(), prev, k_max, trace, "max_iter")
 
 
 def hihtp_recover(

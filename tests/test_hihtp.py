@@ -831,8 +831,8 @@ def test_max_iter_contract(paper_np8, k_max):
 
 def test_trace_is_computed_on_read(paper_np8, monkeypatch):
     # no residual is formed until the trace is read, which then equals the
-    # trace of the pursuit forming every residual, from the observations as
-    # they were at the call
+    # trace of the pursuit forming every residual, from the observations and
+    # the estimate as they were at the call
     calls = []
     matvec = _Columns.matvec
 
@@ -860,7 +860,11 @@ def test_trace_is_computed_on_read(paper_np8, monkeypatch):
         results.append(recover(operator, kept))
         assert not calls
         kept[:] = 0.0
+        alpha = results[-1].alpha.copy()
+        results[-1].alpha[:] = 0.0
         ref = reference_pursuit(operator.columns, y, threshold, 20)
+        assert results[-1].residual_trace == ref.residual_trace
+        results[-1].alpha[:] = alpha
         assert_same_result(results[-1], ref)
     # the paper n_p=8 trials cycle, so their traces replay the cycle's residuals
     assert [r.iterations for r in results[:2]] == [20, 20]
@@ -872,8 +876,9 @@ def test_trace_is_computed_on_read(paper_np8, monkeypatch):
     ids=["16-scale", "8-scale", "subnyquist-solve", "16-contiguous-svd"],
 )
 def test_refit_from_pursuit_gradient_matches_gather(n_pilots, layout, path):
-    # the pursuit hands its b = M^H y to every refit, which reads A_S^H y as b[S];
-    # the SVD path does not read b at all
+    # the pursuit hands its b = M^H y to every refit, which reads A_S^H y as b[S],
+    # the same bytes as gathering the support's hits alone; the SVD path does
+    # not read b at all
     op = subnyquist_operator() if layout is None else paper_operator(n_pilots, **layout)
     cols = op.columns
     assert cols.refit == path
@@ -885,8 +890,12 @@ def test_refit_from_pursuit_gradient_matches_gather(n_pilots, layout, path):
         y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         x = rng.standard_normal(ncols) + 1j * rng.standard_normal(ncols)
         sup = hierarchical_threshold(x, n_blocks, block_size, s_block, s_entry)
-        ref = restricted_least_squares(cols, y, sup).tobytes()
+        idx = sup.indices
+        gather = np.full(ncols, np.nan, dtype=complex)
+        gather[idx] = (cols.vals[idx].conj() * np.append(y, 0.0)[cols.rows[idx]]).sum(axis=1)
+        ref = restricted_least_squares(cols, y, sup, gather).tobytes()
         assert restricted_least_squares(cols, y, sup, cols.rmatvec(y)).tobytes() == ref
+        assert restricted_least_squares(cols, y, sup).tobytes() == ref
         if path == "svd":
             unused = np.full(ncols, np.nan, dtype=complex)
             assert restricted_least_squares(cols, y, sup, unused).tobytes() == ref
