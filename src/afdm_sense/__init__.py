@@ -16,6 +16,7 @@ from .channel import (
     apply_channel,
     chernoff_tail_bound,
     devectorize_profile,
+    doppler_phase,
     empirical_sparsity_stats,
     profile_from_json,
     profile_to_json,
@@ -30,7 +31,6 @@ from .sensing_model import (
     data_slots,
     export_operator,
     extract_measurements,
-    hirip_probe,
     load_operator,
     observation_index_set,
     window_offsets,

@@ -196,7 +196,7 @@ def devectorize_profile(
     return DelayDopplerProfile(gains=gains, mask=gains != 0, gain_var=gain_var)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)  # a bound below 2 q_max + 1 would evict the tables a sweep warms
 def doppler_phase(n: int, doppler: int) -> np.ndarray:
     """Doppler modulation ``exp(+i 2 pi m q / n)``, m = 0..n-1 (cached, read-only)."""
     idx = np.arange(n, dtype=np.int64)

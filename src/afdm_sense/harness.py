@@ -148,8 +148,6 @@ class ExperimentConfig:
             )
         if not math.isfinite(self.c2):
             raise ValueError(f"c2 must be finite, got {self.c2}")
-        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
-            raise ValueError(f"bandwidth_hz must be finite and positive, got {self.bandwidth_hz}")
         object.__setattr__(self, "n_pilots", _as_int_tuple(self.n_pilots, "n_pilots"))
         object.__setattr__(self, "snr_db", _as_float_tuple(self.snr_db, "snr_db"))
         for snr_db in self.snr_db:  # refuses an SNR whose noise variance overflows
@@ -159,9 +157,10 @@ class ExperimentConfig:
             raise ValueError("the sub-Nyquist receiver needs overlap_mode 'reduced'")
         if self.cpp_len is not None and self.cpp_len < self.l_taps - 1:  # the channel refuses it
             raise ValueError(f"cpp_len {self.cpp_len} is below l_taps - 1 = {self.l_taps - 1}")
-        # the channel model and the waveform refuse what they cannot describe
+        # the channel model, waveform and radar constants refuse what they cannot describe
         self.sparsity()
         self.afdm_params()
+        self.radar_config()
 
     # -- derived pieces -------------------------------------------------
 
@@ -522,8 +521,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
             },
         )
         if cfg.receiver == "subnyquist":
-            # the receiver's call passes cfg=None, which is part of the cache key
-            decimation_plan(scheme, params, cfg.l_taps, cfg.q_max, None)
+            decimation_plan(scheme, params, cfg.l_taps, cfg.q_max)
             f_s = sampling_rate(n_p, cfg.l_taps, params.chirp_num, cfg.radar_config()).f_s_hz
         else:
             f_s = cfg.bandwidth_hz
@@ -589,8 +587,9 @@ def pilot_overhead(waveform: str, parameters: dict) -> int:
     * ofdm: ``n_pilots_td * n_pilots_fd + (n_symbols - 1)(L - 1)``
     * otfs: ``min(4 Q + 1, n_otfs) * min(2 L - 1, m_otfs)``
 
-    Pilot counts below 0, ``l_taps`` or ``chirp_num`` below 1 and ``q_max``
-    below 0 are refused; zero pilots leaves the guard-only overhead.
+    Pilot counts and ``q_max`` below 0 are refused, as are ``l_taps``,
+    ``chirp_num`` and the grid sizes ``n_symbols``, ``n_otfs`` and ``m_otfs``
+    below 1; zero pilots leaves the guard-only overhead.
     """
     required = {
         "afdm": ("n_pilots", "l_taps", "q_max", "chirp_num"),
@@ -603,9 +602,12 @@ def pilot_overhead(waveform: str, parameters: dict) -> int:
     if missing:
         raise ValueError(f"{waveform} overhead needs parameters {missing}")
     p = parameters
-    floors = {"n_pilots": 0, "l_taps": 1, "q_max": 0, "chirp_num": 1}
+    floors = {
+        "n_pilots": 0, "n_pilots_td": 0, "n_pilots_fd": 0, "l_taps": 1, "q_max": 0,
+        "chirp_num": 1, "n_symbols": 1, "n_otfs": 1, "m_otfs": 1,
+    }
     for key in required[waveform]:
-        if key in floors and p[key] < floors[key]:
+        if p[key] < floors[key]:
             raise ValueError(f"{key} must be >= {floors[key]}, got {p[key]}")
     if waveform == "afdm":
         spread = (p["l_taps"] - 1) * p["chirp_num"]

@@ -452,11 +452,12 @@ def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarr
     return z
 
 
-def _residual_trace(cols, y, history) -> list[float]:
-    """``||y||``, then ``||y - M alpha||`` for every (support, alpha) in turn."""
-    return [float(np.linalg.norm(y))] + [
-        float(np.linalg.norm(y - cols.matvec(alpha))) for _, alpha in history
-    ]
+def _residual_trace(cols, y, history, start=0, replay=0) -> list[float]:
+    """``||y||``, then ``||y - M alpha||`` for every (support, alpha) in turn,
+    then ``replay`` more that repeat those from ``history[start]`` on in a cycle."""
+    norms = [float(np.linalg.norm(y - cols.matvec(alpha))) for _, alpha in history]
+    cycle = norms[start:]
+    return [float(np.linalg.norm(y))] + norms + [cycle[i % len(cycle)] for i in range(replay)]
 
 
 def _pursuit(cols, y, threshold, k_max):
@@ -478,8 +479,8 @@ def _pursuit(cols, y, threshold, k_max):
     prev: SupportSet | None = None
     # after a refit the next support depends only on the refit support, so a
     # support seen before starts a cycle that the remaining iterations replay;
-    # the trace reads every iteration's refit from the history, so the result
-    # gets its own copy of the estimate
+    # the trace reads every distinct refit from the history and expands the
+    # replay itself, so the result gets its own copy of the estimate
     history: list[tuple[SupportSet, np.ndarray]] = []
     seen: dict[SupportSet, int] = {}
     trace = partial(_residual_trace, cols, y, history)
@@ -490,10 +491,9 @@ def _pursuit(cols, y, threshold, k_max):
         if support == prev:
             return RecoveryResult(alpha.copy(), support, it, trace, "support_fixed")
         if support in seen:
-            cycle = history[seen[support] :]
-            r = k_max - it
-            history.extend(cycle[i % len(cycle)] for i in range(r + 1))
-            support, alpha = cycle[r % len(cycle)]
+            start, r = seen[support], k_max - it
+            trace = partial(_residual_trace, cols, y, history, start, r + 1)
+            support, alpha = history[start + r % (len(history) - start)]
             return RecoveryResult(alpha.copy(), support, k_max, trace, "max_iter")
         alpha = restricted_least_squares(cols, y, support, b)
         seen[support] = len(history)

@@ -37,7 +37,6 @@ __all__ = [
     "build_pilot_frame",
     "build_measurement_operator",
     "extract_measurements",
-    "hirip_probe",
     "export_operator",
     "load_operator",
 ]
@@ -272,35 +271,6 @@ def extract_measurements(y, indices) -> np.ndarray:
     if len(indices) and (indices[0] < 0 or indices[-1] >= len(y)):
         raise ValueError("observation index out of range")
     return y[indices]
-
-
-def hirip_probe(
-    op: MeasurementOperator,
-    s_block: int,
-    s_entry: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> dict:
-    """Monte-Carlo isometry probe over random hierarchically sparse vectors.
-
-    Ratios are ``|M x|^2 / |x|^2`` normalized by the common squared column
-    norm; a well conditioned operator keeps them close to one.
-    """
-    nd = 2 * op.q_max + 1
-    col_sq = float(np.sum(np.abs(np.asarray(op.scheme.values)) ** 2))
-    ratios = np.empty(trials)
-    for t in range(trials):
-        blocks = rng.choice(op.l_taps, size=s_block, replace=False)
-        x = np.zeros(op.l_taps * nd, dtype=np.complex128)
-        for b in blocks:
-            entries = rng.choice(nd, size=s_entry, replace=False)
-            x[b * nd + entries] = rng.standard_normal(s_entry) + 1j * rng.standard_normal(s_entry)
-        ratios[t] = np.linalg.norm(op.columns.matvec(x)) ** 2 / (np.linalg.norm(x) ** 2 * col_sq)
-    return {
-        "min_ratio": float(ratios.min()),
-        "max_ratio": float(ratios.max()),
-        "mean_ratio": float(ratios.mean()),
-    }
 
 
 def export_operator(op: MeasurementOperator, path) -> None:

@@ -42,7 +42,7 @@ class RadarConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
-            raise ValueError(f"bandwidth must be finite and positive, got {self.bandwidth_hz}")
+            raise ValueError(f"bandwidth_hz must be finite and positive, got {self.bandwidth_hz}")
         if self.n <= 0 or self.cpp_len < 0:
             raise ValueError("frame length must be positive and prefix length >= 0")
 
@@ -89,23 +89,19 @@ class DecimationPlan(NamedTuple):
     n_observed: int
     k_points: int
     decimation: int
-    effective_rate_hz: float | None
-    formula_rate_hz: float | None
 
 
 @lru_cache(maxsize=64)
 def decimation_plan(
-    scheme: PilotScheme,
-    params: AfdmParams,
-    l_taps: int,
-    q_max: int,
-    cfg: RadarConfig | None = None,
+    scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int
 ) -> DecimationPlan:
     """Choose the folded DFT size for an observation set.
 
     K is the smallest divisor of the frame length that is at least the
     observation count; the emulated receiver then keeps one sample in
-    every n / K.  The plan is cached; bins sharing a residue mod K raise.
+    every n / K, so it samples at ``K / T``, at least the minimal rate
+    ``sampling_rate`` gives.  The plan is cached; bins sharing a residue
+    mod K raise.
     """
     indices = observation_index_set(scheme, params, l_taps, q_max)
     n = params.n
@@ -114,17 +110,7 @@ def decimation_plan(
     folded = np.sort(indices % k_points)
     if np.any(folded[1:] == folded[:-1]):
         raise ValueError("observation set folds with collisions at this rate")
-    eff = form = None
-    if cfg is not None:
-        eff = k_points / cfg.frame_duration_s
-        form = sampling_rate(scheme.n_pilots, l_taps, params.chirp_num, cfg).f_s_hz
-    return DecimationPlan(
-        n_observed=len(indices),
-        k_points=k_points,
-        decimation=n // k_points,
-        effective_rate_hz=eff,
-        formula_rate_hz=form,
-    )
+    return DecimationPlan(n_observed=len(indices), k_points=k_points, decimation=n // k_points)
 
 
 def dechirp_decimate_receive(
@@ -133,7 +119,6 @@ def dechirp_decimate_receive(
     params: AfdmParams,
     l_taps: int,
     q_max: int,
-    cfg: RadarConfig | None = None,
     frame=None,
 ) -> np.ndarray:
     """Recover the observed samples from a decimated de-chirped frame.
@@ -159,7 +144,7 @@ def dechirp_decimate_receive(
         allowed[np.asarray(scheme.positions)] = True
         if np.any(np.abs(frame[~allowed]) > 0):
             raise ValueError("data symbols present: the folded band would be corrupted")
-    plan = decimation_plan(scheme, params, l_taps, q_max, cfg)
+    plan = decimation_plan(scheme, params, l_taps, q_max)
     step = plan.decimation
     first, second = _chirp_tables(params)
     spectrum = np.fft.fft(first[::step] * r[::step])

@@ -18,6 +18,7 @@ from afdm_sense import (
     run_monte_carlo,
 )
 from afdm_sense import harness, hihtp
+from afdm_sense.channel import doppler_phase
 from afdm_sense.cli import main as cli_main
 
 
@@ -50,6 +51,9 @@ def test_overhead_reference_values():
         pilot_overhead("ofdm", dict(n_pilots_td=4, n_pilots_fd=8, n_symbols=16, l_taps=30))
         == 32 + 15 * 29
     )
+    # the smallest grids each waveform accepts
+    assert pilot_overhead("ofdm", dict(n_pilots_td=0, n_pilots_fd=0, n_symbols=1, l_taps=1)) == 0
+    assert pilot_overhead("otfs", dict(n_otfs=1, m_otfs=1, l_taps=1, q_max=0)) == 1
 
 
 @pytest.mark.parametrize(
@@ -61,10 +65,21 @@ def test_overhead_reference_values():
         ("afdm", "q_max", -1),
         ("afdm", "chirp_num", 0),
         ("otfs", "l_taps", 0),
+        ("otfs", "q_max", -1),
+        ("otfs", "n_otfs", -3),
+        ("otfs", "n_otfs", 0),
+        ("otfs", "m_otfs", 0),
+        ("ofdm", "n_pilots_td", -4),
+        ("ofdm", "n_pilots_fd", -1),
+        ("ofdm", "n_symbols", 0),
+        ("ofdm", "l_taps", 0),
     ],
 )
 def test_overhead_rejects_out_of_range_counts(waveform, key, value):
-    parameters = dict(n_pilots=16, l_taps=30, q_max=7, chirp_num=1, n_otfs=16, m_otfs=256)
+    parameters = dict(
+        n_pilots=16, l_taps=30, q_max=7, chirp_num=1, n_otfs=16, m_otfs=256,
+        n_pilots_td=4, n_pilots_fd=8, n_symbols=16,
+    )
     parameters[key] = value
     with pytest.raises(ValueError, match=f"{key} must be >="):
         pilot_overhead(waveform, parameters)
@@ -260,6 +275,18 @@ def test_emit_plotdata_series(tmp_path):
     points = [ln for ln in lines if ln and not ln.startswith("#")]
     assert len(headers) == 2
     assert len(points) == 6
+
+
+def test_doppler_tables_warmed_once_per_sweep(monkeypatch):
+    # the sweep warms all 2 q_max + 1 = 65 tables, and no trial evicts one
+    monkeypatch.setenv("AFDM_SENSE_THREADS", "1")
+    cfg = ExperimentConfig(
+        n=1024, l_taps=4, q_max=32, model="type2", p_delay=0.5, p_doppler=0.5,
+        trials=20, n_pilots=(8,), snr_db=(20.0,),
+    )
+    doppler_phase.cache_clear()
+    assert run_monte_carlo(cfg)[0].trials_ok == 20
+    assert doppler_phase.cache_info().misses == 65
 
 
 def test_failed_trials_counted_not_fatal(monkeypatch):

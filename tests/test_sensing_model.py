@@ -16,7 +16,6 @@ from afdm_sense import (
     daft_demodulate,
     data_slots,
     extract_measurements,
-    hirip_probe,
     idaft_modulate,
     load_operator,
     export_operator,
@@ -427,14 +426,26 @@ def test_kronecker_nonuniform_reported_not_fatal():
     assert rows.tolist() == [16] * 14
 
 
-def test_hirip_probe_well_conditioned_band():
+def test_isometry_band_from_gram_blocks():
     n, l_taps, q_max = 64, 4, 1
     params = AfdmParams(n=n, chirp_num=1)
     scheme = PilotScheme.uniform(n, 6, l_taps, q_max, 1)
-    op = build_measurement_operator(scheme, params, l_taps, q_max)
-    probe = hirip_probe(op, 2, 1, trials=200, rng=np.random.default_rng(4))
-    assert 0.3 < probe["min_ratio"] <= probe["max_ratio"] < 1.7
-    assert probe["mean_ratio"] == pytest.approx(1.0, abs=0.15)
+    cols = build_measurement_operator(scheme, params, l_taps, q_max).columns
+    # every column carries the pilot energy 6, so the ratios average exactly 1
+    assert np.abs(cols.diag - 6.0).max() < 1e-12
+    # M^H M is block-diagonal over the components, so by the Rayleigh quotient
+    # every ratio ||M x||^2 / ||x||^2 lies between the blocks' extreme eigenvalues
+    widths = np.bincount(cols.comp)
+    eig = [np.linalg.eigvalsh(g[:k, :k]) for g, k in zip(cols.gram, widths)]
+    lo = min(e[0] for e in eig) / 6.0
+    hi = max(e[-1] for e in eig) / 6.0
+    assert 0.3 < lo <= hi < 1.7
+    assert cols.cond == pytest.approx(np.sqrt(hi / lo), rel=1e-12)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        x = rng.standard_normal(cols.shape[1]) + 1j * rng.standard_normal(cols.shape[1])
+        ratio = np.linalg.norm(cols.matvec(x)) ** 2 / (6.0 * np.linalg.norm(x) ** 2)
+        assert lo * (1 - 1e-12) <= ratio <= hi * (1 + 1e-12)
 
 
 def test_paper_build_allocates_no_dense_matrix():

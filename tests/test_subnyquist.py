@@ -179,13 +179,14 @@ def test_paper_scale_equivalence_and_same_recovery():
     n, l_taps, q_max, p = 4096, 30, 7, 1
     params = AfdmParams(n=n, chirp_num=p, cpp_len=64)
     scheme = PilotScheme.uniform(n, 16, l_taps, q_max, p, overlap_mode="reduced")
-    plan = decimation_plan(
-        scheme, params, l_taps, q_max, RadarConfig(30e6, n, 64, include_cpp_in_duration=True)
-    )
+    plan = decimation_plan(scheme, params, l_taps, q_max)
     assert plan.n_observed == 16 * 30 + 14
     assert plan.k_points == 512 and plan.decimation == 8
-    assert plan.formula_rate_hz == pytest.approx(3.45e6, rel=0.01)
-    assert plan.effective_rate_hz >= plan.formula_rate_hz
+    radar = RadarConfig(30e6, n, 64, include_cpp_in_duration=True)
+    formula = sampling_rate(16, l_taps, p, radar).f_s_hz
+    assert formula == pytest.approx(3.45e6, rel=0.01)
+    # the receiver keeps K samples per frame, at least the minimal rate
+    assert plan.k_points / radar.frame_duration_s >= formula
     cfg = SparsityConfig("type1", l_taps=l_taps, q_max=q_max, p_delay=0.2, p_doppler=0.2)
     rng = np.random.default_rng(5)
     prof = sample_profile(cfg, rng)
