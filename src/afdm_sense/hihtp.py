@@ -37,7 +37,7 @@ conditioning certificate (the largest singular value over all components
 divided by the smallest, infinite when a component has more columns than
 rows or a zero singular value) picks one batched solve of the normal
 equations where it is small, and one batched SVD where it is not (see
-``restricted_least_squares``).  All paths give the same solution to
+``restricted_least_squares``); only these operators compute it.  All paths give the same solution to
 round-off (see ``_GRAM_COND_MAX``).
 
 All tie-breaks go to the lowest index so identical inputs produce
@@ -47,7 +47,7 @@ identical supports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -210,11 +210,12 @@ class _Columns:
 
     ``cond`` is the conditioning certificate: the largest singular value of
     any component's block over the smallest, infinite when a component has
-    more columns than rows or a zero singular value.  ``gram`` holds each
-    component's Gram block ``A_c^H A_c`` indexed by ``slot``, padded with
-    zeros to the widest component, and ``cell`` every column's position in
-    the flattened (component, slot) layout; ``diag`` is every column's Gram
-    diagonal entry, its squared norm.  ``alias`` is set when every pair of
+    more columns than rows or a zero singular value.  It is computed on
+    first read, which the build makes only when ``alias`` is None.  ``gram``
+    holds each component's Gram block ``A_c^H A_c`` indexed by ``slot``,
+    padded with zeros to the widest component, and ``cell`` every column's
+    position in the flattened (component, slot) layout; ``diag`` is every
+    column's Gram diagonal entry, its squared norm.  ``alias`` is set when every pair of
     columns within a component is orthogonal or parallel, and parallelism
     partitions them into classes: it gives every column the ``cell`` of its
     class's first column; otherwise it is None.  ``refit`` names the refit
@@ -257,33 +258,46 @@ class _Columns:
         hit_comp = self.comp[col]
         self.local[col, pos] = np.searchsorted(keys, hit_comp * (m + 1) + row) - first[hit_comp]
 
-        n_comp = len(per_comp)
-        comp_cols = np.bincount(self.comp, minlength=n_comp)
+        comp_cols = np.bincount(self.comp, minlength=len(per_comp))
         order = np.argsort(self.comp, kind="stable")
         self.slot = np.empty(ncols, dtype=np.int64)
         self.slot[order] = np.arange(ncols) - (np.cumsum(comp_cols) - comp_cols)[self.comp[order]]
-        # every component's block, one spare row taking the padding hits; it
-        # stays zero, as do the slots past a smaller component's columns
-        slots = int(comp_cols.max(initial=1))
-        self.cell = self.comp * slots + self.slot
-        a = np.zeros((n_comp, depth + 1, slots), dtype=np.complex128)
-        a[self.comp[:, None], self.local, self.slot[:, None]] = self.vals
-        # a padded block's singular values are its own plus zeros, so a
-        # full-column-rank component's smallest is at index (columns - 1)
-        s = np.linalg.svd(a, compute_uv=False)
-        tall = np.all(per_comp >= comp_cols)
-        s_min = s[np.arange(n_comp), comp_cols - 1].min(initial=np.inf) if tall else 0.0
-        self.cond = float(s[:, 0].max(initial=0.0) / s_min) if s_min > 0.0 else np.inf
+        a = self._blocks()
+        self.cell = self.comp * a.shape[2] + self.slot
         self.gram = np.einsum("crj,crk->cjk", a.conj(), a)
         self.diag = np.diagonal(self.gram, axis1=1, axis2=2).real.reshape(-1)[self.cell]
         label = _parallel_classes(a, self.gram, comp_cols)
-        self.alias = None if label is None else self.comp * slots + label[self.comp, self.slot]
+        self.alias = None if label is None else self.comp * a.shape[2] + label[self.comp, self.slot]
+        # only an operator that does not scale reads the certificate
         if self.alias is not None:
             self.refit = "scale"
         elif self.cond <= _GRAM_COND_MAX:  # a NaN certificate excluded
             self.refit = "solve"
         else:
             self.refit = "svd"
+
+    def _blocks(self) -> np.ndarray:
+        """Every component's block, one spare row taking the padding hits; it
+        stays zero, as do the slots past a smaller component's columns."""
+        n_comp, depth = self.comp_rows.shape
+        a = np.zeros((n_comp, depth + 1, int(self.slot.max(initial=0)) + 1), dtype=np.complex128)
+        a[self.comp[:, None], self.local, self.slot[:, None]] = self.vals
+        return a
+
+    @cached_property
+    def cond(self) -> float:
+        # computed on first read, from the blocks scattered again: a "scale"
+        # operator's sweep never reads it and so never takes the batched SVD
+        a = self._blocks()
+        n_comp = len(a)
+        per_comp = np.count_nonzero(self.comp_rows < self.shape[0], axis=1)
+        comp_cols = np.bincount(self.comp, minlength=n_comp)
+        # a padded block's singular values are its own plus zeros, so a
+        # full-column-rank component's smallest is at index (columns - 1)
+        s = np.linalg.svd(a, compute_uv=False)
+        tall = np.all(per_comp >= comp_cols)
+        s_min = s[np.arange(n_comp), comp_cols - 1].min(initial=np.inf) if tall else 0.0
+        return float(s[:, 0].max(initial=0.0) / s_min) if s_min > 0.0 else np.inf
 
     @classmethod
     def from_dense(cls, matrix) -> "_Columns":

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from afdm_sense import (
     records_to_csv_str,
     run_monte_carlo,
 )
-from afdm_sense import harness, hihtp
+from afdm_sense import cli, harness, hihtp
 from afdm_sense.channel import doppler_phase
 from afdm_sense.cli import main as cli_main
 
@@ -458,6 +459,9 @@ def test_cli_overhead_and_rate(capsys):
         == 0
     )
     assert capsys.readouterr().out.strip() == "537"
+    # the floors are pilot_overhead's: zero pilots is the guard-only overhead
+    assert cli_main(["overhead", "afdm", "--n-pilots", "0", "--l-taps", "30", "--q-max", "7"]) == 0
+    assert capsys.readouterr().out.strip() == "57"
     assert (
         cli_main(
             [
@@ -475,6 +479,42 @@ def test_cli_overhead_and_rate(capsys):
     out = capsys.readouterr().out
     assert "f_s_hz" in out and "compression_ratio" in out
     assert float(out.splitlines()[0].split()[1]) == pytest.approx(3.45e6, rel=0.01)
+
+
+def test_module_entry_matches_in_process_main(tmp_path, monkeypatch):
+    # python -m runs the sweep through entry(): same status, message and CSV
+    # bytes as main() called in this process
+    src = Path(harness.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(small_config(trials=4).to_dict()))
+    sub_csv, main_csv = tmp_path / "sub.csv", tmp_path / "main.csv"
+
+    def module_cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "afdm_sense.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    proc = module_cli("run", str(cfg_path), "--out", str(sub_csv))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote 1 records to {sub_csv}\n"
+    assert cli_main(["run", str(cfg_path), "--out", str(main_csv)]) == 0
+    assert sub_csv.read_bytes() == main_csv.read_bytes()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**small_config().to_dict(), "trials": "100"}))
+    proc = module_cli("run", str(bad), "--out", str(tmp_path / "bad.csv"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and not proc.stdout
+    assert not (tmp_path / "bad.csv").exists()
+    # the entry function exits with main's status after freezing the collector
+    monkeypatch.setattr(sys, "argv", ["afdm-sense", "run", str(bad)])
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entry()
+        assert exit_info.value.code == 1 and gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 def test_cli_run_writes_csv(tmp_path, capsys):

@@ -11,13 +11,16 @@ from afdm_sense import (
     PilotScheme,
     SupportSet,
     build_measurement_operator,
+    build_pilot_frame,
     flat_threshold,
     hierarchical_threshold,
     hihtp_recover,
     htp_recover,
+    idaft_modulate,
     restricted_least_squares,
 )
 from afdm_sense import hihtp
+from afdm_sense.daft_core import _chirp_tables
 from afdm_sense.hihtp import _GRAM_COND_MAX, RecoveryResult, _Columns, _pursuit
 
 
@@ -382,13 +385,36 @@ def test_column_structure_products_match_dense(structured_systems):
         assert cols.sq_norm == pytest.approx(np.vdot(matrix, matrix).real, rel=1e-12)
 
 
+def count_svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
 def test_column_structure_certificate(monkeypatch):
-    # columns within a component are exactly orthogonal at n_p=16 and 32
-    for n_pilots in (16, 32):
-        assert abs(paper_operator(n_pilots).columns.cond - 1.0) <= 1e-12
-    assert 1.0 < subnyquist_operator().columns.cond <= _GRAM_COND_MAX
-    # 8 pilots give components of 15 columns on 8 rows
-    assert paper_operator(8).columns.cond == np.inf
+    # a "scale" build leaves the certificate to its first read, which takes
+    # the components' singular values once; columns within a component are
+    # exactly orthogonal at n_p=16 and 32, and 8 pilots give components of
+    # 15 columns on 8 rows
+    calls = count_svd_calls(monkeypatch)
+    for n_pilots in (8, 16, 32):
+        cols = paper_operator(n_pilots).columns
+        assert cols.refit == "scale" and not calls
+        cond = cols.cond
+        assert cols.cond == cond and len(calls) == 1
+        assert cond == np.inf if n_pilots == 8 else abs(cond - 1.0) <= 1e-12
+        calls.clear()
+    # any other build reads it to choose its refit
+    cols = subnyquist_operator().columns
+    assert cols.refit == "solve" and len(calls) == 1
+    assert 1.0 < cols.cond <= _GRAM_COND_MAX and len(calls) == 1
+    monkeypatch.undo()
     # contiguous and reduced layouts link most pairs of a component; the Gram
     # rules them out as parallel before any projection residual is formed
     norm = np.linalg.norm
@@ -418,16 +444,9 @@ def test_column_structure_certificate(monkeypatch):
     ids=["8-False", "16-False", "32-False", "16-contiguous-True"],
 )
 def test_certified_refits_skip_svd(n_pilots, layout, svd_calls, monkeypatch):
-    # the build takes the components' singular values once
+    # any certificate is taken at build; only the "svd" refits decompose
     op = paper_operator(n_pilots, **layout)
-    calls = []
-    svd = np.linalg.svd
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    calls = count_svd_calls(monkeypatch)
     res = hihtp_recover(op, paper_trial(op, 0), 15, 8)
     assert bool(calls) == svd_calls
     assert res.support.is_hierarchical(15, 8)
@@ -468,11 +487,23 @@ def test_built_structure_matches_dense_adapter(layout, chirp):
     # the build hands its hits over unsorted (the first pilot's window wraps
     # past index 0 in the last case); the structure must equal the one the
     # dense adapter derives from the dense view
-    params = AfdmParams(n=256, cpp_len=5, **{"chirp_num": 1, **chirp})
+    n, l_taps, q_max = 256, 6, 2
+    params = AfdmParams(n=n, cpp_len=5, **{"chirp_num": 1, **chirp})
     scheme = PilotScheme.uniform(
-        256, 6, 6, 2, params.chirp_num, chirp_sign=params.chirp_sign, **layout
+        n, 6, l_taps, q_max, params.chirp_num, chirp_sign=params.chirp_sign, **layout
     )
-    op = build_measurement_operator(scheme, params, 6, 2)
+    op = build_measurement_operator(scheme, params, l_taps, q_max)
+    # the delayed frames gathered by modular index give the same stored
+    # values to the last bit as the build's window view of the frame
+    s_p = idaft_modulate(build_pilot_frame(scheme, params, l_taps, q_max), params)
+    first, second = _chirp_tables(params)
+    taps = np.arange(l_taps)
+    spectra = np.fft.fft(first * s_p[(np.arange(n) - taps[:, None]) % n], axis=1, norm="ortho")
+    base = (np.asarray(scheme.positions)[:, None] - params.chirp_sign * params.chirp_num * taps) % n
+    hits = ((base[:, :, None] + np.arange(-q_max, q_max + 1)) % n).reshape(len(base), -1)
+    vals = second[hits] * spectra[taps, base].repeat(2 * q_max + 1, 1)
+    gathered = _Columns(op.shape[0], np.searchsorted(op.row_indices, hits).T, vals.T)
+    assert op.columns.vals.tobytes() == gathered.vals.tobytes()
     built, ref = op.columns, _Columns.from_dense(op.matrix)
     assert built.shape == ref.shape == op.matrix.shape
     for name in ("rows", "vals", "comp", "comp_rows", "local", "slot", "gram", "alias"):
