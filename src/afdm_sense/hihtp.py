@@ -37,8 +37,8 @@ conditioning certificate (the largest singular value over all components
 divided by the smallest, infinite when a component has more columns than
 rows or a zero singular value) picks one batched solve of the normal
 equations where it is small, and one batched SVD where it is not (see
-``restricted_least_squares``); only these operators compute it.  All paths give the same solution to
-round-off (see ``_GRAM_COND_MAX``).
+``restricted_least_squares``); only these operators compute it.  All paths
+give the same solution to round-off (see ``_GRAM_COND_MAX``).
 
 All tie-breaks go to the lowest index so identical inputs produce
 identical supports.
@@ -215,12 +215,12 @@ class _Columns:
     holds each component's Gram block ``A_c^H A_c`` indexed by ``slot``,
     padded with zeros to the widest component, and ``cell`` every column's
     position in the flattened (component, slot) layout; ``diag`` is every
-    column's Gram diagonal entry, its squared norm.  ``alias`` is set when every pair of
-    columns within a component is orthogonal or parallel, and parallelism
-    partitions them into classes: it gives every column the ``cell`` of its
-    class's first column; otherwise it is None.  ``refit`` names the refit
-    path taken for this operator: ``"scale"``, ``"solve"`` or ``"svd"`` (see
-    ``restricted_least_squares``).
+    column's Gram diagonal entry, its squared norm.  ``alias`` is set when
+    every pair of columns within a component is orthogonal or parallel, and
+    parallelism partitions them into classes: it gives every column the
+    ``cell`` of its class's first column; otherwise it is None.  ``refit``
+    names the refit path taken for this operator: ``"scale"``, ``"solve"`` or
+    ``"svd"`` (see ``restricted_least_squares``).
     """
 
     def __init__(self, m: int, rows, vals) -> None:
@@ -263,12 +263,12 @@ class _Columns:
         self.slot = np.empty(ncols, dtype=np.int64)
         self.slot[order] = np.arange(ncols) - (np.cumsum(comp_cols) - comp_cols)[self.comp[order]]
         a = self._blocks()
-        self.cell = self.comp * a.shape[2] + self.slot
+        slots = a.shape[2]
+        self.cell = self.comp * slots + self.slot
         self.gram = np.einsum("crj,crk->cjk", a.conj(), a)
         self.diag = np.diagonal(self.gram, axis1=1, axis2=2).real.reshape(-1)[self.cell]
         label = _parallel_classes(a, self.gram, comp_cols)
-        self.alias = None if label is None else self.comp * a.shape[2] + label[self.comp, self.slot]
-        # only an operator that does not scale reads the certificate
+        self.alias = None if label is None else self.comp * slots + label[self.comp, self.slot]
         if self.alias is not None:
             self.refit = "scale"
         elif self.cond <= _GRAM_COND_MAX:  # a NaN certificate excluded
