@@ -244,12 +244,13 @@ def build_measurement_operator(
     wrapped = np.concatenate((s_p[n - l_taps + 1 :], s_p))
     delayed = np.lib.stride_tricks.sliding_window_view(wrapped, n)[::-1]
     # One FFT over the whole batch, not one per tap.  Per-tap transforms cut
-    # the build's peak memory, but freeing the batch's temporaries (2 MB and
-    # more at paper size) is what raises glibc's mmap threshold to their
-    # size; the forked trial workers inherit that threshold and then reuse
-    # heap pages for their arrays instead of faulting in fresh mappings.
-    # Per tap, the sub-Nyquist benchmark workload went from 14k to 54k
-    # minor faults and ran 0.83x the trials per second.
+    # the build's peak memory, but freeing the batch's L x n temporaries
+    # (0.5 MB on the sub-Nyquist benchmark workload, 2 MB on the paper
+    # sweep) is what raises glibc's mmap threshold to their size; the forked
+    # trial workers inherit that threshold and then reuse heap pages for
+    # their arrays instead of faulting in fresh mappings.  Transformed per
+    # tap, the sub-Nyquist workers took 10x the minor faults and 1.37x the
+    # CPU time.
     spectra = np.fft.fft(first * delayed, axis=1, norm="ortho")
     shift = params.chirp_sign * params.chirp_num
     base = (np.asarray(scheme.positions)[:, None] - shift * taps) % n
