@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     over.add_argument("--n-pilots", type=int)
     over.add_argument("--l-taps", type=int)
     over.add_argument("--q-max", type=int)
-    over.add_argument("--chirp-num", type=int, default=1)
+    over.add_argument("--chirp-num", type=int, help="afdm only (default: 1)")
     over.add_argument("--n-pilots-td", type=int)
     over.add_argument("--n-pilots-fd", type=int)
     over.add_argument("--n-symbols", type=int)
@@ -60,6 +60,8 @@ def _cmd_overhead(args) -> int:
         for k, v in vars(args).items()
         if k not in ("command", "waveform") and v is not None
     }
+    if args.waveform == "afdm":
+        params.setdefault("chirp_num", 1)
     print(pilot_overhead(args.waveform, params))
     return 0
 

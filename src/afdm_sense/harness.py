@@ -38,7 +38,7 @@ from .channel import (
     vectorize_profile,
 )
 from .daft_core import AfdmParams, cpp_extend, daft_demodulate, idaft_modulate, select_chirp_rate
-from .hihtp import hihtp_recover, htp_recover
+from .hihtp import _GRAM_COND_MAX, hihtp_recover, htp_recover
 from .sensing_model import (
     _OVERLAP_MODES,
     MeasurementOperator,
@@ -509,6 +509,12 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
                 f"n_pilots={n_p} gives {op.shape[0]} observations, fewer than the "
                 f"{support} entries of the {cfg.solver} support"
             )
+        if op.columns.refit == "svd":  # no refit is certified on this operator
+            raise ValueError(
+                f"n_pilots={n_p} gives an operator whose conditioning certificate "
+                f"{op.columns.cond:.3g} exceeds the bound {_GRAM_COND_MAX:g}; spread the "
+                "pilots (disjoint, not packed) or use more of them"
+            )
         frame = build_pilot_frame(scheme, params, cfg.l_taps, cfg.q_max)
         s_cpp = cpp_extend(idaft_modulate(frame, params), params)
         overhead = pilot_overhead(
@@ -587,9 +593,10 @@ def pilot_overhead(waveform: str, parameters: dict) -> int:
     * ofdm: ``n_pilots_td * n_pilots_fd + (n_symbols - 1)(L - 1)``
     * otfs: ``min(4 Q + 1, n_otfs) * min(2 L - 1, m_otfs)``
 
-    Pilot counts and ``q_max`` below 0 are refused, as are ``l_taps``,
-    ``chirp_num`` and the grid sizes ``n_symbols``, ``n_otfs`` and ``m_otfs``
-    below 1; zero pilots leaves the guard-only overhead.
+    Each waveform takes exactly its formula's parameters.  Pilot counts and
+    ``q_max`` below 0 are refused, as are ``l_taps``, ``chirp_num`` and the
+    grid sizes ``n_symbols``, ``n_otfs`` and ``m_otfs`` below 1; zero pilots
+    leaves the guard-only overhead.
     """
     required = {
         "afdm": ("n_pilots", "l_taps", "q_max", "chirp_num"),
@@ -601,6 +608,9 @@ def pilot_overhead(waveform: str, parameters: dict) -> int:
     missing = [k for k in required[waveform] if k not in parameters]
     if missing:
         raise ValueError(f"{waveform} overhead needs parameters {missing}")
+    unread = sorted(set(parameters) - set(required[waveform]))
+    if unread:
+        raise ValueError(f"{waveform} overhead does not read parameters {unread}")
     p = parameters
     floors = {
         "n_pilots": 0, "n_pilots_td": 0, "n_pilots_fd": 0, "l_taps": 1, "q_max": 0,

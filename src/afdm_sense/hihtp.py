@@ -36,9 +36,10 @@ rank-one block and the refit is a closed-form scale.  Otherwise a
 conditioning certificate (the largest singular value over all components
 divided by the smallest, infinite when a component has more columns than
 rows or a zero singular value) picks one batched solve of the normal
-equations where it is small, and one batched SVD where it is not (see
-``restricted_least_squares``); only these operators compute it.  All paths
-give the same solution to round-off (see ``_GRAM_COND_MAX``).
+equations where it is small, and a dense least-squares solve where it is
+not (see ``restricted_least_squares``), which a sweep refuses; only these
+operators compute it.  All paths give the same solution to round-off (see
+``_GRAM_COND_MAX``).
 
 All tie-breaks go to the lowest index so identical inputs produce
 identical supports.
@@ -202,11 +203,11 @@ class _Columns:
     built on the delay-Doppler grid these are the paper's residue classes of
     the window shift ``q - chirp_sign P l``: taken mod ``(L-1) P + 1`` when a
     reduced pilot train wraps the frame, and unreduced for spread disjoint
-    pilots; acceptance criterion 5 checks this.  ``comp_rows``
-    lists each component's rows in increasing order (padded with ``m``) and
-    ``local`` gives every hit's position in its component's list; padding
-    points one past the longest list.  ``slot`` is every column's position
-    among its component's columns.
+    pilots; acceptance criterion 5 checks this.  ``per_comp`` counts each
+    component's distinct rows and ``local`` gives every hit's position among
+    its component's rows in increasing order; padding points one past the
+    most rows of any component.  ``slot`` is every column's position among
+    its component's columns.
 
     ``cond`` is the conditioning certificate: the largest singular value of
     any component's block over the smallest, infinite when a component has
@@ -248,17 +249,14 @@ class _Columns:
         # distinct (component, row) keys; np.unique would import numpy.ma on first use
         keys = np.sort(self.comp[col] * (m + 1) + row)
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        key_comp = keys // (m + 1)
-        per_comp = np.bincount(key_comp, minlength=int(self.comp.max(initial=-1)) + 1)
-        first = np.cumsum(per_comp) - per_comp
-        depth = int(per_comp.max(initial=1))  # one all-padding row when nothing hits
-        self.comp_rows = np.full((len(per_comp), depth), m, dtype=np.int64)
-        self.comp_rows[key_comp, np.arange(len(keys)) - first[key_comp]] = keys % (m + 1)
+        self.per_comp = np.bincount(keys // (m + 1), minlength=int(self.comp.max(initial=-1)) + 1)
+        first = np.cumsum(self.per_comp) - self.per_comp
+        depth = int(self.per_comp.max(initial=1))  # one all-padding row when nothing hits
         self.local = np.full((ncols, width), depth, dtype=np.int64)
         hit_comp = self.comp[col]
         self.local[col, pos] = np.searchsorted(keys, hit_comp * (m + 1) + row) - first[hit_comp]
 
-        comp_cols = np.bincount(self.comp, minlength=len(per_comp))
+        comp_cols = np.bincount(self.comp, minlength=len(self.per_comp))
         order = np.argsort(self.comp, kind="stable")
         self.slot = np.empty(ncols, dtype=np.int64)
         self.slot[order] = np.arange(ncols) - (np.cumsum(comp_cols) - comp_cols)[self.comp[order]]
@@ -279,7 +277,7 @@ class _Columns:
     def _blocks(self) -> np.ndarray:
         """Every component's block, one spare row taking the padding hits; it
         stays zero, as do the slots past a smaller component's columns."""
-        n_comp, depth = self.comp_rows.shape
+        n_comp, depth = len(self.per_comp), int(self.per_comp.max(initial=1))
         a = np.zeros((n_comp, depth + 1, int(self.slot.max(initial=0)) + 1), dtype=np.complex128)
         a[self.comp[:, None], self.local, self.slot[:, None]] = self.vals
         return a
@@ -290,12 +288,11 @@ class _Columns:
         # operator's sweep never reads it and so never takes the batched SVD
         a = self._blocks()
         n_comp = len(a)
-        per_comp = np.count_nonzero(self.comp_rows < self.shape[0], axis=1)
         comp_cols = np.bincount(self.comp, minlength=n_comp)
         # a padded block's singular values are its own plus zeros, so a
         # full-column-rank component's smallest is at index (columns - 1)
         s = np.linalg.svd(a, compute_uv=False)
-        tall = np.all(per_comp >= comp_cols)
+        tall = np.all(self.per_comp >= comp_cols)
         s_min = s[np.arange(n_comp), comp_cols - 1].min(initial=np.inf) if tall else 0.0
         return float(s[:, 0].max(initial=0.0) / s_min) if s_min > 0.0 else np.inf
 
@@ -310,6 +307,12 @@ class _Columns:
         rows = np.argsort(matrix.T == 0, axis=1, kind="stable")[:, :width]
         vals = np.take_along_axis(matrix.T, rows, axis=1)
         return cls(len(matrix), np.where(vals != 0, rows, len(matrix)), vals)
+
+    def dense(self, idx) -> np.ndarray:
+        """Columns ``idx`` of the dense matrix, exact zeros off their hits."""
+        out = np.zeros((self.shape[0] + 1, len(idx)), dtype=np.complex128)
+        out[self.rows[idx], np.arange(len(idx))[:, None]] = self.vals[idx]
+        return out[:-1]  # the last row took the padding
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``M @ x`` as a scatter of the hits of the columns where ``x`` is nonzero.
@@ -383,9 +386,9 @@ def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarr
     ``matrix`` is a dense matrix or the pursuit's column structure, and
     ``support.indices`` are the matrix columns the fit may use.  ``b`` is
     ``M^H y`` as ``_Columns.rmatvec`` forms it, gathered here when not given;
-    the first two paths below read ``A_S^H y`` as ``b[S]``.  The components'
-    blocks are independent, and the operator's build chose one of three ways
-    to solve them (``_Columns.refit``):
+    the first two paths below read ``A_S^H y`` as ``b[S]`` and solve the
+    components' independent blocks.  The operator's build chose one of three
+    paths (``_Columns.refit``):
 
     * ``"scale"``: the columns fall into classes of parallel columns,
       orthogonal to one another (``_Columns.alias``), so the support's
@@ -399,11 +402,11 @@ def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarr
       support has full column rank; the stored Gram blocks, restricted to
       the support by the identity elsewhere, and ``A_S^H y`` are solved by
       one batched ``np.linalg.solve`` over all components;
-    * ``"svd"``: the support's columns are grouped by component and the
-      blocks solved by one batched SVD; singular values at or below 1e-10
-      times the largest over all blocks count as zero, the rank rule of a
-      dense SVD solve of the whole restricted system, so rank-deficient
-      systems get the minimum-norm solution.
+    * ``"svd"``: the support's columns are scattered into a dense matrix
+      (``_Columns.dense``) and solved by ``np.linalg.lstsq``, LAPACK's
+      SVD-based ``gelsd``; singular values at or below 1e-10 times the
+      largest count as zero, so rank-deficient systems get the minimum-norm
+      solution.  A sweep never takes this path: it refuses such operators.
 
     The first two equal the SVD solve to round-off.
     """
@@ -420,49 +423,32 @@ def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarr
     z = np.zeros(ncols, dtype=np.complex128)
     if not len(idx):
         return z
-    if cols.refit != "svd":
-        if b is None:
-            b = cols.rmatvec(y)
-        h = b[idx]
-        if cols.refit == "scale":
-            # a class of parallel columns is a rank-one block, whose squared
-            # singular value is the sum of its columns' squared norms
-            alias = cols.alias[idx]
-            energy = np.bincount(alias, weights=cols.diag[idx])[alias]
-            weak = energy <= _RANK_TOL**2 * energy.max()
-            if weak.any():
-                h[weak], energy[weak] = 0.0, 1.0
-            z[idx] = h / energy
-            return z
-        # the support's entries of every Gram block, the identity elsewhere
-        n_comp, slots = cols.gram.shape[:2]
-        cell = cols.cell[idx]
-        on = np.zeros(n_comp * slots, dtype=bool)
-        on[cell] = True
-        on = on.reshape(n_comp, slots)
-        g = np.where(on[:, :, None] & on[:, None, :], cols.gram, np.eye(slots))
-        rhs = np.zeros(n_comp * slots, dtype=np.complex128)
-        rhs[cell] = h
-        z[idx] = np.linalg.solve(g, rhs.reshape(n_comp, slots, 1)).reshape(-1)[cell]
+    if cols.refit == "svd":
+        z[idx] = np.linalg.lstsq(cols.dense(idx), y, rcond=_RANK_TOL)[0]
         return z
-    comp = cols.comp[idx]
-    order = np.argsort(comp, kind="stable")
-    idx, comp = idx[order], comp[order]
-    starts = np.diff(comp, prepend=-1) != 0
-    first = np.flatnonzero(starts)
-    block_of = np.cumsum(starts) - 1
-    slot = np.arange(len(idx)) - first[block_of]
-    depth = cols.comp_rows.shape[1]
-    # one spare row takes the padding hits and is cut before the solve
-    a = np.zeros((len(first), depth + 1, int(slot.max()) + 1), dtype=np.complex128)
-    a[block_of[:, None], cols.local[idx], slot[:, None]] = cols.vals[idx]
-    u, s, vh = np.linalg.svd(a[:, :depth], full_matrices=False)
-    keep = s > _RANK_TOL * s.max()
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    y_blocks = np.append(y, 0.0)[cols.comp_rows[comp[first]]]
-    coef = np.einsum("brk,br->bk", u.conj(), y_blocks) * inv
-    x = np.einsum("bkj,bk->bj", vh.conj(), coef)
-    z[idx] = x[block_of, slot]
+    if b is None:
+        b = cols.rmatvec(y)
+    h = b[idx]
+    if cols.refit == "scale":
+        # a class of parallel columns is a rank-one block, whose squared
+        # singular value is the sum of its columns' squared norms
+        alias = cols.alias[idx]
+        energy = np.bincount(alias, weights=cols.diag[idx])[alias]
+        weak = energy <= _RANK_TOL**2 * energy.max()
+        if weak.any():
+            h[weak], energy[weak] = 0.0, 1.0
+        z[idx] = h / energy
+        return z
+    # the support's entries of every Gram block, the identity elsewhere
+    n_comp, slots = cols.gram.shape[:2]
+    cell = cols.cell[idx]
+    on = np.zeros(n_comp * slots, dtype=bool)
+    on[cell] = True
+    on = on.reshape(n_comp, slots)
+    g = np.where(on[:, :, None] & on[:, None, :], cols.gram, np.eye(slots))
+    rhs = np.zeros(n_comp * slots, dtype=np.complex128)
+    rhs[cell] = h
+    z[idx] = np.linalg.solve(g, rhs.reshape(n_comp, slots, 1)).reshape(-1)[cell]
     return z
 
 

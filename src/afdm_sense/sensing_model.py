@@ -215,9 +215,7 @@ class MeasurementOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        dense = np.zeros((self.shape[0] + 1, self.shape[1]), dtype=np.complex128)
-        dense[self.columns.rows, np.arange(self.shape[1])[:, None]] = self.columns.vals
-        return dense[:-1]  # the last row took the padding
+        return self.columns.dense(np.arange(self.shape[1]))
 
 
 def build_measurement_operator(

@@ -77,10 +77,11 @@ def test_overhead_reference_values():
     ],
 )
 def test_overhead_rejects_out_of_range_counts(waveform, key, value):
-    parameters = dict(
-        n_pilots=16, l_taps=30, q_max=7, chirp_num=1, n_otfs=16, m_otfs=256,
-        n_pilots_td=4, n_pilots_fd=8, n_symbols=16,
-    )
+    parameters = {
+        "afdm": dict(n_pilots=16, l_taps=30, q_max=7, chirp_num=1),
+        "otfs": dict(n_otfs=16, m_otfs=256, l_taps=30, q_max=7),
+        "ofdm": dict(n_pilots_td=4, n_pilots_fd=8, n_symbols=16, l_taps=30),
+    }[waveform]
     parameters[key] = value
     with pytest.raises(ValueError, match=f"{key} must be >="):
         pilot_overhead(waveform, parameters)
@@ -89,6 +90,10 @@ def test_overhead_rejects_out_of_range_counts(waveform, key, value):
 def test_overhead_missing_parameters():
     with pytest.raises(ValueError, match="needs parameters"):
         pilot_overhead("afdm", dict(n_pilots=16))
+    # a parameter the waveform's formula does not read is refused by name
+    ofdm = dict(n_pilots_td=4, n_pilots_fd=8, n_symbols=16, l_taps=30)
+    with pytest.raises(ValueError, match=r"does not read parameters \['chirp_num', 'q_max'\]"):
+        pilot_overhead("ofdm", {**ofdm, "q_max": 7, "chirp_num": 1})
     with pytest.raises(ValueError, match="waveform"):
         pilot_overhead("fbmc", {})
 
@@ -197,6 +202,14 @@ def test_support_above_observations_rejected_before_trials(monkeypatch, override
     monkeypatch.setattr(harness, "_TrialPool", None)
     with pytest.raises(ValueError, match=f"n_pilots=1 gives {observations} .* {support} entries"):
         run_monte_carlo(small_config(**overrides))
+
+
+def test_uncertified_operator_rejected_before_trials(monkeypatch):
+    # three pilots of a reduced train leave components with more columns
+    # than rows; the sweep refuses the cell and names the fix
+    monkeypatch.setattr(harness, "_TrialPool", None)
+    with pytest.raises(ValueError, match="n_pilots=3 .* certificate inf exceeds the bound 1000; spread"):
+        run_monte_carlo(small_config(overlap_mode="reduced", n_pilots=(4, 3)))
 
 
 def test_noise_free_run_recovers_exactly():
@@ -437,8 +450,8 @@ def test_subnyquist_sweep_does_not_import_numpy_ma():
     code = (
         "import sys\n"
         "from afdm_sense import ExperimentConfig, run_monte_carlo\n"
-        "cfg = ExperimentConfig(n=256, l_taps=4, q_max=2, model='type2', p_delay=0.3,\n"
-        "    p_doppler=0.3, trials=2, n_pilots=(8,), overlap_mode='reduced',\n"
+        "cfg = ExperimentConfig(n=64, l_taps=3, q_max=2, model='type2', p_delay=0.3,\n"
+        "    p_doppler=0.3, trials=2, n_pilots=(6,), overlap_mode='reduced',\n"
         "    receiver='subnyquist')\n"
         "assert run_monte_carlo(cfg)[0].trials_ok == 2\n"
         "print('numpy.ma' in sys.modules)\n"
@@ -567,11 +580,20 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         ["run", {"overlap_mode": "foo"}],
         ["run", {"receiver": "subnyquist", "contiguous": True}],
         ["run", {"overlap_mode": "reduced", "contiguous": True}],
+        # three pilots of a reduced train give components wider than their rows
+        ["run", {"overlap_mode": "reduced", "n_pilots": [3]}],
+        ["overhead", "ofdm", "--n-pilots-td", "4", "--n-pilots-fd", "8", "--n-symbols", "16",
+         "--l-taps", "30", "--q-max", "-5"],
+        ["overhead", "ofdm", "--n-pilots-td", "4", "--n-pilots-fd", "8", "--n-symbols", "16",
+         "--l-taps", "30", "--chirp-num", "0"],
+        ["overhead", "otfs", "--n-otfs", "16", "--m-otfs", "256", "--l-taps", "30", "--q-max", "7",
+         "--n-pilots", "-3"],
     ],
     ids=["pilots", "taps", "q-max", "chirp-num", "otfs-grid", "nan-bandwidth", "inf-bandwidth",
          "rate-pilots", "rate-chirp-num", "run-one-pilot", "run-htp-sparsity", "run-inf-margin",
          "run-nan-margin", "run-snr-overflow", "run-short-prefix", "run-unknown-overlap-mode",
-         "run-disjoint-subnyquist", "run-reduced-contiguous"],
+         "run-disjoint-subnyquist", "run-reduced-contiguous", "run-uncertified",
+         "ofdm-q-max", "ofdm-chirp-num", "otfs-pilots"],
 )
 def test_cli_rejects_out_of_range_inputs(argv, capsys, tmp_path):
     if argv[0] == "run":

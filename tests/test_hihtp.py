@@ -385,15 +385,15 @@ def test_column_structure_products_match_dense(structured_systems):
         assert cols.sq_norm == pytest.approx(np.vdot(matrix, matrix).real, rel=1e-12)
 
 
-def count_svd_calls(monkeypatch):
+def count_calls(monkeypatch, name="svd"):
     calls = []
-    svd = np.linalg.svd
+    func = getattr(np.linalg, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return svd(*args, **kwargs)
+        return func(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
@@ -402,7 +402,7 @@ def test_column_structure_certificate(monkeypatch):
     # the components' singular values once; columns within a component are
     # exactly orthogonal at n_p=16 and 32, and 8 pilots give components of
     # 15 columns on 8 rows
-    calls = count_svd_calls(monkeypatch)
+    calls = count_calls(monkeypatch)
     for n_pilots in (8, 16, 32):
         cols = paper_operator(n_pilots).columns
         assert cols.refit == "scale" and not calls
@@ -439,16 +439,17 @@ def test_column_structure_certificate(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n_pilots, layout, svd_calls",
+    "n_pilots, layout, lstsq_calls",
     [(8, {}, False), (16, {}, False), (32, {}, False), (16, dict(contiguous=True), True)],
     ids=["8-False", "16-False", "32-False", "16-contiguous-True"],
 )
-def test_certified_refits_skip_svd(n_pilots, layout, svd_calls, monkeypatch):
-    # any certificate is taken at build; only the "svd" refits decompose
+def test_certified_refits_skip_svd(n_pilots, layout, lstsq_calls, monkeypatch):
+    # any certificate is taken at build; only the "svd" refits call the
+    # SVD-based dense least-squares solve
     op = paper_operator(n_pilots, **layout)
-    calls = count_svd_calls(monkeypatch)
+    svd_calls, calls = count_calls(monkeypatch), count_calls(monkeypatch, "lstsq")
     res = hihtp_recover(op, paper_trial(op, 0), 15, 8)
-    assert bool(calls) == svd_calls
+    assert bool(calls) == lstsq_calls and not svd_calls
     assert res.support.is_hierarchical(15, 8)
 
 
@@ -506,7 +507,7 @@ def test_built_structure_matches_dense_adapter(layout, chirp):
     assert op.columns.vals.tobytes() == gathered.vals.tobytes()
     built, ref = op.columns, _Columns.from_dense(op.matrix)
     assert built.shape == ref.shape == op.matrix.shape
-    for name in ("rows", "vals", "comp", "comp_rows", "local", "slot", "gram", "alias"):
+    for name in ("rows", "vals", "comp", "per_comp", "local", "slot", "gram", "alias"):
         assert np.array_equal(getattr(built, name), getattr(ref, name)), name
     assert built.cond == ref.cond and built.sq_norm == ref.sq_norm
     rng = np.random.default_rng(24)
@@ -515,6 +516,9 @@ def test_built_structure_matches_dense_adapter(layout, chirp):
     assert np.array_equal(built.matvec(x), ref.matvec(x))
     assert np.array_equal(built.rmatvec(y), ref.rmatvec(y))
     assert np.linalg.norm(built.matvec(x) - op.matrix @ x) <= 1e-12 * np.linalg.norm(x)
+    # any columns, in any order, scatter to the same bytes as the dense view's
+    idx = rng.choice(op.shape[1], size=op.shape[1] // 3, replace=False)
+    assert built.dense(idx).tobytes() == op.matrix[:, idx].tobytes()
 
 
 @pytest.fixture(scope="module")
