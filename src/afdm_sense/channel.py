@@ -228,17 +228,23 @@ def apply_channel(
         )
     q_max = profile.q_max
     r = np.zeros(n, dtype=np.complex128)
+    # every tap's h and each product are formed in two reused buffers
+    h = np.empty(n, dtype=np.complex128)
+    term = np.empty(n, dtype=np.complex128)
     for l in np.flatnonzero(profile.mask.any(axis=1)):
-        h = np.zeros(n, dtype=np.complex128)
+        h.fill(0.0)
         for qi in np.flatnonzero(profile.mask[l]):
-            h += profile.gains[l, qi] * doppler_phase(n, int(qi) - q_max)
-        r += h * s_cpp[cpp - l : cpp - l + n]
+            h += np.multiply(profile.gains[l, qi], doppler_phase(n, int(qi) - q_max), out=term)
+        r += np.multiply(h, s_cpp[cpp - l : cpp - l + n], out=term)
     sigma = noise.sigma_w2 if noise is not None else 0.0
     if sigma > 0.0:
         if rng is None:
             raise ValueError("rng required when noise variance is positive")
-        scale = math.sqrt(sigma / 2.0)
-        r += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        # one draw of 2n is the stream of two draws of n: real parts, then imaginary
+        w = rng.standard_normal(2 * n)
+        w *= math.sqrt(sigma / 2.0)
+        r.real += w[:n]
+        r.imag += w[n:]
     return r
 
 

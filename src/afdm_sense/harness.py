@@ -2,11 +2,14 @@
 
 Experiments are described by a single config record (JSON on disk); the
 driver sweeps pilot counts and SNR points, runs seeded independent trials
-through the full chain (profile draw, frame synthesis, channel, receiver,
-recovery) and aggregates squared-error and support statistics.  Trial
-randomness is keyed by (master seed, pilot count, SNR, trial index), so
-serial runs and runs on any number of worker processes produce identical
-records.
+through the full chain (profile draw, channel, receiver, recovery) and
+aggregates squared-error and support statistics.  Trials run in chunks,
+stage by stage: every trial of a chunk draws its profile before any passes
+the channel, and every one passes the channel and the receiver before any
+is recovered.  Trial randomness is keyed by (master seed, pilot count, SNR,
+trial index) and each trial makes its draws in the same order whatever its
+chunk, so serial runs and runs on any number of worker processes produce
+identical records.
 """
 
 from __future__ import annotations
@@ -307,8 +310,14 @@ def _support_size(cfg: ExperimentConfig, levels: tuple[int, int]) -> int:
 
 
 def _run_trial(cfg, sparsity, levels, op, s_cpp, noise, rng):
+    """One trial as a generator of three stages: it yields after the profile
+    draw and again after the receiver, and returns ``(error, match,
+    iterations)``.  The received frame is dropped before the second yield,
+    so a trial waiting on the others of its chunk holds only its profile
+    and observations."""
     profile = sample_profile(sparsity, rng)
     truth = vectorize_profile(profile)
+    yield
     received = apply_channel(s_cpp, profile, op.params, noise, rng)
     if cfg.receiver == "subnyquist":
         y_p = dechirp_decimate_receive(
@@ -316,6 +325,8 @@ def _run_trial(cfg, sparsity, levels, op, s_cpp, noise, rng):
         )
     else:
         y_p = extract_measurements(daft_demodulate(received, op.params), op.row_indices)
+    del received
+    yield
     if cfg.solver == "hihtp":
         result = hihtp_recover(op, y_p, levels[0], levels[1], k_max=cfg.k_max)
     else:
@@ -346,18 +357,25 @@ def _worker_count() -> int:
     return min(workers, cpus)
 
 
+# trials one chunk runs at most: it steps them stage by stage, and each
+# waiting trial holds its profile and observations
+_CHUNK_MAX = 32
+
+
 class _TrialPool:
     """Worker processes forked once, each running chunks of trial indices.
 
-    ``run(job, trial)`` and all it reads exist before the fork, so the
-    workers inherit them: only ``(job, start, stop)`` and a chunk's outcomes
-    cross the pipes.  Chunks shrink as a job nears its end, so no worker
-    waits long on another.  With fewer than two workers, where the platform
-    cannot fork, while other threads run (a forked copy could deadlock on a
-    lock one of them held), or while a public function of the package is
-    rebound (a profiler's or a test's wrapper keeps what it sees in the
-    process it runs in, so a worker's copy would see the trials unseen),
-    ``map`` runs the trials in this process.
+    ``run(job, start, stop)`` runs trials ``start`` to ``stop`` of a job as
+    one chunk, stage by stage, and returns their outcomes in order.  It and
+    all it reads exist before the fork, so the workers inherit them: only
+    ``(job, start, stop)`` and a chunk's outcomes cross the pipes.  Chunks
+    shrink as a job nears its end, so no worker waits long on another.  With
+    fewer than two workers, where the platform cannot fork, while other
+    threads run (a forked copy could deadlock on a lock one of them held), or
+    while a public function of the package is rebound (a profiler's or a
+    test's wrapper keeps what it sees in the process it runs in, so a
+    worker's copy would see the trials unseen), ``map`` runs the chunks in
+    this process.
     """
 
     def __init__(self, run, workers: int) -> None:
@@ -415,13 +433,17 @@ class _TrialPool:
                     job, start, stop = pickle.load(tasks)
                 except EOFError:  # the pool is closed
                     return
-                pickle.dump([self.run(job, t) for t in range(start, stop)], results)
+                pickle.dump(self.run(job, start, stop), results)
                 results.flush()
 
     def map(self, job, count: int) -> list:
-        """``[run(job, t) for t in range(count)]``, spread over the workers."""
+        """Outcomes of trials ``0`` to ``count`` of a job, run in chunks of at
+        most ``_CHUNK_MAX`` trials spread over the workers."""
         if not self.workers:
-            return [self.run(job, t) for t in range(count)]
+            out = []
+            for start in range(0, count, _CHUNK_MAX):
+                out += self.run(job, start, min(start + _CHUNK_MAX, count))
+            return out
         out: list = [None] * count
         idle = list(self.workers)
         busy = {}  # result pipe -> (worker, first trial of its chunk)
@@ -430,7 +452,8 @@ class _TrialPool:
             while idle and start < count:
                 worker = idle.pop()
                 _, tasks, results = worker
-                stop = start + max(1, (count - start) // (2 * len(self.workers)))
+                share = (count - start) // (2 * len(self.workers))
+                stop = start + min(_CHUNK_MAX, max(1, share))
                 pickle.dump((job, start, stop), tasks)
                 tasks.flush()
                 busy[results.fileno()] = (worker, start)
@@ -474,6 +497,10 @@ class _Cell(typing.NamedTuple):
     f_s: float
 
 
+def _log_failure(index: int, cell: _Cell) -> None:
+    log.exception("trial %d failed (n_pilots=%d, snr=%.1f)", index, cell.n_p, cell.snr_db)
+
+
 def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Sweep pilot counts and SNR points; one record per cell.
 
@@ -510,10 +537,15 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
                 f"{support} entries of the {cfg.solver} support"
             )
         if op.columns.refit == "svd":  # no refit is certified on this operator
+            # the de-chirp receiver takes only the reduced train, which has no spread placement
+            fix = (
+                "use more pilots"
+                if cfg.receiver == "subnyquist"
+                else "spread the pilots (disjoint, not packed) or use more of them"
+            )
             raise ValueError(
                 f"n_pilots={n_p} gives an operator whose conditioning certificate "
-                f"{op.columns.cond:.3g} exceeds the bound {_GRAM_COND_MAX:g}; spread the "
-                "pilots (disjoint, not packed) or use more of them"
+                f"{op.columns.cond:.3g} exceeds the bound {_GRAM_COND_MAX:g}; {fix}"
             )
         frame = build_pilot_frame(scheme, params, cfg.l_taps, cfg.q_max)
         s_cpp = cpp_extend(idaft_modulate(frame, params), params)
@@ -537,19 +569,34 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     for q in range(-cfg.q_max, cfg.q_max + 1):
         doppler_phase(cfg.n, q)
 
-    def trial(job: int, index: int):
+    def run(job: int, start: int, stop: int) -> list:
+        # every live trial takes its next stage before any takes the one
+        # after; a trial that raises at any step is one failure, None
         cell = cells[job]
-        try:
-            rng = _trial_rng(cfg, cell.n_p, cell.snr_db, index)
-            return _run_trial(cfg, sparsity, levels, cell.op, cell.s_cpp, cell.noise, rng)
-        except Exception:
-            log.exception(
-                "trial %d failed (n_pilots=%d, snr=%.1f)", index, cell.n_p, cell.snr_db
-            )
-            return None
+        out: list = [None] * (stop - start)
+        live = {}
+        for index in range(start, stop):
+            try:
+                rng = _trial_rng(cfg, cell.n_p, cell.snr_db, index)
+                live[index] = _run_trial(
+                    cfg, sparsity, levels, cell.op, cell.s_cpp, cell.noise, rng
+                )
+            except Exception:
+                _log_failure(index, cell)
+        while live:
+            for index, stages in list(live.items()):
+                try:
+                    next(stages)
+                except StopIteration as done:
+                    out[index - start] = done.value
+                    del live[index]
+                except Exception:
+                    _log_failure(index, cell)
+                    del live[index]
+        return out
 
     records: list[ResultRecord] = []
-    with _TrialPool(trial, workers) as pool:
+    with _TrialPool(run, workers) as pool:
         for index, cell in enumerate(cells):
             started = time.perf_counter()
             outcomes = pool.map(index, cfg.trials)

@@ -330,8 +330,13 @@ class _Columns:
         return out[:-1]
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        """``M^H r`` as a gather over the column hits."""
-        return (self.vals.conj() * np.append(r, 0.0)[self.rows]).sum(axis=1)
+        """``M^H r`` as a gather over the column hits.
+
+        ``conj(v) y`` is ``conj(v conj(y))`` bit for bit, up to the sign of
+        an exact zero, so ``r`` is conjugated once rather than every hit on
+        each call.
+        """
+        return np.conj((self.vals * np.append(np.conj(r), 0.0)[self.rows]).sum(axis=1))
 
     def gram_matvec(self, x: np.ndarray) -> np.ndarray:
         """``M^H M x`` as one batched product of the component Gram blocks."""

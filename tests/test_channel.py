@@ -12,6 +12,7 @@ from afdm_sense import (
     chernoff_tail_bound,
     cpp_extend,
     devectorize_profile,
+    doppler_phase,
     empirical_sparsity_stats,
     idaft_modulate,
     profile_from_json,
@@ -221,6 +222,43 @@ def test_noise_stream_is_pinned():
     ref = r + scale * (ref_rng.standard_normal(256) + 1j * ref_rng.standard_normal(256))
     assert got.tobytes() == ref.tobytes()
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def two_draw_channel(s_cpp, profile, params, noise, rng):
+    """The channel as a fresh h per tap and a fresh product per term, noise
+    drawn as n real then n imaginary normals: the form apply_channel must
+    equal bit for bit."""
+    n, cpp = params.n, params.cpp_len
+    r = np.zeros(n, dtype=np.complex128)
+    for l in np.flatnonzero(profile.mask.any(axis=1)):
+        h = np.zeros(n, dtype=np.complex128)
+        for qi in np.flatnonzero(profile.mask[l]):
+            h += profile.gains[l, qi] * doppler_phase(n, int(qi) - profile.q_max)
+        r += h * s_cpp[cpp - l : cpp - l + n]
+    if noise is not None and noise.sigma_w2 > 0.0:
+        scale = math.sqrt(noise.sigma_w2 / 2.0)
+        r += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return r
+
+
+@pytest.mark.parametrize(
+    "model, n, l_taps, q_max, cpp, seeds",
+    [("type2", 256, 8, 3, 7, range(60)), ("type1", 4096, 30, 7, 64, range(6))],
+    ids=["small", "paper"],
+)
+def test_apply_channel_equals_two_draw_form(model, n, l_taps, q_max, cpp, seeds):
+    cfg = SparsityConfig(model, l_taps=l_taps, q_max=q_max, p_delay=0.3, p_doppler=0.3)
+    params = AfdmParams(n=n, chirp_num=1, cpp_len=cpp)
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 0])
+        s = rng.standard_normal(n + cpp) + 1j * rng.standard_normal(n + cpp)
+        prof = sample_profile(cfg, rng)
+        for snr_db in (None, -10.0, 10.0, 30.0, 4000.0):  # None and 4000 dB: noise free
+            noise = None if snr_db is None else NoiseConfig.from_snr_db(snr_db)
+            got_rng, ref_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+            got = apply_channel(s, prof, params, noise, got_rng)
+            assert got.tobytes() == two_draw_channel(s, prof, params, noise, ref_rng).tobytes()
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_chernoff_bound_value():

@@ -212,6 +212,19 @@ def test_uncertified_operator_rejected_before_trials(monkeypatch):
         run_monte_carlo(small_config(overlap_mode="reduced", n_pilots=(4, 3)))
 
 
+def test_uncertified_subnyquist_cell_advises_only_more_pilots(monkeypatch):
+    # the de-chirp receiver takes only the reduced train, so spreading the
+    # pilots is no fix there
+    monkeypatch.setattr(harness, "_TrialPool", None)
+    cfg = ExperimentConfig(
+        n=64, l_taps=3, q_max=2, model="type2", p_delay=0.3, p_doppler=0.3, trials=5,
+        n_pilots=(3,), overlap_mode="reduced", receiver="subnyquist",
+    )
+    with pytest.raises(ValueError, match="n_pilots=3 .* certificate") as refused:
+        run_monte_carlo(cfg)
+    assert str(refused.value).endswith("exceeds the bound 1000; use more pilots")
+
+
 def test_noise_free_run_recovers_exactly():
     records = run_monte_carlo(small_config())
     assert len(records) == 1
@@ -335,6 +348,131 @@ def test_failed_trials_in_workers_are_counted(monkeypatch):
     records = run_monte_carlo(small_config(trials=6, snr_db=(20.0, 30.0)))
     assert [(r.trials_ok, r.trials_failed) for r in records] == [(0, 6), (0, 6)]
     assert all(np.isnan(r.mse) for r in records)
+
+
+def trial_key(rng):
+    """(n_pilots, SNR key, trial index) of a trial's generator."""
+    return tuple(int(v) for v in rng.bit_generator.seed_seq.entropy[1:])
+
+
+def trial_by_trial(monkeypatch, cfg):
+    """Outcomes by trial key and CSV of a sweep whose trials each run to
+    completion as they are created, one trial at a time, in this process."""
+    monkeypatch.setenv("AFDM_SENSE_THREADS", "1")
+    original, outcomes = harness._run_trial, {}
+
+    def finished(outcome):
+        return outcome
+        yield  # a generator with no stage left
+
+    def one_at_a_time(*args):
+        stages = original(*args)
+        while True:
+            try:
+                next(stages)
+            except StopIteration as done:
+                outcomes[trial_key(args[-1])] = done.value
+                return finished(done.value)
+
+    monkeypatch.setattr(harness, "_run_trial", one_at_a_time)
+    records = run_monte_carlo(cfg)
+    monkeypatch.setattr(harness, "_run_trial", original)
+    return outcomes, records_to_csv_str(records)
+
+
+def aggregate_fields(records):
+    return [(r.mse, r.mse_stderr, r.support_rate, r.mean_iterations, r.trials_ok, r.trials_failed)
+            for r in records]
+
+
+def expected_fields(cfg, outcomes, failed=()):
+    """Record fields a sweep gives from these per-trial outcomes, trials ``failed`` left out."""
+    fields = []
+    for n_p in cfg.n_pilots:
+        for snr_db in cfg.snr_db:
+            snr_key = int(round(snr_db * 1000)) + (1 << 20)
+            good = [outcomes[(n_p, snr_key, t)] for t in range(cfg.trials) if t not in failed]
+            errs = np.array([o[0] for o in good])
+            fields.append((
+                float(errs.mean()), float(errs.std(ddof=1) / np.sqrt(len(errs))),
+                float(np.mean([o[1] for o in good])), float(np.mean([o[2] for o in good])),
+                len(good), cfg.trials - len(good),
+            ))
+    return fields
+
+
+STAGE_CONFIGS = {
+    "fullrate": dict(trials=40, snr_db=(10.0, 20.0), n_pilots=(4, 5)),
+    "subnyquist": dict(
+        trials=40, receiver="subnyquist", overlap_mode="reduced", n_pilots=(6,), snr_db=(10.0,)
+    ),
+    "htp": dict(trials=40, solver="htp", snr_db=(15.0,)),
+}
+
+
+@pytest.mark.parametrize("overrides", STAGE_CONFIGS.values(), ids=STAGE_CONFIGS.keys())
+def test_stage_major_chunks_match_trial_by_trial(monkeypatch, overrides):
+    cfg = small_config(**overrides)
+    reference, reference_csv = trial_by_trial(monkeypatch, cfg)
+    original, outcomes, events = harness._run_trial, {}, []
+
+    def staged(key, stages):
+        for stage in (1, 2):
+            next(stages)
+            events.append((stage, key[2]))
+            yield
+        outcomes[key] = yield from stages
+        return outcomes[key]
+
+    def recording(*args):
+        key = trial_key(args[-1])
+        events.append((0, key[2]))  # created
+        return staged(key, original(*args))
+
+    monkeypatch.setattr(harness, "_run_trial", recording)
+    records = run_monte_carlo(cfg)  # one worker: the chunks run in this process
+    assert outcomes == reference
+    assert records_to_csv_str(records) == reference_csv
+    assert aggregate_fields(records) == expected_fields(cfg, reference)
+    # the first chunk holds the first 32 trials: all are created, then all
+    # take their first stage, then all their second
+    chunk = harness._CHUNK_MAX
+    assert events[: 3 * chunk] == [(stage, t) for stage in (0, 1, 2) for t in range(chunk)]
+    # and with two workers, whose chunks hold ten trials and fewer
+    monkeypatch.setattr(harness, "_run_trial", original)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.delenv("AFDM_SENSE_THREADS")
+    records = run_monte_carlo(cfg)
+    assert records_to_csv_str(records) == reference_csv
+    assert aggregate_fields(records) == expected_fields(cfg, reference)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("failing_stage", [2, 3])
+def test_trial_failing_in_a_later_stage_is_one_failure(monkeypatch, failing_stage, workers):
+    cfg = small_config(**STAGE_CONFIGS["fullrate"])
+    reference, _ = trial_by_trial(monkeypatch, cfg)
+    victims = {1, 12, 39}  # inside chunks of several trials, and the last trial
+    original = harness._run_trial
+
+    def breaking(*args):
+        trial = trial_key(args[-1])[2]
+        stages = original(*args)
+        for stage in (1, 2, 3):
+            if trial in victims and stage == failing_stage:
+                raise RuntimeError("synthetic failure")
+            try:
+                next(stages)
+            except StopIteration as done:
+                return done.value
+            yield
+
+    monkeypatch.setattr(harness, "_run_trial", breaking)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("AFDM_SENSE_THREADS", workers)
+    records = run_monte_carlo(cfg)
+    assert [(r.trials_ok, r.trials_failed) for r in records] == [(37, 3)] * 4
+    assert aggregate_fields(records) == expected_fields(cfg, reference, victims)
 
 
 def sweep_trial_pids(monkeypatch):

@@ -551,6 +551,25 @@ def test_gram_gradient_matches_observation_domain(gradient_operators):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_rmatvec_equals_conjugated_hits_form(gradient_operators):
+    # rmatvec conjugates the observations and the sums, not every hit; for
+    # observations with no exact zero the bytes match, and otherwise only
+    # the sign of an exactly zero sum may differ
+    rng = np.random.default_rng(29)
+    for cols, _ in gradient_operators:
+        m = cols.shape[0]
+        for k in range(50):
+            r = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            if k % 5 == 4:
+                r[rng.random(m) < 0.5] = 0.0
+            ref = (cols.vals.conj() * np.append(r, 0.0)[cols.rows]).sum(axis=1)
+            got = cols.rmatvec(r)
+            if k % 5 == 4:
+                assert np.array_equal(got, ref)
+            else:
+                assert got.tobytes() == ref.tobytes()
+
+
 def test_support_scatter_equals_full_scatter(gradient_operators):
     # matvec scatters only the columns where x is nonzero; the scatter over
     # every column's hits gives the same bytes
