@@ -15,6 +15,7 @@ multiplications); no dense transform matrix is formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,8 +37,8 @@ class AfdmParams:
     """Waveform geometry: frame length, chirp rates and prefix length.
 
     The first chirp rate is ``c1 = chirp_sign * chirp_num / (2 * n)``.
-    ``c2`` is a free real parameter (default 0); the index structure of all
-    downstream operators does not depend on it.
+    ``c2`` is a free finite real parameter (default 0); the index structure of
+    all downstream operators does not depend on it.
     """
 
     n: int
@@ -55,6 +56,8 @@ class AfdmParams:
             raise ValueError(f"chirp sign must be +1 or -1, got {self.chirp_sign}")
         if self.cpp_len < 0:
             raise ValueError(f"prefix length must be >= 0, got {self.cpp_len}")
+        if not math.isfinite(self.c2):  # every chirp table would be NaN
+            raise ValueError(f"c2 must be finite, got {self.c2}")
 
     @property
     def c1(self) -> float:

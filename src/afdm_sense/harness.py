@@ -20,6 +20,7 @@ import io
 import json
 import logging
 import math
+import numbers
 import os
 import pickle
 import select
@@ -43,12 +44,12 @@ from .channel import (
 from .daft_core import AfdmParams, cpp_extend, daft_demodulate, idaft_modulate, select_chirp_rate
 from .hihtp import _GRAM_COND_MAX, hihtp_recover, htp_recover
 from .sensing_model import (
-    _OVERLAP_MODES,
     MeasurementOperator,
     PilotScheme,
     build_measurement_operator,
     build_pilot_frame,
     extract_measurements,
+    observation_index_set,
 )
 from .subnyquist import RadarConfig, decimation_plan, dechirp_decimate_receive, sampling_rate
 
@@ -91,6 +92,11 @@ class ExperimentConfig:
     covers the mean number of unknowns; the solver sparsity levels come
     from the margin-inflated config.  Set ``pilot_amplitude`` above one to
     boost pilot power relative to unit-power data symbols.
+
+    Construction checks the receiver and solver rules and builds the parts
+    that own the rest: the channel model, the waveform (``AfdmParams``),
+    the radar constants and every pilot count's layout
+    (``PilotScheme.uniform``), whose observations must hold the support.
     """
 
     n: int
@@ -124,15 +130,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown receiver {self.receiver!r}")
         if self.solver not in ("hihtp", "htp"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.overlap_mode not in _OVERLAP_MODES:
-            raise ValueError(
-                f"overlap_mode must be one of {_OVERLAP_MODES}, got {self.overlap_mode!r}"
-            )
-        # only a disjoint train has a spread and a packed placement
-        if self.contiguous and self.overlap_mode != "disjoint":
-            raise ValueError(
-                f"contiguous=True needs overlap_mode 'disjoint', got {self.overlap_mode!r}"
-            )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.master_seed < 0:
@@ -149,10 +146,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"pilot_amplitude must be finite and nonzero, got {self.pilot_amplitude}"
             )
-        if not math.isfinite(self.c2):
-            raise ValueError(f"c2 must be finite, got {self.c2}")
-        object.__setattr__(self, "n_pilots", _as_int_tuple(self.n_pilots, "n_pilots"))
-        object.__setattr__(self, "snr_db", _as_float_tuple(self.snr_db, "snr_db"))
+        pilots = _as_tuple(self.n_pilots, "n_pilots", numbers.Integral, 1, "positive integers")
+        object.__setattr__(self, "n_pilots", tuple(map(int, pilots)))
+        snrs = _as_tuple(self.snr_db, "snr_db", numbers.Real, -math.inf, "finite numbers")
+        object.__setattr__(self, "snr_db", tuple(map(float, snrs)))
         for snr_db in self.snr_db:  # refuses an SNR whose noise variance overflows
             NoiseConfig.from_snr_db(snr_db)
         # f_s_hz reports the reduced train's rate; another layout needs a higher one
@@ -160,10 +157,19 @@ class ExperimentConfig:
             raise ValueError("the sub-Nyquist receiver needs overlap_mode 'reduced'")
         if self.cpp_len is not None and self.cpp_len < self.l_taps - 1:  # the channel refuses it
             raise ValueError(f"cpp_len {self.cpp_len} is below l_taps - 1 = {self.l_taps - 1}")
-        # the channel model, waveform and radar constants refuse what they cannot describe
-        self.sparsity()
-        self.afdm_params()
+        # the channel model, waveform, radar constants and pilot layouts
+        # refuse what they cannot describe
+        params = self.afdm_params()
         self.radar_config()
+        support = _support_size(self, self.sparsity().sparsity_levels())
+        for n_p in self.n_pilots:
+            scheme = self.pilot_scheme(n_p)
+            rows = len(observation_index_set(scheme, params, self.l_taps, self.q_max))
+            if rows < support:  # every trial's refit would refuse it
+                raise ValueError(
+                    f"n_pilots={n_p} gives {rows} observations, fewer than the "
+                    f"{support} entries of the {self.solver} support"
+                )
 
     # -- derived pieces -------------------------------------------------
 
@@ -192,6 +198,13 @@ class ExperimentConfig:
             chirp_sign=self.chirp_sign,
             c2=self.c2,
             cpp_len=cpp,
+        )
+
+    def pilot_scheme(self, n_p: int) -> PilotScheme:
+        return PilotScheme.uniform(
+            self.n, n_p, self.l_taps, self.q_max, self.resolved_chirp_num(),
+            chirp_sign=self.chirp_sign, amplitude=self.pilot_amplitude,
+            overlap_mode=self.overlap_mode, contiguous=self.contiguous,
         )
 
     def radar_config(self) -> RadarConfig:
@@ -247,22 +260,15 @@ def _json_type_ok(value, hint) -> bool:
     return isinstance(value, numeric) and (hint is bool or not isinstance(value, bool))
 
 
-def _as_int_tuple(value, name) -> tuple[int, ...]:
-    if isinstance(value, (int, np.integer)):
-        value = (value,)
-    out = tuple(int(v) for v in value)
-    if not out or any(v < 1 for v in out):
-        raise ValueError(f"{name} must be one or more positive integers, got {list(out)}")
-    return out
-
-
-def _as_float_tuple(value, name) -> tuple[float, ...]:
-    if isinstance(value, (int, float, np.floating)):
-        value = (value,)
-    out = tuple(float(v) for v in value)
-    if not out or not all(math.isfinite(v) for v in out):
-        raise ValueError(f"{name} must be one or more finite numbers, got {list(out)}")
-    return out
+def _as_tuple(value, name: str, kind: type, low: float, what: str) -> tuple:
+    """One value or a list, tuple or array of them, each a finite ``kind`` of
+    at least ``low``; as in ``from_dict``, a bool is no number."""
+    items = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else (value,)
+    if not items or not all(
+        isinstance(v, kind) and not isinstance(v, bool) and low <= v < math.inf for v in items
+    ):
+        raise ValueError(f"{name} must be one or more {what}, got {value!r}")
+    return items
 
 
 @dataclass
@@ -514,28 +520,11 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     params = cfg.afdm_params()
     sparsity = cfg.sparsity()
     levels = sparsity.sparsity_levels()
-    support = _support_size(cfg, levels)
     chash = cfg.config_hash()
     cells: list[_Cell] = []
     for n_p in cfg.n_pilots:
-        scheme = PilotScheme.uniform(
-            cfg.n,
-            n_p,
-            cfg.l_taps,
-            cfg.q_max,
-            params.chirp_num,
-            chirp_sign=params.chirp_sign,
-            amplitude=cfg.pilot_amplitude,
-            overlap_mode=cfg.overlap_mode,
-            contiguous=cfg.contiguous,
-        )
+        scheme = cfg.pilot_scheme(n_p)
         op = build_measurement_operator(scheme, params, cfg.l_taps, cfg.q_max)
-        if support > op.shape[0]:
-            # every trial's refit would refuse it
-            raise ValueError(
-                f"n_pilots={n_p} gives {op.shape[0]} observations, fewer than the "
-                f"{support} entries of the {cfg.solver} support"
-            )
         if op.columns.refit == "svd":  # no refit is certified on this operator
             # the de-chirp receiver takes only the reduced train, which has no spread placement
             fix = (
@@ -645,27 +634,25 @@ def pilot_overhead(waveform: str, parameters: dict) -> int:
     grid sizes ``n_symbols``, ``n_otfs`` and ``m_otfs`` below 1; zero pilots
     leaves the guard-only overhead.
     """
-    required = {
-        "afdm": ("n_pilots", "l_taps", "q_max", "chirp_num"),
-        "ofdm": ("n_pilots_td", "n_pilots_fd", "n_symbols", "l_taps"),
-        "otfs": ("n_otfs", "m_otfs", "l_taps", "q_max"),
+    # each waveform's parameters, in the order a missing one is named, with their floors
+    floors = {
+        "afdm": {"n_pilots": 0, "l_taps": 1, "q_max": 0, "chirp_num": 1},
+        "ofdm": {"n_pilots_td": 0, "n_pilots_fd": 0, "n_symbols": 1, "l_taps": 1},
+        "otfs": {"n_otfs": 1, "m_otfs": 1, "l_taps": 1, "q_max": 0},
     }
-    if waveform not in required:
-        raise ValueError(f"waveform must be one of {sorted(required)}, got {waveform!r}")
-    missing = [k for k in required[waveform] if k not in parameters]
+    if waveform not in floors:
+        raise ValueError(f"waveform must be one of {sorted(floors)}, got {waveform!r}")
+    required = floors[waveform]
+    missing = [k for k in required if k not in parameters]
     if missing:
         raise ValueError(f"{waveform} overhead needs parameters {missing}")
-    unread = sorted(set(parameters) - set(required[waveform]))
+    unread = sorted(set(parameters) - set(required))
     if unread:
         raise ValueError(f"{waveform} overhead does not read parameters {unread}")
     p = parameters
-    floors = {
-        "n_pilots": 0, "n_pilots_td": 0, "n_pilots_fd": 0, "l_taps": 1, "q_max": 0,
-        "chirp_num": 1, "n_symbols": 1, "n_otfs": 1, "m_otfs": 1,
-    }
-    for key in required[waveform]:
-        if p[key] < floors[key]:
-            raise ValueError(f"{key} must be >= {floors[key]}, got {p[key]}")
+    for key, floor in required.items():
+        if p[key] < floor:
+            raise ValueError(f"{key} must be >= {floor}, got {p[key]}")
     if waveform == "afdm":
         spread = (p["l_taps"] - 1) * p["chirp_num"]
         return p["n_pilots"] * (spread + 1) + spread + 4 * p["q_max"]

@@ -377,23 +377,32 @@ def _parallel_classes(a, gram, comp_cols):
     return label
 
 
+def _as_columns(op) -> _Columns:
+    # the pursuit hands every refit a _Columns, so that is checked first
+    if isinstance(op, _Columns):
+        return op
+    if hasattr(op, "columns"):
+        return op.columns
+    return _Columns.from_dense(op)
+
+
 def _operator_columns(op, n_blocks, block_size):
     if hasattr(op, "columns"):
         return op.columns, op.l_taps, op.block_size
     if n_blocks is None or block_size is None:
         raise ValueError("n_blocks and block_size are required with a bare matrix")
-    return _Columns.from_dense(op), n_blocks, block_size
+    return _as_columns(op), n_blocks, block_size
 
 
 def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarray:
     """Least-squares fit constrained to the support, zero elsewhere.
 
-    ``matrix`` is a dense matrix or the pursuit's column structure, and
-    ``support.indices`` are the matrix columns the fit may use.  ``b`` is
-    ``M^H y`` as ``_Columns.rmatvec`` forms it, gathered here when not given;
-    the first two paths below read ``A_S^H y`` as ``b[S]`` and solve the
-    components' independent blocks.  The operator's build chose one of three
-    paths (``_Columns.refit``):
+    ``matrix`` is a MeasurementOperator, a dense matrix or the pursuit's
+    column structure, and ``support.indices`` are the matrix columns the fit
+    may use.  ``b`` is ``M^H y`` as ``_Columns.rmatvec`` forms it, gathered
+    here when not given; the first two paths below read ``A_S^H y`` as
+    ``b[S]`` and solve the components' independent blocks.  The operator's
+    build chose one of three paths (``_Columns.refit``):
 
     * ``"scale"``: the columns fall into classes of parallel columns,
       orthogonal to one another (``_Columns.alias``), so the support's
@@ -415,7 +424,7 @@ def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarr
 
     The first two equal the SVD solve to round-off.
     """
-    cols = matrix if isinstance(matrix, _Columns) else _Columns.from_dense(matrix)
+    cols = _as_columns(matrix)
     m, ncols = cols.shape
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (m,):

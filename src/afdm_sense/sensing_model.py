@@ -15,6 +15,8 @@ windows back to back, giving ``n_pilots * ((L-1) P + 2 Q + 1)``
 observations.  Reduced pilots sit exactly ``(L-1) P + 1`` apart so
 neighbouring windows share their Doppler fringes, giving ``n_pilots *
 ((L-1) P + 1) + 2 Q`` observations (capped at ``n`` when the train wraps).
+``PilotScheme.uniform`` owns the layout rules, so a config is checked by
+building the scheme of each of its pilot counts.
 """
 
 from __future__ import annotations
@@ -89,11 +91,16 @@ class PilotScheme:
 
         Disjoint non-contiguous placement spreads pilots ``n // n_pilots``
         apart; disjoint contiguous placement packs the windows back to
-        back; reduced placement (always contiguous) spaces pilots exactly
-        ``(l_taps - 1) chirp_num + 1`` apart.
+        back; reduced placement spaces pilots exactly ``(l_taps - 1)
+        chirp_num + 1`` apart and refuses ``contiguous=True``.
         """
         if overlap_mode not in _OVERLAP_MODES:
-            raise ValueError(f"overlap_mode must be one of {_OVERLAP_MODES}")
+            raise ValueError(f"overlap_mode must be one of {_OVERLAP_MODES}, got {overlap_mode!r}")
+        # only a disjoint train has a spread and a packed placement
+        if contiguous and overlap_mode != "disjoint":
+            raise ValueError(
+                f"contiguous=True needs overlap_mode 'disjoint', got {overlap_mode!r}"
+            )
         if n_pilots < 1:
             raise ValueError(f"at least one pilot is required, got {n_pilots}")
         width = (l_taps - 1) * chirp_num + 2 * q_max + 1

@@ -143,6 +143,22 @@ def test_config_validation():
     small_config(overlap_mode="disjoint", contiguous=True)
     with pytest.raises(ValueError, match="n_pilots"):
         small_config(n_pilots=(4, 0))
+    # the type rule of from_dict: integers for n_pilots and real numbers for
+    # snr_db, never a bool or a string, one value or a list of them
+    for n_pilots in ((4.7,), 4.7, [True, 4], "4"):
+        with pytest.raises(ValueError, match="n_pilots must be one or more positive integers"):
+            small_config(n_pilots=n_pilots)
+    for snr_db in ("20", True, [20.0, False], None):
+        with pytest.raises(ValueError, match="snr_db must be one or more finite numbers"):
+            small_config(snr_db=snr_db)
+    cfg = small_config(n_pilots=np.int64(4), snr_db=[np.float32(20.0), 25])
+    assert (cfg.n_pilots, cfg.snr_db) == ((4,), (20.0, 25.0))
+    # every pilot count's layout is built at construction: a train that does
+    # not fit the frame, or holds fewer observations than the support, is refused
+    with pytest.raises(ValueError, match="100 pilots with spacing 0 do not fit"):
+        small_config(n_pilots=(4, 100))
+    with pytest.raises(ValueError, match="n_pilots=1 gives 7 observations, fewer than the 9"):
+        small_config(n_pilots=(4, 1))
     with pytest.raises(ValueError, match="k_max"):
         small_config(k_max=0)
     with pytest.raises(ValueError, match="htp_sparsity"):
@@ -348,6 +364,25 @@ def test_failed_trials_in_workers_are_counted(monkeypatch):
     records = run_monte_carlo(small_config(trials=6, snr_db=(20.0, 30.0)))
     assert [(r.trials_ok, r.trials_failed) for r in records] == [(0, 6), (0, 6)]
     assert all(np.isnan(r.mse) for r in records)
+
+
+def test_worker_ending_mid_chunk_is_raised_and_reaped(monkeypatch):
+    # a worker that dies before it writes its chunk's outcomes ends the sweep,
+    # and the pool reaps every worker on the way out
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("AFDM_SENSE_THREADS", "2")
+    parent, original = os.getpid(), harness._run_trial
+
+    def dies_in_workers(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return original(*args)
+
+    monkeypatch.setattr(harness, "_run_trial", dies_in_workers)
+    with pytest.raises(RuntimeError, match=r"trial worker \d+ ended mid-chunk"):
+        run_monte_carlo(small_config(trials=6))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def trial_key(rng):

@@ -971,3 +971,19 @@ def test_refit_from_pursuit_gradient_matches_gather(n_pilots, layout, path):
         if path == "svd":
             unused = np.full(ncols, np.nan, dtype=complex)
             assert restricted_least_squares(cols, y, sup, unused).tobytes() == ref
+
+
+@pytest.mark.parametrize("n_pilots", [16, 255], ids=["paper-16", "subnyquist"])
+def test_refit_takes_the_operator(n_pilots):
+    # the refit takes what the pursuits take: an operator gives its own column
+    # structure, so the fit is the same bytes as from that structure
+    op = subnyquist_operator() if n_pilots == 255 else paper_operator(n_pilots)
+    s_block, s_entry = (15, 8) if op.l_taps == 30 else (6, 4)
+    rng = np.random.default_rng(33)
+    m, ncols = op.shape
+    for _ in range(3):
+        y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        x = rng.standard_normal(ncols) + 1j * rng.standard_normal(ncols)
+        sup = hierarchical_threshold(x, op.l_taps, op.block_size, s_block, s_entry)
+        ref = restricted_least_squares(op.columns, y, sup).tobytes()
+        assert restricted_least_squares(op, y, sup).tobytes() == ref

@@ -118,6 +118,17 @@ def test_uniform_scheme_rejects_no_pilots(n_pilots):
         PilotScheme.uniform(4096, n_pilots, 30, 7, 1)
 
 
+def test_uniform_scheme_owns_the_layout_rules():
+    # a reduced train is spaced the same either way; only a disjoint one is packed
+    with pytest.raises(ValueError, match="contiguous=True needs overlap_mode 'disjoint', got 'reduced'"):
+        PilotScheme.uniform(64, 2, 3, 1, 1, overlap_mode="reduced", contiguous=True)
+    with pytest.raises(ValueError, match="overlap_mode must be one of .*, got 'foo'"):
+        PilotScheme.uniform(64, 2, 3, 1, 1, overlap_mode="foo")
+    # a train longer than the frame
+    with pytest.raises(ValueError, match="do not fit in a frame of 64"):
+        PilotScheme.uniform(64, 30, 3, 1, 1, overlap_mode="reduced")
+
+
 def test_data_fills_only_safe_slots_and_guard_isolation():
     """Random data outside the guards leaves the observations untouched."""
     n, l_taps, q_max = 64, 3, 2
@@ -163,8 +174,8 @@ HIT_PATTERN_CASES = [
     ("disjoint", False, 1, 0.0, None),
     ("disjoint", False, -1, 0.29, None),
     ("disjoint", True, 1, -0.4, None),
-    ("reduced", True, 1, 0.13, None),
-    ("reduced", True, -1, 0.0, None),
+    ("reduced", False, 1, 0.13, None),
+    ("reduced", False, -1, 0.0, None),
     # a pilot at index 0: its window wraps past n - 1
     ("disjoint", False, 1, 0.21, 0),
 ]
@@ -225,7 +236,12 @@ def test_operator_off_pattern_energy_rejected(monkeypatch):
 
 @pytest.mark.parametrize("amplitude, c2", [(float("nan"), 0.0), (1.0, float("nan"))])
 def test_operator_with_nan_rejected(amplitude, c2):
-    # a NaN pilot or chirp parameter makes every stray norm NaN
+    # a NaN chirp parameter is refused by the waveform itself; a NaN pilot
+    # makes every stray norm NaN, which the build refuses
+    if np.isnan(c2):
+        with pytest.raises(ValueError, match="c2 must be finite"):
+            AfdmParams(n=64, chirp_num=1, c2=c2)
+        return
     params = AfdmParams(n=64, chirp_num=1, c2=c2)
     scheme = PilotScheme.uniform(64, 2, 3, 1, 1, amplitude=amplitude)
     with pytest.raises(ValueError, match="off the hit pattern"):
