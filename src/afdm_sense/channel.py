@@ -227,15 +227,21 @@ def apply_channel(
             f"prefix too short: need cpp_len >= {profile.l_taps - 1}, have {cpp}"
         )
     q_max = profile.q_max
-    r = np.zeros(n, dtype=np.complex128)
-    # every tap's h and each product are formed in two reused buffers
+    taps = np.flatnonzero(profile.mask.any(axis=1))
+    # a sum's first term is written straight into it, the others formed in a
+    # reused buffer and added: every tap's h, and r over the taps
+    r = np.empty(n, dtype=np.complex128) if len(taps) else np.zeros(n, dtype=np.complex128)
     h = np.empty(n, dtype=np.complex128)
     term = np.empty(n, dtype=np.complex128)
-    for l in np.flatnonzero(profile.mask.any(axis=1)):
-        h.fill(0.0)
-        for qi in np.flatnonzero(profile.mask[l]):
-            h += np.multiply(profile.gains[l, qi], doppler_phase(n, int(qi) - q_max), out=term)
-        r += np.multiply(h, s_cpp[cpp - l : cpp - l + n], out=term)
+    for k, l in enumerate(taps):
+        for j, qi in enumerate(np.flatnonzero(profile.mask[l])):
+            phase = doppler_phase(n, int(qi) - q_max)
+            np.multiply(profile.gains[l, qi], phase, out=term if j else h)
+            if j:
+                h += term
+        np.multiply(h, s_cpp[cpp - l : cpp - l + n], out=term if k else r)
+        if k:
+            r += term
     sigma = noise.sigma_w2 if noise is not None else 0.0
     if sigma > 0.0:
         if rng is None:

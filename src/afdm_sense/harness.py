@@ -51,7 +51,7 @@ from .sensing_model import (
     extract_measurements,
     observation_index_set,
 )
-from .subnyquist import RadarConfig, decimation_plan, dechirp_decimate_receive, sampling_rate
+from .subnyquist import RadarConfig, _fold_tables, dechirp_decimate_receive, sampling_rate
 
 __all__ = [
     "ExperimentConfig",
@@ -93,10 +93,12 @@ class ExperimentConfig:
     from the margin-inflated config.  Set ``pilot_amplitude`` above one to
     boost pilot power relative to unit-power data symbols.
 
-    Construction checks the receiver and solver rules and builds the parts
-    that own the rest: the channel model, the waveform (``AfdmParams``),
-    the radar constants and every pilot count's layout
-    (``PilotScheme.uniform``), whose observations must hold the support.
+    Construction refuses a repeated ``n_pilots`` or ``snr_db`` entry, whose
+    cells would run again with the same trials.  It checks the receiver and
+    solver rules and builds the parts that own the rest: the channel model,
+    the waveform (``AfdmParams``), the radar constants and every pilot
+    count's layout (``PilotScheme.uniform``), whose observations must hold
+    the support.
     """
 
     n: int
@@ -150,6 +152,11 @@ class ExperimentConfig:
         object.__setattr__(self, "n_pilots", tuple(map(int, pilots)))
         snrs = _as_tuple(self.snr_db, "snr_db", numbers.Real, -math.inf, "finite numbers")
         object.__setattr__(self, "snr_db", tuple(map(float, snrs)))
+        for name in ("n_pilots", "snr_db"):  # a repeated entry would run its cells again
+            values = getattr(self, name)
+            repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{name} repeats the entry {repeated!r}")
         for snr_db in self.snr_db:  # refuses an SNR whose noise variance overflows
             NoiseConfig.from_snr_db(snr_db)
         # f_s_hz reports the reduced train's rate; another layout needs a higher one
@@ -548,7 +555,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
             },
         )
         if cfg.receiver == "subnyquist":
-            decimation_plan(scheme, params, cfg.l_taps, cfg.q_max)
+            _fold_tables(scheme, params, cfg.l_taps, cfg.q_max)
             f_s = sampling_rate(n_p, cfg.l_taps, params.chirp_num, cfg.radar_config()).f_s_hz
         else:
             f_s = cfg.bandwidth_hz

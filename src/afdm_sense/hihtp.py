@@ -96,7 +96,7 @@ class SupportSet:
 
     def __post_init__(self) -> None:
         indices = np.sort(np.asarray(self.indices, dtype=np.int64).reshape(-1))
-        if np.any(indices[1:] == indices[:-1]):
+        if (indices[1:] == indices[:-1]).any():
             raise ValueError("support contains duplicate entries")
         indices.flags.writeable = False
         object.__setattr__(self, "indices", indices)
@@ -296,6 +296,11 @@ class _Columns:
         s_min = s[np.arange(n_comp), comp_cols - 1].min(initial=np.inf) if tall else 0.0
         return float(s[:, 0].max(initial=0.0) / s_min) if s_min > 0.0 else np.inf
 
+    @cached_property
+    def eye(self) -> np.ndarray:
+        # the identity a "solve" refit puts off the support, made once per operator
+        return np.eye(self.gram.shape[1])
+
     @classmethod
     def from_dense(cls, matrix) -> "_Columns":
         """Hits of a dense matrix: its exact nonzeros, column by column."""
@@ -336,7 +341,10 @@ class _Columns:
         an exact zero, so ``r`` is conjugated once rather than every hit on
         each call.
         """
-        return np.conj((self.vals * np.append(np.conj(r), 0.0)[self.rows]).sum(axis=1))
+        padded = np.empty(self.shape[0] + 1, dtype=np.complex128)
+        np.conj(r, out=padded[:-1])
+        padded[-1] = 0.0  # the padding row
+        return np.conj((self.vals * padded[self.rows]).sum(axis=1))
 
     def gram_matvec(self, x: np.ndarray) -> np.ndarray:
         """``M^H M x`` as one batched product of the component Gram blocks."""
@@ -399,7 +407,10 @@ def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarr
 
     ``matrix`` is a MeasurementOperator, a dense matrix or the pursuit's
     column structure, and ``support.indices`` are the matrix columns the fit
-    may use.  ``b`` is ``M^H y`` as ``_Columns.rmatvec`` forms it, gathered
+    may use.  A dense matrix has its whole column structure derived again
+    on every call, Gram blocks of every component included, so a caller
+    that fits one matrix repeatedly should pass the operator or its
+    ``columns``.  ``b`` is ``M^H y`` as ``_Columns.rmatvec`` forms it, gathered
     here when not given; the first two paths below read ``A_S^H y`` as
     ``b[S]`` and solve the components' independent blocks.  The operator's
     build chose one of three paths (``_Columns.refit``):
@@ -459,7 +470,7 @@ def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarr
     on = np.zeros(n_comp * slots, dtype=bool)
     on[cell] = True
     on = on.reshape(n_comp, slots)
-    g = np.where(on[:, :, None] & on[:, None, :], cols.gram, np.eye(slots))
+    g = np.where(on[:, :, None] & on[:, None, :], cols.gram, cols.eye)
     rhs = np.zeros(n_comp * slots, dtype=np.complex128)
     rhs[cell] = h
     z[idx] = np.linalg.solve(g, rhs.reshape(n_comp, slots, 1)).reshape(-1)[cell]

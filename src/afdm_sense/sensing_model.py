@@ -68,6 +68,11 @@ class PilotScheme:
             raise ValueError("positions and values must have equal length")
         if len(set(self.positions)) != len(self.positions):
             raise ValueError("pilot positions must be distinct")
+        # the per-scheme caches hash the scheme on every lookup: hash it once
+        object.__setattr__(self, "_hash", hash((self.positions, self.values)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_pilots(self) -> int:

@@ -7,6 +7,8 @@ k mod K; when the observed bins have distinct residues mod K, as a
 circular interval of length at most K has, a K-point DFT recovers the
 observed samples at a fraction of the full rate.  K is the smallest
 divisor of the frame length no smaller than the observation count.
+The receiver's tables for an observation set (the decimated chirp, the
+folded bins and their scale) are computed once and cached.
 """
 
 from __future__ import annotations
@@ -113,6 +115,31 @@ def decimation_plan(
     return DecimationPlan(n_observed=len(indices), k_points=k_points, decimation=n // k_points)
 
 
+class _FoldTables(NamedTuple):
+    step: int
+    first: np.ndarray  # the zero-th chirp at every step-th sample
+    bins: np.ndarray  # every observed bin's residue mod K
+    scale: np.ndarray  # the second chirp at the observed bins, times step / sqrt(n)
+
+
+@lru_cache(maxsize=64)
+def _fold_tables(
+    scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int
+) -> _FoldTables:
+    """The receiver's tables for one observation set, fixed per sweep cell
+    (cached, read-only).  Refuses what ``observation_index_set`` and
+    ``decimation_plan`` refuse."""
+    indices = observation_index_set(scheme, params, l_taps, q_max)
+    plan = decimation_plan(scheme, params, l_taps, q_max)
+    step = plan.decimation
+    first, second = _chirp_tables(params)
+    scale = second[indices] * (step / np.sqrt(params.n))
+    tables = _FoldTables(step, first[::step].copy(), indices % plan.k_points, scale)
+    for table in tables[1:]:
+        table.setflags(write=False)
+    return tables
+
+
 def dechirp_decimate_receive(
     r,
     scheme: PilotScheme,
@@ -136,16 +163,14 @@ def dechirp_decimate_receive(
         raise ValueError(
             f"received frame must have {n} or {n + params.cpp_len} samples, got {r.shape}"
         )
-    # refuses positions outside the frame before the check below indexes by them
-    indices = observation_index_set(scheme, params, l_taps, q_max)
+    # refuses positions outside the frame, and a colliding fold, before the
+    # check below indexes by the positions
+    fold = _fold_tables(scheme, params, l_taps, q_max)
     if frame is not None:
         frame = np.asarray(frame, dtype=np.complex128)
         allowed = np.zeros(n, dtype=bool)
         allowed[np.asarray(scheme.positions)] = True
         if np.any(np.abs(frame[~allowed]) > 0):
             raise ValueError("data symbols present: the folded band would be corrupted")
-    plan = decimation_plan(scheme, params, l_taps, q_max)
-    step = plan.decimation
-    first, second = _chirp_tables(params)
-    spectrum = np.fft.fft(first[::step] * r[::step])
-    return second[indices] * (step / np.sqrt(n)) * spectrum[indices % plan.k_points]
+    spectrum = np.fft.fft(fold.first * r[:: fold.step])
+    return fold.scale * spectrum[fold.bins]

@@ -6,9 +6,12 @@ import pytest
 
 from afdm_sense import (
     AfdmParams,
+    DelayDopplerProfile,
     NoiseConfig,
+    PilotScheme,
     SparsityConfig,
     apply_channel,
+    build_pilot_frame,
     chernoff_tail_bound,
     cpp_extend,
     devectorize_profile,
@@ -225,9 +228,10 @@ def test_noise_stream_is_pinned():
 
 
 def two_draw_channel(s_cpp, profile, params, noise, rng):
-    """The channel as a fresh h per tap and a fresh product per term, noise
-    drawn as n real then n imaginary normals: the form apply_channel must
-    equal bit for bit."""
+    """The channel as a fresh h per tap and a fresh product per term, each
+    sum started from zeros, noise drawn as n real then n imaginary normals:
+    the form apply_channel must equal bit for bit, but for the sign of an
+    exact zero (``0.0 + -0.0`` is ``0.0``)."""
     n, cpp = params.n, params.cpp_len
     r = np.zeros(n, dtype=np.complex128)
     for l in np.flatnonzero(profile.mask.any(axis=1)):
@@ -259,6 +263,53 @@ def test_apply_channel_equals_two_draw_form(model, n, l_taps, q_max, cpp, seeds)
             got = apply_channel(s, prof, params, noise, got_rng)
             assert got.tobytes() == two_draw_channel(s, prof, params, noise, ref_rng).tobytes()
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("chirp_sign", [1, -1])
+@pytest.mark.parametrize(
+    "model, kwargs",
+    [
+        ("type1", dict(p_doppler=0.3)),
+        ("type2", dict(p_doppler=0.3)),
+        ("type3", dict(cluster_len=2)),
+    ],
+)
+def test_first_terms_written_in_place(model, kwargs, chirp_sign):
+    # apply_channel writes each sum's first term straight into it; against
+    # the sums started from zeros only the sign of an exact zero may differ,
+    # which np.array_equal ignores.  A frame with zeroed samples makes exact
+    # zeros, and the empty profile (about 7.6% of the sub-Nyquist benchmark's
+    # draws) gives zeros plus noise
+    n, l_taps, q_max = 256, 8, 3
+    cfg = SparsityConfig(model, l_taps=l_taps, q_max=q_max, p_delay=0.3, **kwargs)
+    params = AfdmParams(n=n, chirp_num=1, chirp_sign=chirp_sign, cpp_len=l_taps - 1)
+    scheme = PilotScheme.uniform(n, 16, l_taps, q_max, 1, chirp_sign, overlap_mode="reduced")
+    frame = build_pilot_frame(scheme, params, l_taps, q_max)
+    pilots = cpp_extend(idaft_modulate(frame, params), params)
+    gapped = pilots.copy()
+    gapped[::3] = 0.0
+    empty = DelayDopplerProfile(
+        np.zeros((l_taps, 2 * q_max + 1), complex), np.zeros((l_taps, 2 * q_max + 1), bool), 1.0
+    )
+    exact_zeros = 0
+    for seed in range(30):
+        rng = np.random.default_rng([seed, 2])
+        prof = empty if seed == 0 else sample_profile(cfg, rng)
+        for s in (pilots, gapped):
+            for sigma_w2 in (0.0, 0.1):
+                noise = NoiseConfig(sigma_w2)
+                got_rng, ref_rng = (np.random.default_rng([seed, 3]) for _ in range(2))
+                got = apply_channel(s, prof, params, noise, got_rng)
+                ref = two_draw_channel(s, prof, params, noise, ref_rng)
+                assert np.array_equal(got, ref)
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+                if prof is empty:
+                    assert got.tobytes() == ref.tobytes()
+                    assert np.count_nonzero(got) == (n if sigma_w2 else 0)
+                elif not sigma_w2:
+                    exact_zeros += np.count_nonzero(got.view(float) == 0.0)
+    # the zeroed frames do make exact zeros, where the signs may differ
+    assert exact_zeros > 0
 
 
 def test_chernoff_bound_value():

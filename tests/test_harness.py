@@ -20,6 +20,7 @@ from afdm_sense import (
 )
 from afdm_sense import cli, harness, hihtp
 from afdm_sense.channel import doppler_phase
+from afdm_sense.subnyquist import _fold_tables
 from afdm_sense.cli import main as cli_main
 
 
@@ -159,6 +160,16 @@ def test_config_validation():
         small_config(n_pilots=(4, 100))
     with pytest.raises(ValueError, match="n_pilots=1 gives 7 observations, fewer than the 9"):
         small_config(n_pilots=(4, 1))
+    # every entry is one axis point of the sweep: a repeated one would run
+    # its cells again with the same trial keys
+    for overrides, match in [
+        (dict(n_pilots=(4, 5, 4)), "n_pilots repeats the entry 4$"),
+        (dict(n_pilots=[4, np.int64(4)]), "n_pilots repeats the entry 4$"),
+        (dict(snr_db=(20.0, 20)), r"snr_db repeats the entry 20\.0$"),
+        (dict(snr_db=(0.0, 10.0, -0.0)), r"snr_db repeats the entry -0\.0$"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            small_config(**overrides)
     with pytest.raises(ValueError, match="k_max"):
         small_config(k_max=0)
     with pytest.raises(ValueError, match="htp_sparsity"):
@@ -330,6 +341,24 @@ def test_doppler_tables_warmed_once_per_sweep(monkeypatch):
     doppler_phase.cache_clear()
     assert run_monte_carlo(cfg)[0].trials_ok == 20
     assert doppler_phase.cache_info().misses == 65
+
+
+def test_second_sweep_reuses_the_fold_tables(monkeypatch):
+    # the sweep fills the receiver's tables once per pilot count before its
+    # trials, which only read them; trials run here, where the cache is seen
+    monkeypatch.setenv("AFDM_SENSE_THREADS", "1")
+    cfg = small_config(
+        trials=7, receiver="subnyquist", overlap_mode="reduced", n_pilots=(6, 7),
+        snr_db=(10.0, 20.0),
+    )
+    first = run_monte_carlo(cfg)
+    before = _fold_tables.cache_info()
+    second = run_monte_carlo(cfg)
+    after = _fold_tables.cache_info()
+    assert after.misses == before.misses
+    # one read per pilot count to fill, then one per trial
+    assert after.hits - before.hits == 2 + 2 * 2 * 7
+    assert records_to_csv_str(second) == records_to_csv_str(first)
 
 
 def test_failed_trials_counted_not_fatal(monkeypatch):

@@ -570,6 +570,20 @@ def test_rmatvec_equals_conjugated_hits_form(gradient_operators):
                 assert got.tobytes() == ref.tobytes()
 
 
+def test_rmatvec_equals_appended_form(gradient_operators):
+    # rmatvec conjugates into a padded buffer of its own; the bytes are
+    # those of conjugating, appending the padding zero and gathering
+    rng = np.random.default_rng(31)
+    for cols, _ in gradient_operators:
+        m = cols.shape[0]
+        for k in range(20):
+            r = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            if k % 4 == 3:  # exact zeros of both signs
+                r[rng.random(m) < 0.5] = -0.0 if k % 8 == 3 else 0.0
+            ref = np.conj((cols.vals * np.append(np.conj(r), 0.0)[cols.rows]).sum(axis=1))
+            assert cols.rmatvec(r).tobytes() == ref.tobytes()
+
+
 def test_support_scatter_equals_full_scatter(gradient_operators):
     # matvec scatters only the columns where x is nonzero; the scatter over
     # every column's hits gives the same bytes

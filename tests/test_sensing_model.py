@@ -547,6 +547,22 @@ def test_list_built_scheme_matches_tuple_built():
     assert np.array_equal(op_lists.matrix, op_tuples.matrix)
 
 
+def test_scheme_hash_and_shared_cache_entry():
+    scheme = PilotScheme.uniform(4096, 255, 8, 3, 1, overlap_mode="reduced")
+    assert hash(scheme) == hash((scheme.positions, scheme.values))
+    changed = replace(scheme, values=(2.0,) * 255)
+    assert hash(changed) == hash((changed.positions, changed.values)) != hash(scheme)
+    # an equal scheme built separately finds the first one's cache entry
+    params = AfdmParams(n=4096, chirp_num=1, cpp_len=7)
+    first = observation_index_set(scheme, params, 8, 3)
+    twin = PilotScheme(positions=list(scheme.positions), values=list(scheme.values))
+    assert twin is not scheme and twin == scheme
+    before = observation_index_set.cache_info()
+    assert observation_index_set(twin, params, 8, 3) is first
+    after = observation_index_set.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
 def test_cached_arrays_are_read_only():
     params = AfdmParams(n=64, chirp_num=2)
     scheme = PilotScheme(positions=(20,), values=(1.0,))

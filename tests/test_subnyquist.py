@@ -21,6 +21,8 @@ from afdm_sense import (
     sample_profile,
     sampling_rate,
 )
+from afdm_sense.daft_core import _chirp_tables
+from afdm_sense.subnyquist import _fold_tables
 
 
 def received_frame(scheme, params, l_taps, q_max, profile, noise=None, rng=None):
@@ -139,6 +141,44 @@ def test_collision_free_fold_of_a_non_interval_set(chirp_sign, c2):
         y_full = extract_measurements(daft_demodulate(r, params), idx)
         y_sub = dechirp_decimate_receive(r, scheme, params, l_taps, q_max, frame=frame)
         assert np.linalg.norm(y_sub - y_full) <= 1e-12 * np.linalg.norm(y_full)
+
+
+def uncached_receive(r, scheme, params, l_taps, q_max):
+    """The receiver's formula with every table formed on the call."""
+    r = r[len(r) - params.n :]
+    indices = observation_index_set(scheme, params, l_taps, q_max)
+    plan = decimation_plan(scheme, params, l_taps, q_max)
+    step = plan.decimation
+    first, second = _chirp_tables(params)
+    spectrum = np.fft.fft(first[::step] * r[::step])
+    return second[indices] * (step / np.sqrt(params.n)) * spectrum[indices % plan.k_points]
+
+
+@pytest.mark.parametrize("c2", [0.0, 0.137])
+@pytest.mark.parametrize("chirp_sign", [1, -1])
+def test_cached_fold_tables_give_the_uncached_bytes(chirp_sign, c2):
+    n, l_taps, q_max = 256, 4, 2
+    params = AfdmParams(n=n, chirp_num=1, chirp_sign=chirp_sign, cpp_len=l_taps - 1, c2=c2)
+    cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.6, p_doppler=0.6)
+    rng = np.random.default_rng(7)
+    # decimations 4 (K = 64) and 2 (K = 128)
+    for n_p in (12, 30):
+        scheme = PilotScheme.uniform(n, n_p, l_taps, q_max, 1, chirp_sign, overlap_mode="reduced")
+        for k in range(10):
+            _, r = received_frame(
+                scheme, params, l_taps, q_max, sample_profile(cfg, rng), NoiseConfig(0.01), rng
+            )
+            if k == 9:
+                r[::2] = 0.0
+            for frame in (r, np.concatenate((r[-params.cpp_len :], r))):
+                got = dechirp_decimate_receive(frame, scheme, params, l_taps, q_max)
+                ref = uncached_receive(frame, scheme, params, l_taps, q_max)
+                assert got.tobytes() == ref.tobytes()
+        fold = _fold_tables(scheme, params, l_taps, q_max)
+        assert fold.step == decimation_plan(scheme, params, l_taps, q_max).decimation
+        for table in fold[1:]:
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 def test_data_symbols_rejected():
