@@ -54,8 +54,8 @@ class AfdmParams:
             raise ValueError(f"chirp numerator must be >= 1, got {self.chirp_num}")
         if self.chirp_sign not in (-1, 1):
             raise ValueError(f"chirp sign must be +1 or -1, got {self.chirp_sign}")
-        if self.cpp_len < 0:
-            raise ValueError(f"prefix length must be >= 0, got {self.cpp_len}")
+        if not 0 <= self.cpp_len <= self.n:
+            raise ValueError(f"prefix length must lie in [0, n = {self.n}], got {self.cpp_len}")
         if not math.isfinite(self.c2):  # every chirp table would be NaN
             raise ValueError(f"c2 must be finite, got {self.c2}")
 
@@ -117,10 +117,6 @@ def cpp_extend(s, params: AfdmParams) -> np.ndarray:
     even that factor is exactly 1, so the prefix is a plain cyclic copy.
     """
     s = _as_frame(s, params.n, "time signal")
-    if params.cpp_len == 0:
-        return s.copy()
-    if params.cpp_len > params.n:
-        raise ValueError("prefix longer than the frame is not supported")
     return np.concatenate([s[params.n - params.cpp_len :], s])
 
 

@@ -28,7 +28,7 @@ import sys
 import threading
 import time
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -93,12 +93,14 @@ class ExperimentConfig:
     from the margin-inflated config.  Set ``pilot_amplitude`` above one to
     boost pilot power relative to unit-power data symbols.
 
-    Construction refuses a repeated ``n_pilots`` or ``snr_db`` entry, whose
-    cells would run again with the same trials.  It checks the receiver and
-    solver rules and builds the parts that own the rest: the channel model,
-    the waveform (``AfdmParams``), the radar constants and every pilot
-    count's layout (``PilotScheme.uniform``), whose observations must hold
-    the support.
+    Construction checks every field against its declared type, also for
+    ``from_dict``: ``int`` takes any integral number and ``float`` any real
+    one, never a bool; a tuple field takes one value or a non-empty list,
+    tuple or array.  It refuses ``n_pilots`` or ``snr_db`` entries that
+    would rerun the same trials, checks the receiver and solver rules and
+    builds the parts that own the rest: the channel model, the waveform
+    (``AfdmParams``), the radar constants and every pilot count's layout
+    (``PilotScheme.uniform``), whose observations must hold the support.
     """
 
     n: int
@@ -128,6 +130,15 @@ class ExperimentConfig:
     include_cpp_in_duration: bool = False
 
     def __post_init__(self) -> None:
+        for name, hint in _HINTS.items():
+            value = getattr(self, name)
+            if not _type_ok(value, hint):
+                declared = self.__dataclass_fields__[name].type
+                raise ValueError(f"config field {name!r} must be {declared}, got {value!r}")
+            if isinstance(value, np.generic):  # to_dict and the hash take Python numbers
+                object.__setattr__(self, name, value.item())
+        object.__setattr__(self, "n_pilots", tuple(int(v) for v in _entries(self.n_pilots)))
+        object.__setattr__(self, "snr_db", tuple(float(v) for v in _entries(self.snr_db)))
         if self.receiver not in ("fullrate", "subnyquist"):
             raise ValueError(f"unknown receiver {self.receiver!r}")
         if self.solver not in ("hihtp", "htp"):
@@ -148,17 +159,16 @@ class ExperimentConfig:
             raise ValueError(
                 f"pilot_amplitude must be finite and nonzero, got {self.pilot_amplitude}"
             )
-        pilots = _as_tuple(self.n_pilots, "n_pilots", numbers.Integral, 1, "positive integers")
-        object.__setattr__(self, "n_pilots", tuple(map(int, pilots)))
-        snrs = _as_tuple(self.snr_db, "snr_db", numbers.Real, -math.inf, "finite numbers")
-        object.__setattr__(self, "snr_db", tuple(map(float, snrs)))
-        for name in ("n_pilots", "snr_db"):  # a repeated entry would run its cells again
+        # entries with one trial key would run the same trials again
+        for name, key in (("n_pilots", int), ("snr_db", _snr_key)):
             values = getattr(self, name)
-            repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
-            if repeated is not None:
-                raise ValueError(f"{name} repeats the entry {repeated!r}")
-        for snr_db in self.snr_db:  # refuses an SNR whose noise variance overflows
-            NoiseConfig.from_snr_db(snr_db)
+            keys = [key(v) for v in values]  # refuses an SNR that has no trial key
+            for i, v in enumerate(values):
+                twin = next((u for u, k in zip(values, keys[:i]) if k == keys[i]), None)
+                if twin == v:
+                    raise ValueError(f"{name} repeats the entry {v!r}")
+                if twin is not None:
+                    raise ValueError(f"{name} entries {twin!r} and {v!r} share one trial key")
         # f_s_hz reports the reduced train's rate; another layout needs a higher one
         if self.receiver == "subnyquist" and self.overlap_mode != "reduced":
             raise ValueError("the sub-Nyquist receiver needs overlap_mode 'reduced'")
@@ -238,14 +248,12 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ValueError(f"a config must be an object of fields, got {type(doc).__name__}")
-        hints = typing.get_type_hints(cls)
-        extra = set(doc) - set(hints)
+        extra = set(doc) - set(_HINTS)
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
-        for name, value in doc.items():
-            if not _json_type_ok(value, hints[name]):
-                declared = cls.__dataclass_fields__[name].type
-                raise ValueError(f"config field {name!r} must be {declared}, got {value!r}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+        if missing:
+            raise ValueError(f"missing config fields: {missing}")
         return cls(**doc)
 
     @classmethod
@@ -254,28 +262,27 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
-def _json_type_ok(value, hint) -> bool:
-    """Whether a decoded JSON value fits a config field's annotation."""
+_HINTS = typing.get_type_hints(ExperimentConfig)
+
+
+def _type_ok(value, hint) -> bool:
+    """Whether a value fits a config field's annotation."""
     args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:  # a list of numbers, or one number
-        items = value if isinstance(value, (list, tuple)) else [value]
-        return all(_json_type_ok(v, args[0]) for v in items)
+    if typing.get_origin(hint) is tuple:
+        items = _entries(value)
+        return bool(items) and all(_type_ok(v, args[0]) for v in items)
     if args:  # an optional field
-        return any(_json_type_ok(value, a) for a in args)
-    # a JSON boolean is no number, although Python's bool is an int
-    numeric = (int, float) if hint is float else hint
-    return isinstance(value, numeric) and (hint is bool or not isinstance(value, bool))
+        return any(_type_ok(value, a) for a in args)
+    # Python's bool is an int, but no config number
+    kind = {int: numbers.Integral, float: numbers.Real}.get(hint, hint)
+    return isinstance(value, kind) and (hint is bool or not isinstance(value, bool))
 
 
-def _as_tuple(value, name: str, kind: type, low: float, what: str) -> tuple:
-    """One value or a list, tuple or array of them, each a finite ``kind`` of
-    at least ``low``; as in ``from_dict``, a bool is no number."""
-    items = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else (value,)
-    if not items or not all(
-        isinstance(v, kind) and not isinstance(v, bool) and low <= v < math.inf for v in items
-    ):
-        raise ValueError(f"{name} must be one or more {what}, got {value!r}")
-    return items
+def _entries(value) -> list:
+    """A tuple field's entries: the items of a list, tuple or array, or the one value."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
 @dataclass
@@ -302,9 +309,16 @@ class ResultRecord:
     master_seed: int
 
 
+def _snr_key(snr_db: float) -> int:
+    """An SNR's part of its trials' RNG key, in thousandths of a dB; SNRs with
+    one key run the same trials.  Outside its range a key is negative or infinite."""
+    if not -1048.576 <= snr_db <= 1e300:
+        raise ValueError(f"snr_db entries must lie in [-1048.576, 1e300], got {snr_db!r}")
+    return int(round(snr_db * 1000)) + (1 << 20)
+
+
 def _trial_rng(cfg: ExperimentConfig, n_p: int, snr_db: float, trial: int) -> np.random.Generator:
-    snr_key = int(round(snr_db * 1000)) + (1 << 20)
-    return np.random.default_rng([cfg.master_seed, n_p, snr_key, trial])
+    return np.random.default_rng([cfg.master_seed, n_p, _snr_key(snr_db), trial])
 
 
 def _support_matches(alpha_hat: np.ndarray, truth: np.ndarray) -> bool:
@@ -669,20 +683,14 @@ def pilot_overhead(waveform: str, parameters: dict) -> int:
 
 
 def records_to_csv_str(records: list[ResultRecord]) -> str:
-    """Stable-order CSV text; floats use shortest round-trip formatting."""
+    """Stable-order CSV text; the csv module writes floats in shortest round-trip form."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in records:
         doc = asdict(rec)
-        writer.writerow([_cell(doc[c]) for c in CSV_COLUMNS])
+        writer.writerow([doc[c] for c in CSV_COLUMNS])
     return buf.getvalue()
-
-
-def _cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
 
 
 def emit_report(records: list[ResultRecord], fmt: str, out_path) -> str:

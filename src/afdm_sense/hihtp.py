@@ -385,21 +385,17 @@ def _parallel_classes(a, gram, comp_cols):
     return label
 
 
-def _as_columns(op) -> _Columns:
-    # the pursuit hands every refit a _Columns, so that is checked first
-    if isinstance(op, _Columns):
-        return op
-    if hasattr(op, "columns"):
-        return op.columns
-    return _Columns.from_dense(op)
-
-
-def _operator_columns(op, n_blocks, block_size):
+def _as_columns(op, block_size: int | None = None) -> tuple[_Columns, int, int]:
+    """The column structure of an operator or a bare matrix, with its grid
+    ``(n_blocks, block_size)``: the operator's own, or ``block_size``
+    columns a block, which must divide the matrix's columns."""
     if hasattr(op, "columns"):
         return op.columns, op.l_taps, op.block_size
-    if n_blocks is None or block_size is None:
-        raise ValueError("n_blocks and block_size are required with a bare matrix")
-    return _as_columns(op), n_blocks, block_size
+    cols = _Columns.from_dense(op)
+    ncols = cols.shape[1]
+    if block_size is None or block_size < 1 or ncols % block_size:
+        raise ValueError(f"block_size must divide the {ncols} matrix columns, got {block_size}")
+    return cols, ncols // block_size, block_size
 
 
 def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarray:
@@ -435,7 +431,8 @@ def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarr
 
     The first two equal the SVD solve to round-off.
     """
-    cols = _as_columns(matrix)
+    # the pursuit hands every refit its _Columns
+    cols = matrix if isinstance(matrix, _Columns) else _as_columns(matrix, 1)[0]
     m, ncols = cols.shape
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (m,):
@@ -533,21 +530,20 @@ def hihtp_recover(
     s_block: int,
     s_entry: int,
     k_max: int = 20,
-    n_blocks: int | None = None,
     block_size: int | None = None,
 ) -> RecoveryResult:
     """Hierarchical hard thresholding pursuit.
 
-    ``op`` is a MeasurementOperator or a bare matrix (then ``n_blocks``
-    and ``block_size`` are required).  The column structure the pursuit
-    runs on is built with the operator, or derived once per call for a
-    bare matrix.  Stops when the selected support
+    ``op`` is a MeasurementOperator or a bare matrix (then ``block_size``
+    is required and must divide its column count).  The column structure
+    the pursuit runs on is built with the operator, or derived once per
+    call for a bare matrix.  Stops when the selected support
     repeats or after ``k_max`` iterations; the estimate is hierarchically
     sparse with exact zeros off the support.  Once the supports cycle, the
     iterations left to ``k_max`` are read off the cycle rather than
     recomputed, with the same result as the full ``k_max`` iterations.
     """
-    cols, nb, bs = _operator_columns(op, n_blocks, block_size)
+    cols, nb, bs = _as_columns(op, block_size)
     return _pursuit(
         cols,
         y,
@@ -561,9 +557,8 @@ def htp_recover(
     y,
     s: int,
     k_max: int = 20,
-    n_blocks: int | None = None,
     block_size: int | None = None,
 ) -> RecoveryResult:
     """Classical pursuit baseline with flat top-s thresholding."""
-    cols, nb, bs = _operator_columns(op, n_blocks, block_size)
+    cols, nb, bs = _as_columns(op, block_size)
     return _pursuit(cols, y, lambda g: flat_threshold(g, nb, bs, s), k_max)

@@ -107,7 +107,7 @@ class PilotScheme:
                 f"contiguous=True needs overlap_mode 'disjoint', got {overlap_mode!r}"
             )
         if n_pilots < 1:
-            raise ValueError(f"at least one pilot is required, got {n_pilots}")
+            raise ValueError(f"at least one pilot is required, got n_pilots={n_pilots}")
         width = (l_taps - 1) * chirp_num + 2 * q_max + 1
         stride = (l_taps - 1) * chirp_num + 1
         if overlap_mode == "reduced":

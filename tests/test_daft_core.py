@@ -110,6 +110,12 @@ def test_cpp_zero_length_identity():
     assert np.array_equal(cpp_extend(s, params), s)
 
 
+def test_cpp_of_whole_frame():
+    params = AfdmParams(n=8, chirp_num=1, cpp_len=8)
+    s = np.arange(8, dtype=complex)
+    assert np.array_equal(cpp_extend(s, params), np.concatenate([s, s]))
+
+
 def test_cpp_roundtrip_exact():
     params = AfdmParams(n=16, chirp_num=1, cpp_len=5)
     rng = np.random.default_rng(3)
@@ -174,6 +180,9 @@ def test_params_validation():
         AfdmParams(n=8, chirp_sign=2)
     with pytest.raises(ValueError):
         AfdmParams(n=8, cpp_len=-1)
+    # the prefix copies the frame's tail, so it is at most the frame
+    with pytest.raises(ValueError, match=r"prefix length must lie in \[0, n = 8\], got 9"):
+        AfdmParams(n=8, cpp_len=9)
 
 
 def test_length_mismatch_raises():

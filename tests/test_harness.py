@@ -125,6 +125,44 @@ def test_config_rejects_wrong_json_types(field, value):
         ExperimentConfig.from_dict([doc])
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", 2.5), ("n", 64.0), ("cpp_len", 4.0), ("k_max", 3.5), ("master_seed", 1.5),
+     ("trials", True), ("contiguous", 1), ("chirp_num", 2.5), ("margin", "0.5")],
+)
+def test_constructor_applies_the_type_rule(field, value):
+    # a config built in Python goes through the rule a JSON config does, so
+    # none of these reaches a sweep
+    with pytest.raises(ValueError, match=f"config field '{field}' must be"):
+        small_config(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("k_max", 3.5), ("snr_db", []), ("model", None)])
+def test_from_dict_and_constructor_refuse_alike(field, value):
+    doc = {**small_config().to_dict(), field: value}
+    with pytest.raises(ValueError) as by_dict:
+        ExperimentConfig.from_dict(doc)
+    with pytest.raises(ValueError) as by_constructor:
+        ExperimentConfig(**doc)
+    assert str(by_dict.value) == str(by_constructor.value)
+    assert str(by_dict.value).startswith(f"config field '{field}' must be")
+
+
+def test_numpy_scalars_are_kept_as_python_numbers():
+    cfg = small_config(n=np.int64(64), pilot_amplitude=np.float32(2.0), n_pilots=np.array([4, 5]))
+    assert type(cfg.n) is int and type(cfg.pilot_amplitude) is float
+    assert cfg.n_pilots == (4, 5)
+    # the hash reads the Python numbers, as a JSON config gives them
+    assert cfg.config_hash() == small_config(pilot_amplitude=2.0, n_pilots=[4, 5]).config_hash()
+
+
+def test_from_dict_names_missing_fields():
+    doc = small_config().to_dict()
+    del doc["model"], doc["l_taps"]
+    with pytest.raises(ValueError, match=r"missing config fields: \['l_taps', 'model'\]$"):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(receiver="analog")
@@ -144,13 +182,13 @@ def test_config_validation():
     small_config(overlap_mode="disjoint", contiguous=True)
     with pytest.raises(ValueError, match="n_pilots"):
         small_config(n_pilots=(4, 0))
-    # the type rule of from_dict: integers for n_pilots and real numbers for
-    # snr_db, never a bool or a string, one value or a list of them
+    # the one type rule: integers for n_pilots and real numbers for snr_db,
+    # never a bool or a string, one value or a list of them
     for n_pilots in ((4.7,), 4.7, [True, 4], "4"):
-        with pytest.raises(ValueError, match="n_pilots must be one or more positive integers"):
+        with pytest.raises(ValueError, match="config field 'n_pilots' must be tuple"):
             small_config(n_pilots=n_pilots)
     for snr_db in ("20", True, [20.0, False], None):
-        with pytest.raises(ValueError, match="snr_db must be one or more finite numbers"):
+        with pytest.raises(ValueError, match="config field 'snr_db' must be tuple"):
             small_config(snr_db=snr_db)
     cfg = small_config(n_pilots=np.int64(4), snr_db=[np.float32(20.0), 25])
     assert (cfg.n_pilots, cfg.snr_db) == ((4,), (20.0, 25.0))
@@ -167,9 +205,12 @@ def test_config_validation():
         (dict(n_pilots=[4, np.int64(4)]), "n_pilots repeats the entry 4$"),
         (dict(snr_db=(20.0, 20)), r"snr_db repeats the entry 20\.0$"),
         (dict(snr_db=(0.0, 10.0, -0.0)), r"snr_db repeats the entry -0\.0$"),
+        # SNRs are keyed in thousandths of a dB
+        (dict(snr_db=[20.0, 20.0004]), r"snr_db entries 20\.0 and 20\.0004 share one trial key$"),
     ]:
         with pytest.raises(ValueError, match=match):
             small_config(**overrides)
+    assert small_config(snr_db=[20.0, 20.001]).snr_db == (20.0, 20.001)
     with pytest.raises(ValueError, match="k_max"):
         small_config(k_max=0)
     with pytest.raises(ValueError, match="htp_sparsity"):
@@ -178,9 +219,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="htp_sparsity"):
         small_config(solver="htp", htp_sparsity=16)
     assert small_config(solver="htp", htp_sparsity=15).htp_sparsity == 15
-    for snr in (float("nan"), float("inf"), float("-inf")):
+    # outside [-1048.576, 1e300] dB a trial key is negative or not finite
+    for snr in (float("nan"), float("inf"), float("-inf"), -1048.577, 1e306):
         with pytest.raises(ValueError, match="snr_db"):
             small_config(snr_db=(20.0, snr))
+    assert small_config(snr_db=[-1048.576, 1e300]).snr_db == (-1048.576, 1e300)
     for amplitude in (float("nan"), float("inf"), 0.0):
         with pytest.raises(ValueError, match="pilot_amplitude"):
             small_config(pilot_amplitude=amplitude)
@@ -205,10 +248,13 @@ def test_config_validation():
         # l_taps = 3 needs a prefix of at least 2 samples
         (dict(cpp_len=1), "cpp_len"),
         (dict(cpp_len=0), "cpp_len"),
+        # the prefix copies the frame's tail, so the waveform refuses one longer than the frame
+        (dict(cpp_len=100), r"prefix length must lie in \[0, n = 64\], got 100"),
     ]:
         with pytest.raises(ValueError, match=match):
             small_config(**overrides)
     assert small_config(cpp_len=2).afdm_params().cpp_len == 2
+    assert small_config(cpp_len=64).afdm_params().cpp_len == 64
     # a huge finite margin saturates the sparsity levels instead of overflowing
     assert small_config(margin=1e308).sparsity().sparsity_levels() == (3, 5)
     with pytest.raises(ValueError, match="snr_db"):
@@ -777,6 +823,7 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         ["run", {"margin": float("inf")}],
         ["run", {"margin": float("nan")}],
         ["run", {"snr_db": [-4000.0]}],
+        ["run", {"snr_db": [20.0, 20.0004]}],
         # every trial's channel would refuse a prefix shorter than l_taps - 1 = 2
         ["run", {"cpp_len": 0}],
         ["run", {"overlap_mode": "foo"}],
@@ -793,8 +840,9 @@ def test_cli_errors_are_reported(tmp_path, capsys):
     ],
     ids=["pilots", "taps", "q-max", "chirp-num", "otfs-grid", "nan-bandwidth", "inf-bandwidth",
          "rate-pilots", "rate-chirp-num", "run-one-pilot", "run-htp-sparsity", "run-inf-margin",
-         "run-nan-margin", "run-snr-overflow", "run-short-prefix", "run-unknown-overlap-mode",
-         "run-disjoint-subnyquist", "run-reduced-contiguous", "run-uncertified",
+         "run-nan-margin", "run-snr-overflow", "run-snr-trial-key", "run-short-prefix",
+         "run-unknown-overlap-mode", "run-disjoint-subnyquist", "run-reduced-contiguous",
+         "run-uncertified",
          "ofdm-q-max", "ofdm-chirp-num", "otfs-pilots"],
 )
 def test_cli_rejects_out_of_range_inputs(argv, capsys, tmp_path):
@@ -806,6 +854,16 @@ def test_cli_rejects_out_of_range_inputs(argv, capsys, tmp_path):
     assert not (tmp_path / "out.csv").exists()
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and not captured.out
+
+
+def test_cli_names_missing_fields(capsys, tmp_path):
+    doc = small_config().to_dict()
+    del doc["model"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 1
+    assert not (tmp_path / "out.csv").exists()
+    assert capsys.readouterr().err == "error: missing config fields: ['model']\n"
 
 
 def test_support_rate_counts_true_set_size():

@@ -725,9 +725,9 @@ def test_adversarial_instance_separates_hihtp_from_htp():
     matrix = np.stack([col_a, col_a, col_b, np.array([0, 0, 1, 0], dtype=complex)], axis=1)
     truth = np.array([1.0, 0.0, 0.5, 0.0], dtype=complex)  # blocks (0,) and (1,)
     y = matrix @ truth
-    hier = hihtp_recover(matrix, y, 2, 1, n_blocks=2, block_size=2)
+    hier = hihtp_recover(matrix, y, 2, 1, block_size=2)
     assert np.linalg.norm(hier.alpha - truth) < 1e-10
-    flat = htp_recover(matrix, y, 2, n_blocks=2, block_size=2)
+    flat = htp_recover(matrix, y, 2, block_size=2)
     assert np.linalg.norm(flat.alpha - truth) > 0.1
 
 
@@ -740,8 +740,13 @@ def test_flat_threshold_examples():
 
 
 def test_bare_matrix_requires_grid():
-    with pytest.raises(ValueError, match="n_blocks"):
-        hihtp_recover(np.eye(4, dtype=complex), np.zeros(4, dtype=complex), 1, 1)
+    matrix, y = np.eye(4, dtype=complex), np.zeros(4, dtype=complex)
+    with pytest.raises(ValueError, match="block_size must divide the 4 matrix columns, got None"):
+        hihtp_recover(matrix, y, 1, 1)
+    # the block count is the column count over block_size, which must divide it
+    for block_size in (3, 0):
+        with pytest.raises(ValueError, match=f"block_size must divide .*, got {block_size}$"):
+            htp_recover(matrix, y, 1, block_size=block_size)
 
 
 def test_kmax_validated():
@@ -763,8 +768,8 @@ def test_pursuit_is_scale_invariant(solver, c):
 
     def recover(m, obs):
         if solver == "hihtp":
-            return hihtp_recover(m, obs, 2, 1, n_blocks=4, block_size=3)
-        return htp_recover(m, obs, 2, n_blocks=4, block_size=3)
+            return hihtp_recover(m, obs, 2, 1, block_size=3)
+        return htp_recover(m, obs, 2, block_size=3)
 
     base = recover(matrix, y)
     assert base.iterations == 3
