@@ -98,9 +98,12 @@ class ExperimentConfig:
     one, never a bool; a tuple field takes one value or a non-empty list,
     tuple or array.  It refuses ``n_pilots`` or ``snr_db`` entries that
     would rerun the same trials, checks the receiver and solver rules and
-    builds the parts that own the rest: the channel model, the waveform
-    (``AfdmParams``), the radar constants and every pilot count's layout
-    (``PilotScheme.uniform``), whose observations must hold the support.
+    builds, once, the parts that own the rest and that the sweep runs on:
+    the channel model, the waveform (``AfdmParams``), the radar constants
+    and every pilot count's layout (``PilotScheme.uniform``), whose
+    observations must hold the support.  Last, it refuses a field that the
+    run does not read unless the field keeps its default, since it would
+    give one run two hashes.
     """
 
     n: int
@@ -174,63 +177,68 @@ class ExperimentConfig:
             raise ValueError("the sub-Nyquist receiver needs overlap_mode 'reduced'")
         if self.cpp_len is not None and self.cpp_len < self.l_taps - 1:  # the channel refuses it
             raise ValueError(f"cpp_len {self.cpp_len} is below l_taps - 1 = {self.l_taps - 1}")
-        # the channel model, waveform, radar constants and pilot layouts
-        # refuse what they cannot describe
-        params = self.afdm_params()
-        self.radar_config()
-        support = _support_size(self, self.sparsity().sparsity_levels())
+        # build each part of the run once; each refuses what it cannot describe
+        def part(cls, **resolved):
+            # a part takes the config fields of its own field names, but those resolved here
+            return cls(**{f.name: getattr(self, f.name) for f in fields(cls)} | resolved)
+
+        sparsity = part(SparsityConfig)
+        levels = sparsity.sparsity_levels()
+        chirp_num = self.chirp_num
+        if chirp_num is None:
+            chirp_num = select_chirp_rate(self.l_taps, self.q_max, *sparsity.mean_sparsity_levels())
+        cpp_len = self.l_taps - 1 if self.cpp_len is None else self.cpp_len
+        params = part(AfdmParams, chirp_num=chirp_num, cpp_len=cpp_len)
+        radar = part(RadarConfig, cpp_len=cpp_len)
+        # entries of every support the solver selects
+        support = levels[0] * levels[1]
+        if self.solver == "htp" and self.htp_sparsity is not None:
+            support = self.htp_sparsity
+        schemes = {}
         for n_p in self.n_pilots:
-            scheme = self.pilot_scheme(n_p)
-            rows = len(observation_index_set(scheme, params, self.l_taps, self.q_max))
+            schemes[n_p] = PilotScheme.uniform(
+                self.n, n_p, self.l_taps, self.q_max, chirp_num,
+                chirp_sign=self.chirp_sign, amplitude=self.pilot_amplitude,
+                overlap_mode=self.overlap_mode, contiguous=self.contiguous,
+            )
+            rows = len(observation_index_set(schemes[n_p], params, self.l_taps, self.q_max))
             if rows < support:  # every trial's refit would refuse it
                 raise ValueError(
                     f"n_pilots={n_p} gives {rows} observations, fewer than the "
                     f"{support} entries of the {self.solver} support"
                 )
+        # a field the run does not read would give one run two hashes
+        for name, unread, reader in (
+            ("htp_sparsity", self.solver != "htp", "solver 'htp'"),
+            ("p_doppler", self.model == "type3", "model 'type1' or 'type2'"),
+            ("cluster_len", self.model != "type3", "model 'type3'"),
+            ("include_cpp_in_duration", self.receiver != "subnyquist", "receiver 'subnyquist'"),
+        ):
+            value = getattr(self, name)
+            if unread and value != self.__dataclass_fields__[name].default:
+                raise ValueError(f"{name} is read only with {reader}, got {value!r}")
+        # kept off the fields, so to_dict, equality and the hash never see them
+        vars(self).update(
+            _sparsity=sparsity, _levels=levels, _support=support, _params=params,
+            _radar=radar, _schemes=schemes,
+        )
 
-    # -- derived pieces -------------------------------------------------
+    # -- the parts built at construction ---------------------------------
 
     def sparsity(self) -> SparsityConfig:
-        return SparsityConfig(
-            model=self.model,
-            l_taps=self.l_taps,
-            q_max=self.q_max,
-            p_delay=self.p_delay,
-            p_doppler=self.p_doppler,
-            cluster_len=self.cluster_len,
-            margin=self.margin,
-        )
+        return self._sparsity
 
     def resolved_chirp_num(self) -> int:
-        if self.chirp_num is not None:
-            return self.chirp_num
-        s_d, s_dop = self.sparsity().mean_sparsity_levels()
-        return select_chirp_rate(self.l_taps, self.q_max, s_d, s_dop)
+        return self._params.chirp_num
 
     def afdm_params(self) -> AfdmParams:
-        cpp = self.cpp_len if self.cpp_len is not None else self.l_taps - 1
-        return AfdmParams(
-            n=self.n,
-            chirp_num=self.resolved_chirp_num(),
-            chirp_sign=self.chirp_sign,
-            c2=self.c2,
-            cpp_len=cpp,
-        )
+        return self._params
 
     def pilot_scheme(self, n_p: int) -> PilotScheme:
-        return PilotScheme.uniform(
-            self.n, n_p, self.l_taps, self.q_max, self.resolved_chirp_num(),
-            chirp_sign=self.chirp_sign, amplitude=self.pilot_amplitude,
-            overlap_mode=self.overlap_mode, contiguous=self.contiguous,
-        )
+        return self._schemes[n_p]
 
     def radar_config(self) -> RadarConfig:
-        return RadarConfig(
-            bandwidth_hz=self.bandwidth_hz,
-            n=self.n,
-            cpp_len=self.afdm_params().cpp_len,
-            include_cpp_in_duration=self.include_cpp_in_duration,
-        )
+        return self._radar
 
     def config_hash(self) -> str:
         doc = json.dumps(self.to_dict(), sort_keys=True)
@@ -329,13 +337,6 @@ def _support_matches(alpha_hat: np.ndarray, truth: np.ndarray) -> bool:
     return not on.any() or bool(mags[on].min() > (1 + 1e-9) * mags[~on].max(initial=0.0))
 
 
-def _support_size(cfg: ExperimentConfig, levels: tuple[int, int]) -> int:
-    """Entries of every support the solver selects."""
-    if cfg.solver == "htp" and cfg.htp_sparsity is not None:
-        return cfg.htp_sparsity
-    return levels[0] * levels[1]
-
-
 def _run_trial(cfg, sparsity, levels, op, s_cpp, noise, rng):
     """One trial as a generator of three stages: it yields after the profile
     draw and again after the receiver, and returns ``(error, match,
@@ -357,7 +358,7 @@ def _run_trial(cfg, sparsity, levels, op, s_cpp, noise, rng):
     if cfg.solver == "hihtp":
         result = hihtp_recover(op, y_p, levels[0], levels[1], k_max=cfg.k_max)
     else:
-        result = htp_recover(op, y_p, _support_size(cfg, levels), k_max=cfg.k_max)
+        result = htp_recover(op, y_p, cfg._support, k_max=cfg.k_max)
     err = float(np.linalg.norm(result.alpha - truth) ** 2)
     return err, _support_matches(result.alpha, truth), result.iterations
 
@@ -539,8 +540,6 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     """
     workers = min(_worker_count(), cfg.trials)
     params = cfg.afdm_params()
-    sparsity = cfg.sparsity()
-    levels = sparsity.sparsity_levels()
     chash = cfg.config_hash()
     cells: list[_Cell] = []
     for n_p in cfg.n_pilots:
@@ -589,7 +588,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
             try:
                 rng = _trial_rng(cfg, cell.n_p, cell.snr_db, index)
                 live[index] = _run_trial(
-                    cfg, sparsity, levels, cell.op, cell.s_cpp, cell.noise, rng
+                    cfg, cfg.sparsity(), cfg._levels, cell.op, cell.s_cpp, cell.noise, rng
                 )
             except Exception:
                 _log_failure(index, cell)
@@ -621,7 +620,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
                     l_taps=cfg.l_taps,
                     q_max=cfg.q_max,
                     p_delay=cfg.p_delay,
-                    p_doppler=sparsity.p_doppler,
+                    p_doppler=cfg.sparsity().p_doppler,
                     n_pilots=cell.n_p,
                     snr_db=cell.snr_db,
                     mse=float(errs.mean()),

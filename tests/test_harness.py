@@ -19,8 +19,10 @@ from afdm_sense import (
     run_monte_carlo,
 )
 from afdm_sense import cli, harness, hihtp
-from afdm_sense.channel import doppler_phase
-from afdm_sense.subnyquist import _fold_tables
+from afdm_sense.channel import SparsityConfig, doppler_phase
+from afdm_sense.daft_core import AfdmParams
+from afdm_sense.sensing_model import PilotScheme
+from afdm_sense.subnyquist import RadarConfig, _fold_tables
 from afdm_sense.cli import main as cli_main
 
 
@@ -242,6 +244,8 @@ def test_config_validation():
         (dict(p_delay=1.0), "p_delay"),
         (dict(model="type2", p_doppler=0.0), "p_doppler"),
         (dict(model="type2", p_doppler=1.0), "p_doppler"),
+        # the part that owns a field refuses it before an unread field is
+        (dict(cluster_len=9, p_doppler=0.3), "cluster_len must lie in"),
         (dict(n=63), "frame length"),
         (dict(chirp_sign=2), "chirp sign"),
         (dict(chirp_num=0), "chirp numerator"),
@@ -262,6 +266,72 @@ def test_config_validation():
     with pytest.raises(ValueError, match="noise variance"):
         NoiseConfig(float("inf"))
     assert NoiseConfig.from_snr_db(4000.0).sigma_w2 == 0.0
+
+
+# each overrides a config that does not read the field; its hash is the
+# one the config had before such fields were refused, so the rows a config
+# wrote with the field at its default keep their name
+@pytest.mark.parametrize(
+    "field, value, overrides, reader, chash",
+    [
+        ("htp_sparsity", 5, {}, "solver 'htp'", "c27d3ac53a37"),
+        ("p_doppler", 0.3, dict(solver="htp"), "model 'type1' or 'type2'", "f07199c1e0ca"),
+        ("cluster_len", 3, dict(model="type2", p_doppler=0.3, cluster_len=None), "model 'type3'",
+         "416d47115228"),
+        ("include_cpp_in_duration", True, dict(overlap_mode="reduced", n_pilots=(6,)),
+         "receiver 'subnyquist'", "43147fc23832"),
+    ],
+)
+def test_unread_field_is_refused(field, value, overrides, reader, chash):
+    # a field the run does not read would change the hash of the same rows
+    with pytest.raises(ValueError, match=f"^{field} is read only with {reader}, got {value!r}$"):
+        small_config(**{**overrides, field: value})
+    assert small_config(**overrides).config_hash() == chash
+
+
+# the benchmark workloads' configs; both of their CSVs carry the hash
+BENCHMARK_CONFIGS = {
+    "paper_sweep": {
+        "n": 4096, "l_taps": 30, "q_max": 7, "model": "type1", "p_delay": 0.2,
+        "p_doppler": 0.2, "margin": 1.5, "trials": 100, "n_pilots": [8, 16, 32],
+        "snr_db": [20.0], "pilot_amplitude": 25.0, "cpp_len": 64,
+    },
+    "subnyquist_snr": {
+        "n": 4096, "l_taps": 8, "q_max": 3, "model": "type2", "p_delay": 0.3,
+        "p_doppler": 0.3, "trials": 100, "n_pilots": [255], "snr_db": [10.0, 20.0, 30.0],
+        "overlap_mode": "reduced", "receiver": "subnyquist",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "workload, chash", [("paper_sweep", "f16a5ba03b6f"), ("subnyquist_snr", "09f84cb3f824")]
+)
+def test_benchmark_config_hashes_are_pinned(workload, chash):
+    doc = {**BENCHMARK_CONFIGS[workload], "master_seed": 20260809}
+    assert ExperimentConfig.from_dict(doc).config_hash() == chash
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(n_pilots=(4, 5)), dict(receiver="subnyquist", overlap_mode="reduced", n_pilots=(6, 7))],
+    ids=["fullrate", "subnyquist"],
+)
+def test_config_builds_each_part_once(monkeypatch, overrides):
+    # the sweep runs on the parts its config built and builds none again;
+    # the trials run here, where the counts are seen
+    monkeypatch.setenv("AFDM_SENSE_THREADS", "1")
+    doc = small_config(trials=5, snr_db=(10.0, 20.0), **overrides).to_dict()
+    built = dict.fromkeys([SparsityConfig, AfdmParams, RadarConfig, PilotScheme], 0)
+    for cls in built:
+        def counting(self, cls=cls, original=cls.__post_init__):
+            built[cls] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    records = run_monte_carlo(ExperimentConfig.from_dict(doc))
+    assert [r.trials_ok for r in records] == [5] * 4
+    assert built == {SparsityConfig: 1, AfdmParams: 1, RadarConfig: 1, PilotScheme: 2}
 
 
 @pytest.mark.parametrize(
@@ -819,6 +889,8 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         # a dict overrides the small config; one pilot gives fewer observations than the support
         ["run", {"n_pilots": [4, 1]}],
         ["run", {"solver": "htp", "htp_sparsity": 1000}],
+        # the default solver does not read htp_sparsity
+        ["run", {"htp_sparsity": 5}],
         # json writes and reads these as Infinity and NaN
         ["run", {"margin": float("inf")}],
         ["run", {"margin": float("nan")}],
@@ -839,7 +911,8 @@ def test_cli_errors_are_reported(tmp_path, capsys):
          "--n-pilots", "-3"],
     ],
     ids=["pilots", "taps", "q-max", "chirp-num", "otfs-grid", "nan-bandwidth", "inf-bandwidth",
-         "rate-pilots", "rate-chirp-num", "run-one-pilot", "run-htp-sparsity", "run-inf-margin",
+         "rate-pilots", "rate-chirp-num", "run-one-pilot", "run-htp-sparsity",
+         "run-unread-htp-sparsity", "run-inf-margin",
          "run-nan-margin", "run-snr-overflow", "run-snr-trial-key", "run-short-prefix",
          "run-unknown-overlap-mode", "run-disjoint-subnyquist", "run-reduced-contiguous",
          "run-uncertified",
