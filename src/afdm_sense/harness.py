@@ -51,7 +51,7 @@ from .sensing_model import (
     extract_measurements,
     observation_index_set,
 )
-from .subnyquist import RadarConfig, _fold_tables, dechirp_decimate_receive, sampling_rate
+from .subnyquist import RadarConfig, dechirp_decimate_receive, decimation_plan, sampling_rate
 
 __all__ = [
     "ExperimentConfig",
@@ -210,6 +210,8 @@ class ExperimentConfig:
         # a field the run does not read would give one run two hashes
         for name, unread, reader in (
             ("htp_sparsity", self.solver != "htp", "solver 'htp'"),
+            ("margin", self.solver == "htp" and self.htp_sparsity is not None,
+             "htp_sparsity unset"),
             ("p_doppler", self.model == "type3", "model 'type1' or 'type2'"),
             ("cluster_len", self.model != "type3", "model 'type3'"),
             ("include_cpp_in_duration", self.receiver != "subnyquist", "receiver 'subnyquist'"),
@@ -283,7 +285,14 @@ def _type_ok(value, hint) -> bool:
         return any(_type_ok(value, a) for a in args)
     # Python's bool is an int, but no config number
     kind = {int: numbers.Integral, float: numbers.Real}.get(hint, hint)
-    return isinstance(value, kind) and (hint is bool or not isinstance(value, bool))
+    if not isinstance(value, kind) or (hint is not bool and isinstance(value, bool)):
+        return False
+    if hint in (int, float):
+        try:  # every config number converts to a float, as the run's arithmetic needs
+            float(value)
+        except OverflowError:
+            return False
+    return True
 
 
 def _entries(value) -> list:
@@ -568,7 +577,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
             },
         )
         if cfg.receiver == "subnyquist":
-            _fold_tables(scheme, params, cfg.l_taps, cfg.q_max)
+            decimation_plan(scheme, params, cfg.l_taps, cfg.q_max)
             f_s = sampling_rate(n_p, cfg.l_taps, params.chirp_num, cfg.radar_config()).f_s_hz
         else:
             f_s = cfg.bandwidth_hz

@@ -37,9 +37,9 @@ conditioning certificate (the largest singular value over all components
 divided by the smallest, infinite when a component has more columns than
 rows or a zero singular value) picks one batched solve of the normal
 equations where it is small, and a dense least-squares solve where it is
-not (see ``restricted_least_squares``), which a sweep refuses; only these
-operators compute it.  All paths give the same solution to round-off (see
-``_GRAM_COND_MAX``).
+not (see ``restricted_least_squares``), which a sweep refuses; a scaling
+operator's certificate comes from its column norms, without an SVD.  All
+paths give the same solution to round-off (see ``_GRAM_COND_MAX``).
 
 All tie-breaks go to the lowest index so identical inputs produce
 identical supports.
@@ -47,8 +47,9 @@ identical supports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -203,25 +204,25 @@ class _Columns:
     built on the delay-Doppler grid these are the paper's residue classes of
     the window shift ``q - chirp_sign P l``: taken mod ``(L-1) P + 1`` when a
     reduced pilot train wraps the frame, and unreduced for spread disjoint
-    pilots; acceptance criterion 5 checks this.  ``per_comp`` counts each
-    component's distinct rows and ``local`` gives every hit's position among
-    its component's rows in increasing order; padding points one past the
-    most rows of any component.  ``slot`` is every column's position among
-    its component's columns.
+    pilots; acceptance criterion 5 checks this.  ``slot`` is every column's
+    position among its component's columns.
 
-    ``cond`` is the conditioning certificate: the largest singular value of
-    any component's block over the smallest, infinite when a component has
-    more columns than rows or a zero singular value.  It is computed on
-    first read, which the build makes only when ``alias`` is None.  ``gram``
-    holds each component's Gram block ``A_c^H A_c`` indexed by ``slot``,
-    padded with zeros to the widest component, and ``cell`` every column's
-    position in the flattened (component, slot) layout; ``diag`` is every
-    column's Gram diagonal entry, its squared norm.  ``alias`` is set when
-    every pair of columns within a component is orthogonal or parallel, and
-    parallelism partitions them into classes: it gives every column the
-    ``cell`` of its class's first column; otherwise it is None.  ``refit``
-    names the refit path taken for this operator: ``"scale"``, ``"solve"`` or
-    ``"svd"`` (see ``restricted_least_squares``).
+    ``gram`` holds each component's Gram block ``A_c^H A_c`` indexed by
+    ``slot``, padded with zeros to the widest component, and ``cell`` every
+    column's position in the flattened (component, slot) layout; ``diag`` is
+    every column's Gram diagonal entry, its squared norm, and ``eye`` the
+    identity of one Gram block.  ``alias`` is set when every pair of columns
+    within a component is orthogonal or parallel, and parallelism partitions
+    them into classes: it gives every column the ``cell`` of its class's
+    first column; otherwise it is None.  ``cond`` is the conditioning
+    certificate: the largest singular value of any component's block over
+    the smallest, infinite when a component has more columns than rows or a
+    zero singular value.  The build computes it from what it already holds:
+    with ``alias`` set the singular values are the column norms, unless a
+    class holds two columns, so no SVD is taken; otherwise it takes one
+    batched SVD of the component blocks it scattered for the Gram.
+    ``refit`` names the refit path taken for this operator: ``"scale"``,
+    ``"solve"`` or ``"svd"`` (see ``restricted_least_squares``).
     """
 
     def __init__(self, m: int, rows, vals) -> None:
@@ -249,57 +250,47 @@ class _Columns:
         # distinct (component, row) keys; np.unique would import numpy.ma on first use
         keys = np.sort(self.comp[col] * (m + 1) + row)
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        self.per_comp = np.bincount(keys // (m + 1), minlength=int(self.comp.max(initial=-1)) + 1)
-        first = np.cumsum(self.per_comp) - self.per_comp
-        depth = int(self.per_comp.max(initial=1))  # one all-padding row when nothing hits
-        self.local = np.full((ncols, width), depth, dtype=np.int64)
+        # every component's distinct rows, and every hit's position among its
+        # component's rows in increasing order; padding points one past the most
+        per_comp = np.bincount(keys // (m + 1), minlength=int(self.comp.max(initial=-1)) + 1)
+        first = np.cumsum(per_comp) - per_comp
+        depth = int(per_comp.max(initial=1))  # one all-padding row when nothing hits
+        local = np.full((ncols, width), depth, dtype=np.int64)
         hit_comp = self.comp[col]
-        self.local[col, pos] = np.searchsorted(keys, hit_comp * (m + 1) + row) - first[hit_comp]
+        local[col, pos] = np.searchsorted(keys, hit_comp * (m + 1) + row) - first[hit_comp]
 
-        comp_cols = np.bincount(self.comp, minlength=len(self.per_comp))
+        comp_cols = np.bincount(self.comp, minlength=len(per_comp))
         order = np.argsort(self.comp, kind="stable")
         self.slot = np.empty(ncols, dtype=np.int64)
         self.slot[order] = np.arange(ncols) - (np.cumsum(comp_cols) - comp_cols)[self.comp[order]]
-        a = self._blocks()
-        slots = a.shape[2]
+        # every component's block, one spare row taking the padding hits; it
+        # stays zero, as do the slots past a smaller component's columns
+        slots = int(self.slot.max(initial=0)) + 1
+        a = np.zeros((len(per_comp), depth + 1, slots), dtype=np.complex128)
+        a[self.comp[:, None], local, self.slot[:, None]] = self.vals
         self.cell = self.comp * slots + self.slot
         self.gram = np.einsum("crj,crk->cjk", a.conj(), a)
         self.diag = np.diagonal(self.gram, axis1=1, axis2=2).real.reshape(-1)[self.cell]
+        self.eye = np.eye(slots)
         label = _parallel_classes(a, self.gram, comp_cols)
         self.alias = None if label is None else self.comp * slots + label[self.comp, self.slot]
         if self.alias is not None:
+            # orthogonal classes of parallel columns: a class of two or more
+            # columns, or a zero column, leaves a zero singular value, and
+            # otherwise the singular values are the column norms
+            lo = self.diag.min(initial=np.inf)
+            single = lo > 0.0 and np.array_equal(self.alias, self.cell)
+            self.cond = math.sqrt(self.diag.max(initial=0.0) / lo) if single else np.inf
             self.refit = "scale"
-        elif self.cond <= _GRAM_COND_MAX:  # a NaN certificate excluded
-            self.refit = "solve"
         else:
-            self.refit = "svd"
-
-    def _blocks(self) -> np.ndarray:
-        """Every component's block, one spare row taking the padding hits; it
-        stays zero, as do the slots past a smaller component's columns."""
-        n_comp, depth = len(self.per_comp), int(self.per_comp.max(initial=1))
-        a = np.zeros((n_comp, depth + 1, int(self.slot.max(initial=0)) + 1), dtype=np.complex128)
-        a[self.comp[:, None], self.local, self.slot[:, None]] = self.vals
-        return a
-
-    @cached_property
-    def cond(self) -> float:
-        # computed on first read, from the blocks scattered again: a "scale"
-        # operator's sweep never reads it and so never takes the batched SVD
-        a = self._blocks()
-        n_comp = len(a)
-        comp_cols = np.bincount(self.comp, minlength=n_comp)
-        # a padded block's singular values are its own plus zeros, so a
-        # full-column-rank component's smallest is at index (columns - 1)
-        s = np.linalg.svd(a, compute_uv=False)
-        tall = np.all(self.per_comp >= comp_cols)
-        s_min = s[np.arange(n_comp), comp_cols - 1].min(initial=np.inf) if tall else 0.0
-        return float(s[:, 0].max(initial=0.0) / s_min) if s_min > 0.0 else np.inf
-
-    @cached_property
-    def eye(self) -> np.ndarray:
-        # the identity a "solve" refit puts off the support, made once per operator
-        return np.eye(self.gram.shape[1])
+            # a padded block's singular values are its own plus zeros, so a
+            # full-column-rank component's smallest is at index (columns - 1)
+            s = np.linalg.svd(a, compute_uv=False)
+            tall = np.all(per_comp >= comp_cols)
+            s_min = s[np.arange(len(a)), comp_cols - 1].min(initial=np.inf) if tall else 0.0
+            self.cond = float(s[:, 0].max(initial=0.0) / s_min) if s_min > 0.0 else np.inf
+            # a NaN certificate takes the SVD
+            self.refit = "solve" if self.cond <= _GRAM_COND_MAX else "svd"
 
     @classmethod
     def from_dense(cls, matrix) -> "_Columns":

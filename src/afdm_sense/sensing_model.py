@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class PilotScheme:
     values: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        # tuples keep the scheme hashable, as the per-scheme caches need
+        # tuples keep the scheme hashable, as the de-chirp plan's cache needs
         object.__setattr__(self, "positions", tuple(self.positions))
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.positions) == 0:
@@ -68,7 +68,7 @@ class PilotScheme:
             raise ValueError("positions and values must have equal length")
         if len(set(self.positions)) != len(self.positions):
             raise ValueError("pilot positions must be distinct")
-        # the per-scheme caches hash the scheme on every lookup: hash it once
+        # that cache hashes the scheme on every lookup, once per trial: hash it once
         object.__setattr__(self, "_hash", hash((self.positions, self.values)))
 
     def __hash__(self) -> int:
@@ -140,11 +140,10 @@ def window_offsets(params: AfdmParams, l_taps: int, q_max: int) -> np.ndarray:
     return np.arange(min(ends), max(ends) + 1)
 
 
-@lru_cache(maxsize=64)
 def observation_index_set(
     scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int
 ) -> np.ndarray:
-    """Sorted union of the per-pilot observation windows (cached, read-only).
+    """Sorted union of the per-pilot observation windows (read-only).
 
     Refuses a pilot position outside ``[0, n)``: distinct positions in range
     put distinct pilots on distinct rows of every operator column.

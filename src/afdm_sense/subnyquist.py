@@ -7,8 +7,8 @@ k mod K; when the observed bins have distinct residues mod K, as a
 circular interval of length at most K has, a K-point DFT recovers the
 observed samples at a fraction of the full rate.  K is the smallest
 divisor of the frame length no smaller than the observation count.
-The receiver's tables for an observation set (the decimated chirp, the
-folded bins and their scale) are computed once and cached.
+The plan of an observation set holds the receiver's tables (the decimated
+chirp, the folded bins and their scale); ``decimation_plan`` caches it.
 """
 
 from __future__ import annotations
@@ -91,6 +91,9 @@ class DecimationPlan(NamedTuple):
     n_observed: int
     k_points: int
     decimation: int
+    first: np.ndarray  # the zero-th chirp at every decimation-th sample
+    bins: np.ndarray  # every observed bin's residue mod K
+    scale: np.ndarray  # the second chirp at the observed bins, times decimation / sqrt(n)
 
 
 @lru_cache(maxsize=64)
@@ -102,42 +105,23 @@ def decimation_plan(
     K is the smallest divisor of the frame length that is at least the
     observation count; the emulated receiver then keeps one sample in
     every n / K, so it samples at ``K / T``, at least the minimal rate
-    ``sampling_rate`` gives.  The plan is cached; bins sharing a residue
-    mod K raise.
+    ``sampling_rate`` gives.  The plan, with the receiver's read-only
+    tables, is cached; bins sharing a residue mod K raise.
     """
     indices = observation_index_set(scheme, params, l_taps, q_max)
     n = params.n
     k_points = next(k for k in range(len(indices), n + 1) if n % k == 0)
+    bins = indices % k_points
     # sort and compare neighbours: np.unique would import numpy.ma on first use
-    folded = np.sort(indices % k_points)
+    folded = np.sort(bins)
     if np.any(folded[1:] == folded[:-1]):
         raise ValueError("observation set folds with collisions at this rate")
-    return DecimationPlan(n_observed=len(indices), k_points=k_points, decimation=n // k_points)
-
-
-class _FoldTables(NamedTuple):
-    step: int
-    first: np.ndarray  # the zero-th chirp at every step-th sample
-    bins: np.ndarray  # every observed bin's residue mod K
-    scale: np.ndarray  # the second chirp at the observed bins, times step / sqrt(n)
-
-
-@lru_cache(maxsize=64)
-def _fold_tables(
-    scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int
-) -> _FoldTables:
-    """The receiver's tables for one observation set, fixed per sweep cell
-    (cached, read-only).  Refuses what ``observation_index_set`` and
-    ``decimation_plan`` refuse."""
-    indices = observation_index_set(scheme, params, l_taps, q_max)
-    plan = decimation_plan(scheme, params, l_taps, q_max)
-    step = plan.decimation
+    step = n // k_points
     first, second = _chirp_tables(params)
-    scale = second[indices] * (step / np.sqrt(params.n))
-    tables = _FoldTables(step, first[::step].copy(), indices % plan.k_points, scale)
-    for table in tables[1:]:
+    tables = (first[::step].copy(), bins, second[indices] * (step / np.sqrt(n)))
+    for table in tables:
         table.setflags(write=False)
-    return tables
+    return DecimationPlan(len(indices), k_points, step, *tables)
 
 
 def dechirp_decimate_receive(
@@ -165,12 +149,12 @@ def dechirp_decimate_receive(
         )
     # refuses positions outside the frame, and a colliding fold, before the
     # check below indexes by the positions
-    fold = _fold_tables(scheme, params, l_taps, q_max)
+    plan = decimation_plan(scheme, params, l_taps, q_max)
     if frame is not None:
         frame = np.asarray(frame, dtype=np.complex128)
         allowed = np.zeros(n, dtype=bool)
         allowed[np.asarray(scheme.positions)] = True
         if np.any(np.abs(frame[~allowed]) > 0):
             raise ValueError("data symbols present: the folded band would be corrupted")
-    spectrum = np.fft.fft(fold.first * r[:: fold.step])
-    return fold.scale * spectrum[fold.bins]
+    spectrum = np.fft.fft(plan.first * r[:: plan.decimation])
+    return plan.scale * spectrum[plan.bins]

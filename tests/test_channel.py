@@ -193,6 +193,9 @@ def test_apply_channel_prefix_too_short():
     s = cpp_extend(np.ones(16, dtype=complex), params)
     with pytest.raises(ValueError, match="prefix too short"):
         apply_channel(s, identity_profile(4, 1), params)
+    # noise of positive variance is drawn from a generator the caller passes
+    with pytest.raises(ValueError, match="rng required"):
+        apply_channel(s, identity_profile(1, 1), params, NoiseConfig(0.1))
 
 
 def test_noise_config_from_snr():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from afdm_sense import cli, harness, hihtp
 from afdm_sense.channel import SparsityConfig, doppler_phase
 from afdm_sense.daft_core import AfdmParams
 from afdm_sense.sensing_model import PilotScheme
-from afdm_sense.subnyquist import RadarConfig, _fold_tables
+from afdm_sense.subnyquist import RadarConfig, decimation_plan
 from afdm_sense.cli import main as cli_main
 
 
@@ -139,6 +140,22 @@ def test_constructor_applies_the_type_rule(field, value):
         small_config(**{field: value})
 
 
+# every field that holds numbers: each must convert to a float
+NUMERIC_FIELDS = [
+    name for name, hint in harness._HINTS.items()
+    if {int, float} & set(typing.get_args(hint) or (hint,))
+]
+
+
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_numbers_beyond_float_range_are_refused(field):
+    # a JSON integer of 401 digits is an int that no float holds
+    value = [10**400] if field in ("n_pilots", "snr_db") else 10**400
+    doc = {**small_config().to_dict(), field: value}
+    with pytest.raises(ValueError, match=rf"^config field '{field}' must be .*, got \[?1000"):
+        ExperimentConfig.from_dict(doc)
+
+
 @pytest.mark.parametrize("field, value", [("k_max", 3.5), ("snr_db", []), ("model", None)])
 def test_from_dict_and_constructor_refuse_alike(field, value):
     doc = {**small_config().to_dict(), field: value}
@@ -172,6 +189,8 @@ def test_config_validation():
         small_config(solver="omp")
     with pytest.raises(ValueError):
         small_config(trials=0)
+    with pytest.raises(ValueError, match="master_seed must be a non-negative integer"):
+        small_config(master_seed=-1)
     with pytest.raises(ValueError, match="overlap_mode must be one of"):
         small_config(overlap_mode="foo")
     # f_s_hz would report the reduced train's rate for a disjoint layout
@@ -198,6 +217,9 @@ def test_config_validation():
     # not fit the frame, or holds fewer observations than the support, is refused
     with pytest.raises(ValueError, match="100 pilots with spacing 0 do not fit"):
         small_config(n_pilots=(4, 100))
+    # 16 spread pilots sit 4 apart, closer than their windows of 2 + 5 bins
+    with pytest.raises(ValueError, match="disjoint windows of width 7 need spacing >= 7, got 4$"):
+        small_config(n_pilots=(16,))
     with pytest.raises(ValueError, match="n_pilots=1 gives 7 observations, fewer than the 9"):
         small_config(n_pilots=(4, 1))
     # every entry is one axis point of the sweep: a repeated one would run
@@ -280,6 +302,10 @@ def test_config_validation():
          "416d47115228"),
         ("include_cpp_in_duration", True, dict(overlap_mode="reduced", n_pilots=(6,)),
          "receiver 'subnyquist'", "43147fc23832"),
+        # the support is htp_sparsity, and the default chirp_num takes no margin
+        ("margin", 1.5, dict(model="type2", p_delay=0.3, p_doppler=0.3, cluster_len=None,
+                             master_seed=0, n_pilots=(6,), snr_db=(20.0,), cpp_len=None,
+                             solver="htp", htp_sparsity=4), "htp_sparsity unset", "4259bbb2fc41"),
     ],
 )
 def test_unread_field_is_refused(field, value, overrides, reader, chash):
@@ -460,17 +486,17 @@ def test_doppler_tables_warmed_once_per_sweep(monkeypatch):
 
 
 def test_second_sweep_reuses_the_fold_tables(monkeypatch):
-    # the sweep fills the receiver's tables once per pilot count before its
-    # trials, which only read them; trials run here, where the cache is seen
+    # the sweep fills the receiver's plan once per pilot count before its
+    # trials, which only read it; trials run here, where the cache is seen
     monkeypatch.setenv("AFDM_SENSE_THREADS", "1")
     cfg = small_config(
         trials=7, receiver="subnyquist", overlap_mode="reduced", n_pilots=(6, 7),
         snr_db=(10.0, 20.0),
     )
     first = run_monte_carlo(cfg)
-    before = _fold_tables.cache_info()
+    before = decimation_plan.cache_info()
     second = run_monte_carlo(cfg)
-    after = _fold_tables.cache_info()
+    after = decimation_plan.cache_info()
     assert after.misses == before.misses
     # one read per pilot count to fill, then one per trial
     assert after.hits - before.hits == 2 + 2 * 2 * 7
@@ -889,8 +915,14 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         # a dict overrides the small config; one pilot gives fewer observations than the support
         ["run", {"n_pilots": [4, 1]}],
         ["run", {"solver": "htp", "htp_sparsity": 1000}],
-        # the default solver does not read htp_sparsity
+        # the default solver does not read htp_sparsity, nor this one margin
         ["run", {"htp_sparsity": 5}],
+        ["run", {"solver": "htp", "htp_sparsity": 4, "margin": 1.5}],
+        # a 401-digit JSON integer converts to no float
+        ["run", {"c2": 10**400}],
+        ["run", {"master_seed": -1}],
+        # 16 spread pilots are closer than their windows are wide
+        ["run", {"n_pilots": [16]}],
         # json writes and reads these as Infinity and NaN
         ["run", {"margin": float("inf")}],
         ["run", {"margin": float("nan")}],
@@ -912,7 +944,8 @@ def test_cli_errors_are_reported(tmp_path, capsys):
     ],
     ids=["pilots", "taps", "q-max", "chirp-num", "otfs-grid", "nan-bandwidth", "inf-bandwidth",
          "rate-pilots", "rate-chirp-num", "run-one-pilot", "run-htp-sparsity",
-         "run-unread-htp-sparsity", "run-inf-margin",
+         "run-unread-htp-sparsity", "run-unread-margin", "run-huge-c2", "run-negative-seed",
+         "run-spread-pilots", "run-inf-margin",
          "run-nan-margin", "run-snr-overflow", "run-snr-trial-key", "run-short-prefix",
          "run-unknown-overlap-mode", "run-disjoint-subnyquist", "run-reduced-contiguous",
          "run-uncertified",
@@ -926,7 +959,9 @@ def test_cli_rejects_out_of_range_inputs(argv, capsys, tmp_path):
     assert cli_main(argv) == 1
     assert not (tmp_path / "out.csv").exists()
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and not captured.out
+    # one error line, never a traceback
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not captured.out
 
 
 def test_cli_names_missing_fields(capsys, tmp_path):

@@ -15,6 +15,7 @@ from afdm_sense import (
     cpp_extend,
     daft_demodulate,
     data_slots,
+    decimation_plan,
     extract_measurements,
     idaft_modulate,
     load_operator,
@@ -64,6 +65,9 @@ def test_trivial_window():
     params = AfdmParams(n=16, chirp_num=1)
     scheme = PilotScheme(positions=(5,), values=(1.0,))
     assert observation_index_set(scheme, params, 1, 0).tolist() == [5]
+    # 8 delay shifts and 9 Dopplers span 17 bins of a 16-bin frame
+    with pytest.raises(ValueError, match="observation window of 17 exceeds the frame length 16"):
+        observation_index_set(scheme, params, 9, 4)
 
 
 def test_overlapping_windows_match_the_chain():
@@ -552,14 +556,14 @@ def test_scheme_hash_and_shared_cache_entry():
     assert hash(scheme) == hash((scheme.positions, scheme.values))
     changed = replace(scheme, values=(2.0,) * 255)
     assert hash(changed) == hash((changed.positions, changed.values)) != hash(scheme)
-    # an equal scheme built separately finds the first one's cache entry
+    # an equal scheme built separately finds the first one's de-chirp plan
     params = AfdmParams(n=4096, chirp_num=1, cpp_len=7)
-    first = observation_index_set(scheme, params, 8, 3)
+    first = decimation_plan(scheme, params, 8, 3)
     twin = PilotScheme(positions=list(scheme.positions), values=list(scheme.values))
     assert twin is not scheme and twin == scheme
-    before = observation_index_set.cache_info()
-    assert observation_index_set(twin, params, 8, 3) is first
-    after = observation_index_set.cache_info()
+    before = decimation_plan.cache_info()
+    assert decimation_plan(twin, params, 8, 3) is first
+    after = decimation_plan.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 

@@ -22,7 +22,6 @@ from afdm_sense import (
     sampling_rate,
 )
 from afdm_sense.daft_core import _chirp_tables
-from afdm_sense.subnyquist import _fold_tables
 
 
 def received_frame(scheme, params, l_taps, q_max, profile, noise=None, rng=None):
@@ -110,6 +109,8 @@ def test_cpp_accepted_and_stripped():
     y1 = dechirp_decimate_receive(r, scheme, params, l_taps, q_max)
     y2 = dechirp_decimate_receive(with_prefix, scheme, params, l_taps, q_max)
     assert np.array_equal(y1, y2)
+    with pytest.raises(ValueError, match=r"must have 64 or 66 samples, got \(65,\)"):
+        dechirp_decimate_receive(with_prefix[1:], scheme, params, l_taps, q_max)
 
 
 def test_colliding_fold_rejected():
@@ -174,9 +175,10 @@ def test_cached_fold_tables_give_the_uncached_bytes(chirp_sign, c2):
                 got = dechirp_decimate_receive(frame, scheme, params, l_taps, q_max)
                 ref = uncached_receive(frame, scheme, params, l_taps, q_max)
                 assert got.tobytes() == ref.tobytes()
-        fold = _fold_tables(scheme, params, l_taps, q_max)
-        assert fold.step == decimation_plan(scheme, params, l_taps, q_max).decimation
-        for table in fold[1:]:
+        # the receiver's tables are the plan's, computed once per observation set
+        plan = decimation_plan(scheme, params, l_taps, q_max)
+        assert decimation_plan(scheme, params, l_taps, q_max) is plan
+        for table in (plan.first, plan.bins, plan.scale):
             with pytest.raises(ValueError):
                 table[0] = 0
 
