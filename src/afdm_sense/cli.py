@@ -84,7 +84,7 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "overhead": _cmd_overhead, "rate": _cmd_rate}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

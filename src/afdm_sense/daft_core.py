@@ -36,7 +36,9 @@ __all__ = [
 class AfdmParams:
     """Waveform geometry: frame length, chirp rates and prefix length.
 
-    The first chirp rate is ``c1 = chirp_sign * chirp_num / (2 * n)``.
+    The first chirp rate is ``c1 = chirp_sign * chirp_num / (2 * n)``; on
+    integer sample indices ``chirp_num`` and ``chirp_num + 2 n`` give the
+    same chirp and the same index shifts, so it must lie in ``[1, 2 n)``.
     ``c2`` is a free finite real parameter (default 0); the index structure of
     all downstream operators does not depend on it.
     """
@@ -50,8 +52,8 @@ class AfdmParams:
     def __post_init__(self) -> None:
         if self.n <= 0 or self.n % 2 != 0:
             raise ValueError(f"frame length must be positive and even, got {self.n}")
-        if self.chirp_num < 1:
-            raise ValueError(f"chirp numerator must be >= 1, got {self.chirp_num}")
+        if not 1 <= self.chirp_num < 2 * self.n:
+            raise ValueError(f"chirp numerator must lie in [1, {2 * self.n}), got {self.chirp_num}")
         if self.chirp_sign not in (-1, 1):
             raise ValueError(f"chirp sign must be +1 or -1, got {self.chirp_sign}")
         if not 0 <= self.cpp_len <= self.n:
@@ -73,7 +75,8 @@ def _chirp_tables(params: AfdmParams) -> tuple[np.ndarray, np.ndarray]:
     """
     n = params.n
     idx = np.arange(n, dtype=np.int64)
-    frac = (params.chirp_sign * params.chirp_num * (idx * idx)) % (2 * n)
+    # idx^2 is reduced first, so the product stays below 4 n^2 and never wraps
+    frac = (params.chirp_sign * params.chirp_num * ((idx * idx) % (2 * n))) % (2 * n)
     first = np.exp(-1j * np.pi * frac / n)
     second = np.exp(-2j * np.pi * np.mod(params.c2 * (idx * idx), 1.0))
     first.setflags(write=False)

@@ -22,11 +22,8 @@ over the components, and the pursuit works in the coefficient domain: it
 gathers ``b = M^H y`` once per call and forms every gradient as
 ``alpha + step (b - G alpha)``, one batched product of the stored Gram
 blocks; the first gradient, from ``alpha = 0``, is ``step b``.  The refits
-take their right-hand side ``A_S^H y`` as ``b[S]``.  The residual trace is
-computed the first time it is read, from the refit estimates and a private
-copy of ``y``; each residual scatters the hits of the support's columns
-alone, and every other coefficient is exactly zero, so it equals the
-scatter of all columns bit for bit.
+take their right-hand side ``A_S^H y`` as ``b[S]``, so a pursuit forms no
+residual.
 
 The refit takes one of three paths, chosen once per operator at build.
 Where every pair of columns within a component is orthogonal or parallel,
@@ -49,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -122,36 +118,16 @@ class SupportSet:
         return bool(np.count_nonzero(counts) <= s_block and counts.max(initial=0) <= s_entry)
 
 
+@dataclass(eq=False)
 class RecoveryResult:
-    """Estimate (zero off its support), that support as flat indices, and the trace.
+    """What a pursuit computed: the estimate (zero off its support), that
+    support as flat indices, the iterations it counts and why it stopped,
+    ``"support_fixed"`` or ``"max_iter"``."""
 
-    ``residual_trace`` is given as a list, or as a function of no arguments
-    that returns it, called the first time the trace is read.  Until then a
-    pursuit's result holds what that function reads: the operator's column
-    structure, a copy of ``y`` and up to ``k_max`` refit estimates, all
-    released once the trace is read.  ``alpha`` is the result's own copy, so
-    changing it leaves the trace as it was.
-    """
-
-    def __init__(
-        self,
-        alpha: np.ndarray,
-        support: SupportSet,
-        iterations: int,
-        residual_trace,
-        converged_by: str,
-    ) -> None:
-        self.alpha = alpha
-        self.support = support
-        self.iterations = iterations
-        self._trace = residual_trace
-        self.converged_by = converged_by
-
-    @property
-    def residual_trace(self) -> list[float]:
-        if callable(self._trace):
-            self._trace = self._trace()
-        return self._trace
+    alpha: np.ndarray
+    support: SupportSet
+    iterations: int
+    converged_by: str
 
 
 def _check_grid(x: np.ndarray, n_blocks: int, block_size: int) -> None:
@@ -465,23 +441,13 @@ def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarr
     return z
 
 
-def _residual_trace(cols, y, history, start=0, replay=0) -> list[float]:
-    """``||y||``, then ``||y - M alpha||`` for every (support, alpha) in turn,
-    then ``replay`` more that repeat those from ``history[start]`` on in a cycle."""
-    norms = [float(np.linalg.norm(y - cols.matvec(alpha))) for _, alpha in history]
-    cycle = norms[start:]
-    return [float(np.linalg.norm(y))] + norms + [cycle[i % len(cycle)] for i in range(replay)]
-
-
 def _pursuit(cols, y, threshold, k_max):
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     m, ncols = cols.shape
-    # a private read-only copy: the trace is computed from it when first read
-    y = np.array(y, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
     if y.shape != (m,):
         raise ValueError(f"observation vector must have shape ({m},)")
-    y.flags.writeable = False
     # step ncols / ||M||_F^2 is the unit step after scaling the columns to unit
     # mean squared norm, the near-isometry the gradient iteration assumes
     step = ncols / cols.sq_norm if cols.sq_norm > 0.0 else 1.0
@@ -491,28 +457,24 @@ def _pursuit(cols, y, threshold, k_max):
     alpha = np.zeros(ncols, dtype=np.complex128)
     prev: SupportSet | None = None
     # after a refit the next support depends only on the refit support, so a
-    # support seen before starts a cycle that the remaining iterations replay;
-    # the trace reads every distinct refit from the history and expands the
-    # replay itself, so the result gets its own copy of the estimate
+    # support seen before starts a cycle that the remaining iterations replay
     history: list[tuple[SupportSet, np.ndarray]] = []
     seen: dict[SupportSet, int] = {}
-    trace = partial(_residual_trace, cols, y, history)
     for it in range(1, k_max + 1):
         # alpha is zero on the first iteration, where the Gram product adds nothing
         gradient = step * b if it == 1 else alpha + step * (b - cols.gram_matvec(alpha))
         support = threshold(gradient)
         if support == prev:
-            return RecoveryResult(alpha.copy(), support, it, trace, "support_fixed")
+            return RecoveryResult(alpha, support, it, "support_fixed")
         if support in seen:
-            start, r = seen[support], k_max - it
-            trace = partial(_residual_trace, cols, y, history, start, r + 1)
-            support, alpha = history[start + r % (len(history) - start)]
-            return RecoveryResult(alpha.copy(), support, k_max, trace, "max_iter")
+            start = seen[support]
+            support, alpha = history[start + (k_max - it) % (len(history) - start)]
+            return RecoveryResult(alpha, support, k_max, "max_iter")
         alpha = restricted_least_squares(cols, y, support, b)
         seen[support] = len(history)
         history.append((support, alpha))
         prev = support
-    return RecoveryResult(alpha.copy(), prev, k_max, trace, "max_iter")
+    return RecoveryResult(alpha, prev, k_max, "max_iter")
 
 
 def hihtp_recover(

@@ -322,14 +322,14 @@ def load_operator(path) -> tuple[np.ndarray, np.ndarray]:
     """
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != "afdm-sense operator v1":
-        raise ValueError(f"{path} is not an exported operator file")
-    if len(lines) < 4:
-        raise ValueError(f"{path}, line {len(lines) + 1}: the file ends inside the header")
 
     def error(lineno: int, reason: str) -> ValueError:
         return ValueError(f"{path}, line {lineno}: {reason}")
 
+    if not lines or lines[0] != "afdm-sense operator v1":
+        raise error(1, "not an exported operator file")
+    if len(lines) < 4:
+        raise error(len(lines) + 1, "the file ends inside the header")
     # the file is ASCII, so isdigit accepts exactly the non-negative integers
     shape = lines[2].split()
     if len(shape) != 4 or shape[0::2] != ["rows", "cols"] or not all(

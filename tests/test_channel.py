@@ -120,6 +120,16 @@ def test_vectorize_single_row_and_index_arithmetic():
     gains[1, 0] = 2j  # (l=1, q=-1) -> flat index 1*3 + 1 + (-1) = 3
     prof = devectorize_profile(gains.reshape(-1), 2, 1)
     assert np.array_equal(vectorize_profile(prof), np.array([0, 0, 0, 2j, 0, 0]))
+    with pytest.raises(ValueError, match=r"expected shape \(6,\), got \(5,\)"):
+        devectorize_profile(np.zeros(5), 2, 1)
+
+
+def test_profile_rejects_bad_grids():
+    with pytest.raises(ValueError, match="gains and mask must be 2-d arrays of equal shape"):
+        DelayDopplerProfile(np.zeros(3), np.zeros(3, bool), 1.0)
+    # the Doppler axis runs from -q_max to q_max
+    with pytest.raises(ValueError, match=r"Doppler dimension must be odd \(2 q_max \+ 1\)"):
+        DelayDopplerProfile(np.zeros((2, 4)), np.zeros((2, 4), bool), 1.0)
 
 
 def test_vectorize_roundtrip():
@@ -193,6 +203,8 @@ def test_apply_channel_prefix_too_short():
     s = cpp_extend(np.ones(16, dtype=complex), params)
     with pytest.raises(ValueError, match="prefix too short"):
         apply_channel(s, identity_profile(4, 1), params)
+    with pytest.raises(ValueError, match=r"prefixed frame must have shape \(17,\), got \(16,\)"):
+        apply_channel(s[1:], identity_profile(1, 1), params)
     # noise of positive variance is drawn from a generator the caller passes
     with pytest.raises(ValueError, match="rng required"):
         apply_channel(s, identity_profile(1, 1), params, NoiseConfig(0.1))
@@ -321,6 +333,9 @@ def test_chernoff_bound_value():
     assert chernoff_tail_bound(30, 0.2, 9) == pytest.approx(0.4296, abs=5e-4)
     assert chernoff_tail_bound(30, 0.2, 30) == pytest.approx(0.2**30)
     assert chernoff_tail_bound(30, 0.2, 31) == 0.0
+    for p in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="p must lie in"):
+            chernoff_tail_bound(30, p, 9)
 
 
 def test_empirical_delay_tail_matches_exact_binomial():

@@ -10,6 +10,7 @@ from afdm_sense import (
     idaft_modulate,
     select_chirp_rate,
 )
+from afdm_sense.daft_core import _chirp_tables
 
 
 def build_daft_operator(params):
@@ -163,6 +164,9 @@ def test_select_chirp_rate_is_smallest_and_clamped():
 
 
 def test_select_chirp_rate_validates():
+    for l_taps, q_max in ((0, 2), (4, -1)):
+        with pytest.raises(ValueError, match="l_taps must be >= 1 and q_max >= 0$"):
+            select_chirp_rate(l_taps, q_max, 1, 1)
     with pytest.raises(ValueError):
         select_chirp_rate(4, 2, 0, 1)
     with pytest.raises(ValueError):
@@ -176,6 +180,13 @@ def test_params_validation():
         AfdmParams(n=5)
     with pytest.raises(ValueError):
         AfdmParams(n=8, chirp_num=0)
+    # c1 acts on integer sample indices, so chirp_num and chirp_num + 2n give
+    # the same chirp; 2^63 overflowed the chirp table, and 2^40 at n = 6000
+    # wrapped its int64 product silently
+    for n, chirp_num in ((8, 16), (64, 2**63), (6000, 2**40)):
+        with pytest.raises(ValueError, match=rf"must lie in \[1, {2 * n}\), got {chirp_num}$"):
+            AfdmParams(n=n, chirp_num=chirp_num)
+    assert AfdmParams(n=8, chirp_num=15).c1 == 15 / 16
     with pytest.raises(ValueError):
         AfdmParams(n=8, chirp_sign=2)
     with pytest.raises(ValueError):
@@ -191,3 +202,17 @@ def test_length_mismatch_raises():
         idaft_modulate(np.zeros(7), params)
     with pytest.raises(ValueError):
         daft_demodulate(np.zeros(9), params)
+    with pytest.raises(ValueError, match=r"prefixed signal must have shape \(10,\), got \(9,\)"):
+        cpp_strip(np.zeros(9), AfdmParams(n=8, cpp_len=2))
+
+
+def test_chirp_table_is_exact_for_every_numerator():
+    # at n = 2e6 the numerator 2n - 1 times idx^2 exceeds int64; the table
+    # reduces idx^2 first, so its phases are the exact ones.  The table is
+    # built directly, so the cache keeps none of its 32 MB
+    n = 2_000_000
+    params = AfdmParams(n=n, chirp_num=2 * n - 1)
+    first = _chirp_tables.__wrapped__(params)[0]
+    idx = [1, n // 2 + 1, 1_700_001, n - 1]
+    exact = [(params.chirp_num * i * i) % (2 * n) for i in idx]
+    assert np.abs(first[idx] - np.exp(-1j * np.pi * np.array(exact) / n)).max() < 1e-12

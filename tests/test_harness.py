@@ -271,6 +271,12 @@ def test_config_validation():
         (dict(n=63), "frame length"),
         (dict(chirp_sign=2), "chirp sign"),
         (dict(chirp_num=0), "chirp numerator"),
+        # chirp_num and chirp_num + 2n give the same chirp
+        (dict(chirp_num=128), r"chirp numerator must lie in \[1, 128\), got 128$"),
+        (dict(chirp_num=2**63, l_taps=1), r"must lie in \[1, 128\), got 9223372036854775808$"),
+        (dict(model="type4"), "model must be one of .*, got 'type4'$"),
+        (dict(l_taps=0), "l_taps must be >= 1 and q_max >= 0$"),
+        (dict(q_max=-1), "l_taps must be >= 1 and q_max >= 0$"),
         # l_taps = 3 needs a prefix of at least 2 samples
         (dict(cpp_len=1), "cpp_len"),
         (dict(cpp_len=0), "cpp_len"),
@@ -279,6 +285,7 @@ def test_config_validation():
     ]:
         with pytest.raises(ValueError, match=match):
             small_config(**overrides)
+    assert small_config(chirp_num=127, l_taps=1).afdm_params().chirp_num == 127
     assert small_config(cpp_len=2).afdm_params().cpp_len == 2
     assert small_config(cpp_len=64).afdm_params().cpp_len == 64
     # a huge finite margin saturates the sparsity levels instead of overflowing
@@ -287,6 +294,8 @@ def test_config_validation():
         small_config(snr_db=(20.0, -4000.0))
     with pytest.raises(ValueError, match="noise variance"):
         NoiseConfig(float("inf"))
+    with pytest.raises(ValueError, match="snr_db must give a finite noise variance, got -4000.0$"):
+        NoiseConfig.from_snr_db(-4000.0)
     assert NoiseConfig.from_snr_db(4000.0).sigma_w2 == 0.0
 
 
@@ -935,6 +944,13 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         ["run", {"overlap_mode": "reduced", "contiguous": True}],
         # three pilots of a reduced train give components wider than their rows
         ["run", {"overlap_mode": "reduced", "n_pilots": [3]}],
+        ["run", {"model": "type4"}],
+        ["run", {"l_taps": 0}],
+        ["run", {"q_max": -1}],
+        # 2^63 overflowed the chirp table's int64 product
+        ["run", {"chirp_num": 2**63, "l_taps": 1}],
+        # a 2^50-sample frame exceeds the address space: the allocation fails at once
+        ["run", {"n": 2**50}],
         ["overhead", "ofdm", "--n-pilots-td", "4", "--n-pilots-fd", "8", "--n-symbols", "16",
          "--l-taps", "30", "--q-max", "-5"],
         ["overhead", "ofdm", "--n-pilots-td", "4", "--n-pilots-fd", "8", "--n-symbols", "16",
@@ -948,7 +964,8 @@ def test_cli_errors_are_reported(tmp_path, capsys):
          "run-spread-pilots", "run-inf-margin",
          "run-nan-margin", "run-snr-overflow", "run-snr-trial-key", "run-short-prefix",
          "run-unknown-overlap-mode", "run-disjoint-subnyquist", "run-reduced-contiguous",
-         "run-uncertified",
+         "run-uncertified", "run-unknown-model", "run-zero-taps", "run-negative-q-max",
+         "run-huge-chirp", "run-huge-frame",
          "ofdm-q-max", "ofdm-chirp-num", "otfs-pilots"],
 )
 def test_cli_rejects_out_of_range_inputs(argv, capsys, tmp_path):

@@ -756,6 +756,9 @@ def test_kmax_validated():
         hihtp_recover(op, np.zeros(op.shape[0], dtype=complex), 1, 1, k_max=0)
     with pytest.raises(ValueError, match=rf"must have shape \({op.shape[0]},\)"):
         hihtp_recover(op, np.zeros(op.shape[0] + 1, dtype=complex), 1, 1)
+    # a bare operator must be a matrix
+    with pytest.raises(ValueError, match="operator must be a matrix, got 1 dimensions"):
+        hihtp_recover(np.ones(4), np.zeros(4, dtype=complex), 1, 1, block_size=1)
 
 
 @pytest.mark.parametrize("c", [1e-3, 1e3])
@@ -780,7 +783,6 @@ def test_pursuit_is_scale_invariant(solver, c):
     assert scaled.support == base.support
     assert scaled.iterations == base.iterations
     assert np.linalg.norm(scaled.alpha - base.alpha) <= 1e-12 * np.linalg.norm(base.alpha)
-    np.testing.assert_allclose(scaled.residual_trace, c * np.array(base.residual_trace), rtol=1e-12)
 
 
 def reference_pursuit(cols, y, threshold, k_max):
@@ -788,24 +790,21 @@ def reference_pursuit(cols, y, threshold, k_max):
     step = cols.shape[1] / cols.sq_norm
     alpha = np.zeros(cols.shape[1], dtype=complex)
     residual = y
-    trace = [float(np.linalg.norm(y))]
     prev = None
     for it in range(1, k_max + 1):
         support = threshold(alpha + step * cols.rmatvec(residual))
         if support == prev:
-            return RecoveryResult(alpha, support, it, trace, "support_fixed")
+            return RecoveryResult(alpha, support, it, "support_fixed")
         alpha = restricted_least_squares(cols, y, support)
         residual = y - cols.matvec(alpha)
-        trace.append(float(np.linalg.norm(residual)))
         prev = support
-    return RecoveryResult(alpha, prev, k_max, trace, "max_iter")
+    return RecoveryResult(alpha, prev, k_max, "max_iter")
 
 
 def assert_same_result(got, ref):
     assert got.support == ref.support
     assert got.alpha.tobytes() == ref.alpha.tobytes()
     assert got.iterations == ref.iterations
-    assert got.residual_trace == ref.residual_trace
     assert got.converged_by == ref.converged_by
 
 
@@ -888,7 +887,6 @@ def test_max_iter_contract(paper_np8, k_max):
     res = hihtp_recover(op, observations[0], 15, 8, k_max=k_max)
     assert res.converged_by == "max_iter"
     assert res.iterations == k_max
-    assert len(res.residual_trace) == k_max + 1
     assert res.support.is_hierarchical(15, 8)
     off = np.ones(op.shape[1], dtype=bool)
     off[res.support.indices] = False
@@ -897,7 +895,7 @@ def test_max_iter_contract(paper_np8, k_max):
 
 def test_cycle_replay_holds_no_per_iteration_state(paper_np8):
     # a cycle is replayed to the cap by its start and length alone, so a huge
-    # k_max costs neither time nor memory until the trace is read
+    # k_max costs neither time nor memory
     op, observations = paper_np8
     tracemalloc.start()
     try:
@@ -913,10 +911,11 @@ def test_cycle_replay_holds_no_per_iteration_state(paper_np8):
     assert res.support == ref.support and res.alpha.tobytes() == ref.alpha.tobytes()
 
 
-def test_trace_is_computed_on_read(paper_np8, monkeypatch):
-    # no residual is formed until the trace is read, which then equals the
-    # trace of the pursuit forming every residual, from the observations and
-    # the estimate as they were at the call
+def test_pursuit_matches_reference_on_both_refits(paper_np8, monkeypatch):
+    # both pursuits, on the paper n_p=8 operator ("scale" refit) and on the
+    # sub-Nyquist one ("solve" refit), give the result of the pursuit
+    # computing every iteration, and form no residual doing so; the last two
+    # observations, pure noise, make both cycle on the "solve" refit
     calls = []
     matvec = _Columns.matvec
 
@@ -926,7 +925,10 @@ def test_trace_is_computed_on_read(paper_np8, monkeypatch):
 
     op, observations = paper_np8
     sub = subnyquist_operator()
+    assert (op.columns.refit, sub.columns.refit) == ("scale", "solve")
     y_sub = sub.columns.matvec((np.arange(56) % 5 == 0).astype(complex)) + 0.1
+    rng = np.random.default_rng(69)
+    noise = rng.standard_normal(sub.shape[0]) + 1j * rng.standard_normal(sub.shape[0])
     cases = [
         (op, observations[0], lambda g: hierarchical_threshold(g, 30, 15, 15, 8),
          lambda o, y: hihtp_recover(o, y, 15, 8)),
@@ -935,23 +937,21 @@ def test_trace_is_computed_on_read(paper_np8, monkeypatch):
         (sub, y_sub, lambda g: hierarchical_threshold(g, 8, 7, 6, 4),
          lambda o, y: hihtp_recover(o, y, 6, 4)),
         (sub, y_sub, lambda g: flat_threshold(g, 8, 7, 12), lambda o, y: htp_recover(o, y, 12)),
+        (sub, noise, lambda g: hierarchical_threshold(g, 8, 7, 6, 4),
+         lambda o, y: hihtp_recover(o, y, 6, 4)),
+        (sub, noise, lambda g: flat_threshold(g, 8, 7, 12), lambda o, y: htp_recover(o, y, 12)),
     ]
     monkeypatch.setattr(_Columns, "matvec", counting)
     results = []
     for operator, y, threshold, recover in cases:
-        kept = y.copy()
         calls.clear()
-        results.append(recover(operator, kept))
+        results.append(recover(operator, y))
         assert not calls
-        kept[:] = 0.0
-        alpha = results[-1].alpha.copy()
-        results[-1].alpha[:] = 0.0
-        ref = reference_pursuit(operator.columns, y, threshold, 20)
-        assert results[-1].residual_trace == ref.residual_trace
-        results[-1].alpha[:] = alpha
-        assert_same_result(results[-1], ref)
-    # the paper n_p=8 trials cycle, so their traces replay the cycle's residuals
-    assert [r.iterations for r in results[:2]] == [20, 20]
+        assert_same_result(results[-1], reference_pursuit(operator.columns, y, threshold, 20))
+    # the paper n_p=8 trials and the noise cycle, so their results are replayed
+    # from the cycle
+    assert [r.iterations for r in results] == [20, 20, 3, 2, 20, 20]
+    assert [r.converged_by for r in results[2:4]] == ["support_fixed"] * 2
 
 
 @pytest.mark.parametrize(

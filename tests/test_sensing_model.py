@@ -113,6 +113,10 @@ def test_pilot_frame_single_nonzero():
 def test_pilot_frame_rejects_distinct_violations():
     with pytest.raises(ValueError, match="distinct"):
         PilotScheme(positions=(3, 3), values=(1.0, 1.0))
+    with pytest.raises(ValueError, match="at least one pilot is required"):
+        PilotScheme(positions=(), values=())
+    with pytest.raises(ValueError, match="positions and values must have equal length"):
+        PilotScheme(positions=(3, 5), values=(1.0,))
 
 
 @pytest.mark.parametrize("n_pilots", [0, -1])
@@ -509,8 +513,12 @@ def _drop_last_index(lines):
         (lambda lines: lines[:5] + ["0 -1 1.0 0.0"], 6),
         (_drop_last_index, 4),
         (lambda lines: lines[:5] + ["0 1 1.0"], 6),
+        (lambda lines: ["afdm-sense operator v2"] + lines[1:], 1),
+        (lambda lines: lines[:2] + ["rows 4 columns 6"] + lines[3:], 3),
+        (lambda lines: lines[:3] + [lines[3] + " 1.5"] + lines[4:], 4),
     ],
-    ids=["negative-row", "truncated", "row-outside", "negative-col", "index-count", "short-entry"],
+    ids=["negative-row", "truncated", "row-outside", "negative-col", "index-count", "short-entry",
+         "wrong-first-line", "malformed-shape", "fractional-index"],
 )
 def test_load_operator_rejects_malformed_files(tmp_path, corrupt, lineno):
     params = AfdmParams(n=64, chirp_num=2, c2=0.11)

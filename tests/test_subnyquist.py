@@ -60,6 +60,9 @@ def test_radar_config_derived_quantities():
     assert cfg.max_delay_s(30) == pytest.approx(29 / 30e6)
     incl = RadarConfig(bandwidth_hz=30e6, n=4096, cpp_len=64, include_cpp_in_duration=True)
     assert incl.frame_duration_s == pytest.approx(4160 / 30e6)
+    for n, cpp_len in ((0, 0), (4096, -1)):
+        with pytest.raises(ValueError, match="frame length must be positive and prefix length >= 0"):
+            RadarConfig(bandwidth_hz=30e6, n=n, cpp_len=cpp_len)
 
 
 def test_no_decimation_equals_full_rate_exactly():
