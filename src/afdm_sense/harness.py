@@ -51,7 +51,7 @@ from .sensing_model import (
     extract_measurements,
     observation_index_set,
 )
-from .subnyquist import RadarConfig, dechirp_decimate_receive, decimation_plan, sampling_rate
+from .subnyquist import DecimationPlan, RadarConfig, dechirp_decimate_receive, sampling_rate
 
 __all__ = [
     "ExperimentConfig",
@@ -346,7 +346,7 @@ def _support_matches(alpha_hat: np.ndarray, truth: np.ndarray) -> bool:
     return not on.any() or bool(mags[on].min() > (1 + 1e-9) * mags[~on].max(initial=0.0))
 
 
-def _run_trial(cfg, sparsity, levels, op, s_cpp, noise, rng):
+def _run_trial(cfg, sparsity, levels, cell, rng):
     """One trial as a generator of three stages: it yields after the profile
     draw and again after the receiver, and returns ``(error, match,
     iterations)``.  The received frame is dropped before the second yield,
@@ -355,19 +355,17 @@ def _run_trial(cfg, sparsity, levels, op, s_cpp, noise, rng):
     profile = sample_profile(sparsity, rng)
     truth = vectorize_profile(profile)
     yield
-    received = apply_channel(s_cpp, profile, op.params, noise, rng)
-    if cfg.receiver == "subnyquist":
-        y_p = dechirp_decimate_receive(
-            received, op.scheme, op.params, cfg.l_taps, cfg.q_max
-        )
+    received = apply_channel(cell.s_cpp, profile, cell.op.params, cell.noise, rng)
+    if cell.plan is not None:
+        y_p = dechirp_decimate_receive(received, cell.plan)
     else:
-        y_p = extract_measurements(daft_demodulate(received, op.params), op.row_indices)
+        y_p = extract_measurements(daft_demodulate(received, cell.op.params), cell.op.row_indices)
     del received
     yield
     if cfg.solver == "hihtp":
-        result = hihtp_recover(op, y_p, levels[0], levels[1], k_max=cfg.k_max)
+        result = hihtp_recover(cell.op, y_p, levels[0], levels[1], k_max=cfg.k_max)
     else:
-        result = htp_recover(op, y_p, cfg._support, k_max=cfg.k_max)
+        result = htp_recover(cell.op, y_p, cfg._support, k_max=cfg.k_max)
     err = float(np.linalg.norm(result.alpha - truth) ** 2)
     return err, _support_matches(result.alpha, truth), result.iterations
 
@@ -528,6 +526,7 @@ class _Cell(typing.NamedTuple):
     n_p: int
     snr_db: float
     op: MeasurementOperator
+    plan: DecimationPlan | None  # the de-chirp receiver's, None at full rate
     s_cpp: np.ndarray
     noise: NoiseConfig
     overhead: int
@@ -576,14 +575,15 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
                 "chirp_num": params.chirp_num,
             },
         )
+        plan = None
+        f_s = cfg.bandwidth_hz
         if cfg.receiver == "subnyquist":
-            decimation_plan(scheme, params, cfg.l_taps, cfg.q_max)
+            # through the module, where a wrapper installed after import sees it
+            plan = subnyquist.decimation_plan(op)
             f_s = sampling_rate(n_p, cfg.l_taps, params.chirp_num, cfg.radar_config()).f_s_hz
-        else:
-            f_s = cfg.bandwidth_hz
         for snr_db in cfg.snr_db:
             noise = NoiseConfig.from_snr_db(snr_db)
-            cells.append(_Cell(n_p, snr_db, op, s_cpp, noise, overhead, f_s))
+            cells.append(_Cell(n_p, snr_db, op, plan, s_cpp, noise, overhead, f_s))
     for q in range(-cfg.q_max, cfg.q_max + 1):
         doppler_phase(cfg.n, q)
 
@@ -596,9 +596,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
         for index in range(start, stop):
             try:
                 rng = _trial_rng(cfg, cell.n_p, cell.snr_db, index)
-                live[index] = _run_trial(
-                    cfg, cfg.sparsity(), cfg._levels, cell.op, cell.s_cpp, cell.noise, rng
-                )
+                live[index] = _run_trial(cfg, cfg.sparsity(), cfg._levels, cell, rng)
             except Exception:
                 _log_failure(index, cell)
         while live:

@@ -59,7 +59,8 @@ class PilotScheme:
     values: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        # tuples keep the scheme hashable, as the de-chirp plan's cache needs
+        # tuples, not lists: a scheme built from lists then equals and hashes
+        # as the one built from tuples
         object.__setattr__(self, "positions", tuple(self.positions))
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.positions) == 0:
@@ -68,11 +69,6 @@ class PilotScheme:
             raise ValueError("positions and values must have equal length")
         if len(set(self.positions)) != len(self.positions):
             raise ValueError("pilot positions must be distinct")
-        # that cache hashes the scheme on every lookup, once per trial: hash it once
-        object.__setattr__(self, "_hash", hash((self.positions, self.values)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def n_pilots(self) -> int:

@@ -7,21 +7,20 @@ k mod K; when the observed bins have distinct residues mod K, as a
 circular interval of length at most K has, a K-point DFT recovers the
 observed samples at a fraction of the full rate.  K is the smallest
 divisor of the frame length no smaller than the observation count.
-The plan of an observation set holds the receiver's tables (the decimated
-chirp, the folded bins and their scale); ``decimation_plan`` caches it.
+``decimation_plan`` reads an operator's observation set once and holds the
+receiver's tables (the decimated chirp, the folded bins and their scale);
+a sweep builds one per pilot count and hands it to every trial.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .daft_core import AfdmParams, _chirp_tables
-from .sensing_model import PilotScheme, observation_index_set
+from .daft_core import _chirp_tables
 
 __all__ = [
     "RadarConfig",
@@ -76,11 +75,16 @@ def sampling_rate(n_pilots: int, l_taps: int, chirp_num: int, cfg: RadarConfig) 
     The rate is ``n_pilots ((l_taps - 1) chirp_num + 1) / T`` with ``T``
     taken from ``cfg``; the ratio is always quoted against the
     prefix-free frame duration, i.e. equals
-    ``n_pilots ((l_taps - 1) chirp_num + 1) / n``.
+    ``n_pilots ((l_taps - 1) chirp_num + 1) / n``.  A ``chirp_num`` or a
+    train that ``AfdmParams`` or ``PilotScheme.uniform`` refuses raises.
     """
-    if n_pilots < 1 or l_taps < 1 or chirp_num < 1:
-        raise ValueError("n_pilots, l_taps and chirp_num must all be >= 1")
+    if n_pilots < 1 or l_taps < 1:
+        raise ValueError("n_pilots and l_taps must both be >= 1")
+    if not 1 <= chirp_num < 2 * cfg.n:
+        raise ValueError(f"chirp numerator must lie in [1, {2 * cfg.n}), got {chirp_num}")
     per_frame = n_pilots * ((l_taps - 1) * chirp_num + 1)
+    if per_frame > cfg.n:
+        raise ValueError(f"{n_pilots} pilots need {per_frame} samples, more than n = {cfg.n}")
     return RateInfo(
         f_s_hz=per_frame / cfg.frame_duration_s,
         compression_ratio=per_frame / cfg.n,
@@ -94,21 +98,19 @@ class DecimationPlan(NamedTuple):
     first: np.ndarray  # the zero-th chirp at every decimation-th sample
     bins: np.ndarray  # every observed bin's residue mod K
     scale: np.ndarray  # the second chirp at the observed bins, times decimation / sqrt(n)
+    positions: tuple[int, ...]  # the only bins a pilot-only frame fills
 
 
-@lru_cache(maxsize=64)
-def decimation_plan(
-    scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int
-) -> DecimationPlan:
-    """Choose the folded DFT size for an observation set.
+def decimation_plan(op) -> DecimationPlan:
+    """Choose the folded DFT size for an operator's observation set.
 
     K is the smallest divisor of the frame length that is at least the
     observation count; the emulated receiver then keeps one sample in
     every n / K, so it samples at ``K / T``, at least the minimal rate
-    ``sampling_rate`` gives.  The plan, with the receiver's read-only
-    tables, is cached; bins sharing a residue mod K raise.
+    ``sampling_rate`` gives.  The plan holds the receiver's read-only
+    tables; bins sharing a residue mod K raise.
     """
-    indices = observation_index_set(scheme, params, l_taps, q_max)
+    indices, params = op.row_indices, op.params
     n = params.n
     k_points = next(k for k in range(len(indices), n + 1) if n % k == 0)
     bins = indices % k_points
@@ -121,40 +123,27 @@ def decimation_plan(
     tables = (first[::step].copy(), bins, second[indices] * (step / np.sqrt(n)))
     for table in tables:
         table.setflags(write=False)
-    return DecimationPlan(len(indices), k_points, step, *tables)
+    return DecimationPlan(len(indices), k_points, step, *tables, op.scheme.positions)
 
 
-def dechirp_decimate_receive(
-    r,
-    scheme: PilotScheme,
-    params: AfdmParams,
-    l_taps: int,
-    q_max: int,
-    frame=None,
-) -> np.ndarray:
+def dechirp_decimate_receive(r, plan: DecimationPlan, frame=None) -> np.ndarray:
     """Recover the observed samples from a decimated de-chirped frame.
 
-    Accepts the received frame with or without its prefix.  The frame must
-    be pilot-only; passing the transmitted frame via ``frame`` enables
-    that check.  Returns the same vector, in the same sorted order, that
-    full-rate demodulation followed by index gathering would produce.
+    Takes the prefix-free frame of ``n`` samples, as ``daft_demodulate``
+    does.  The frame must be pilot-only; passing the transmitted frame via
+    ``frame`` enables that check.  Returns the same vector, in the same
+    sorted order, that full-rate demodulation followed by index gathering
+    would produce.
     """
     r = np.asarray(r, dtype=np.complex128)
-    n = params.n
-    if r.shape == (n + params.cpp_len,):
-        r = r[params.cpp_len :]
-    elif r.shape != (n,):
+    n = plan.decimation * plan.k_points
+    if r.shape != (n,):
         raise ValueError(
-            f"received frame must have {n} or {n + params.cpp_len} samples, got {r.shape}"
+            f"received frame must have {n} samples, got {r.shape}; strip a prefix with cpp_strip"
         )
-    # refuses positions outside the frame, and a colliding fold, before the
-    # check below indexes by the positions
-    plan = decimation_plan(scheme, params, l_taps, q_max)
     if frame is not None:
-        frame = np.asarray(frame, dtype=np.complex128)
-        allowed = np.zeros(n, dtype=bool)
-        allowed[np.asarray(scheme.positions)] = True
-        if np.any(np.abs(frame[~allowed]) > 0):
+        off_pilot = np.delete(np.asarray(frame, dtype=np.complex128), plan.positions)
+        if np.any(np.abs(off_pilot) > 0):
             raise ValueError("data symbols present: the folded band would be corrupted")
     spectrum = np.fft.fft(plan.first * r[:: plan.decimation])
     return plan.scale * spectrum[plan.bins]

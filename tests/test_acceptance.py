@@ -25,6 +25,7 @@ from afdm_sense import (
     cpp_extend,
     daft_demodulate,
     dechirp_decimate_receive,
+    decimation_plan,
     empirical_sparsity_stats,
     extract_measurements,
     hierarchical_threshold,
@@ -264,9 +265,9 @@ def _subnyquist_case(n, l_taps, q_max, n_pilots, seed):
     received = apply_channel(s_cpp, profile, params)
     indices = observation_index_set(scheme, params, l_taps, q_max)
     y_full = extract_measurements(daft_demodulate(received, params), indices)
-    y_sub = dechirp_decimate_receive(received, scheme, params, l_taps, q_max, frame=frame)
-    rel = float(np.linalg.norm(y_sub - y_full) / np.linalg.norm(y_full))
     op = build_measurement_operator(scheme, params, l_taps, q_max)
+    y_sub = dechirp_decimate_receive(received, decimation_plan(op), frame=frame)
+    rel = float(np.linalg.norm(y_sub - y_full) / np.linalg.norm(y_full))
     s_d = int(profile.mask.any(axis=1).sum())
     s_dop = int(profile.mask.sum(axis=1).max())
     same_support = (

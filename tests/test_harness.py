@@ -19,11 +19,11 @@ from afdm_sense import (
     records_to_csv_str,
     run_monte_carlo,
 )
-from afdm_sense import cli, harness, hihtp
+from afdm_sense import cli, harness, hihtp, subnyquist
 from afdm_sense.channel import SparsityConfig, doppler_phase
 from afdm_sense.daft_core import AfdmParams
 from afdm_sense.sensing_model import PilotScheme
-from afdm_sense.subnyquist import RadarConfig, decimation_plan
+from afdm_sense.subnyquist import RadarConfig
 from afdm_sense.cli import main as cli_main
 
 
@@ -347,6 +347,26 @@ def test_benchmark_config_hashes_are_pinned(workload, chash):
     assert ExperimentConfig.from_dict(doc).config_hash() == chash
 
 
+# snr_db: (mse, support_rate, mean_iterations) of the subnyquist_snr
+# workload's sweep at the benchmark's master seed
+SUBNYQUIST_SWEEP_PIN = {
+    10.0: (0.09043370477883972, 0.75, 3.73),
+    20.0: (0.15054054672588843, 0.78, 3.69),
+    30.0: (0.04716619581278102, 0.84, 3.57),
+}
+
+
+def test_subnyquist_sweep_pinned():
+    doc = {**BENCHMARK_CONFIGS["subnyquist_snr"], "master_seed": 20260809}
+    got = {r.snr_db: r for r in run_monte_carlo(ExperimentConfig.from_dict(doc))}
+    assert sorted(got) == sorted(SUBNYQUIST_SWEEP_PIN)
+    for snr_db, (mse, support_rate, mean_iterations) in SUBNYQUIST_SWEEP_PIN.items():
+        rec = got[snr_db]
+        assert (rec.support_rate, rec.mean_iterations) == (support_rate, mean_iterations), snr_db
+        assert (rec.trials_ok, rec.trials_failed) == (100, 0), snr_db
+        assert rec.mse == pytest.approx(mse, rel=1e-12, abs=0.0), snr_db
+
+
 @pytest.mark.parametrize(
     "overrides",
     [dict(n_pilots=(4, 5)), dict(receiver="subnyquist", overlap_mode="reduced", n_pilots=(6, 7))],
@@ -494,22 +514,28 @@ def test_doppler_tables_warmed_once_per_sweep(monkeypatch):
     assert doppler_phase.cache_info().misses == 65
 
 
-def test_second_sweep_reuses_the_fold_tables(monkeypatch):
-    # the sweep fills the receiver's plan once per pilot count before its
-    # trials, which only read it; trials run here, where the cache is seen
+@pytest.mark.parametrize(
+    "overrides, planned",
+    [(dict(receiver="subnyquist", overlap_mode="reduced"), [6, 7]), ({}, [])],
+    ids=["subnyquist", "fullrate"],
+)
+def test_sweep_builds_one_plan_per_dechirp_pilot_count(monkeypatch, overrides, planned):
+    # the sweep builds each pilot count's plan from its operator before the
+    # trials, which only read it; counted through the module attribute, which
+    # is also what a wrapper installed after import replaces
     monkeypatch.setenv("AFDM_SENSE_THREADS", "1")
-    cfg = small_config(
-        trials=7, receiver="subnyquist", overlap_mode="reduced", n_pilots=(6, 7),
-        snr_db=(10.0, 20.0),
-    )
-    first = run_monte_carlo(cfg)
-    before = decimation_plan.cache_info()
-    second = run_monte_carlo(cfg)
-    after = decimation_plan.cache_info()
-    assert after.misses == before.misses
-    # one read per pilot count to fill, then one per trial
-    assert after.hits - before.hits == 2 + 2 * 2 * 7
-    assert records_to_csv_str(second) == records_to_csv_str(first)
+    cfg = small_config(trials=7, n_pilots=(6, 7), snr_db=(10.0, 20.0), **overrides)
+    reference = records_to_csv_str(run_monte_carlo(cfg))
+    original, ops = subnyquist.decimation_plan, []
+
+    def counting(op):
+        ops.append(op)
+        return original(op)
+
+    monkeypatch.setattr(subnyquist, "decimation_plan", counting)
+    records = run_monte_carlo(cfg)
+    assert [op.scheme.n_pilots for op in ops] == planned
+    assert records_to_csv_str(records) == reference
 
 
 def test_failed_trials_counted_not_fatal(monkeypatch):
@@ -921,6 +947,10 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         ["rate", "--n-pilots", "0", "--l-taps", "30", "--n", "4096", "--bandwidth-hz", "30e6"],
         ["rate", "--n-pilots", "16", "--l-taps", "30", "--chirp-num", "0", "--n", "4096",
          "--bandwidth-hz", "30e6"],
+        # a chirp numerator beyond [1, 2n), and a train longer than the frame
+        ["rate", "--n-pilots", "16", "--l-taps", "30", "--chirp-num", "10000", "--n", "4096",
+         "--bandwidth-hz", "30e6"],
+        ["rate", "--n-pilots", "5000", "--l-taps", "30", "--n", "4096", "--bandwidth-hz", "30e6"],
         # a dict overrides the small config; one pilot gives fewer observations than the support
         ["run", {"n_pilots": [4, 1]}],
         ["run", {"solver": "htp", "htp_sparsity": 1000}],
@@ -959,7 +989,7 @@ def test_cli_errors_are_reported(tmp_path, capsys):
          "--n-pilots", "-3"],
     ],
     ids=["pilots", "taps", "q-max", "chirp-num", "otfs-grid", "nan-bandwidth", "inf-bandwidth",
-         "rate-pilots", "rate-chirp-num", "run-one-pilot", "run-htp-sparsity",
+         "rate-pilots", "rate-chirp-num", "rate-huge-chirp", "rate-long-train", "run-one-pilot", "run-htp-sparsity",
          "run-unread-htp-sparsity", "run-unread-margin", "run-huge-c2", "run-negative-seed",
          "run-spread-pilots", "run-inf-margin",
          "run-nan-margin", "run-snr-overflow", "run-snr-trial-key", "run-short-prefix",

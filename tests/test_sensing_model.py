@@ -15,7 +15,6 @@ from afdm_sense import (
     cpp_extend,
     daft_demodulate,
     data_slots,
-    decimation_plan,
     extract_measurements,
     idaft_modulate,
     load_operator,
@@ -559,20 +558,15 @@ def test_list_built_scheme_matches_tuple_built():
     assert np.array_equal(op_lists.matrix, op_tuples.matrix)
 
 
-def test_scheme_hash_and_shared_cache_entry():
+def test_scheme_hash_follows_positions_and_values():
     scheme = PilotScheme.uniform(4096, 255, 8, 3, 1, overlap_mode="reduced")
     assert hash(scheme) == hash((scheme.positions, scheme.values))
     changed = replace(scheme, values=(2.0,) * 255)
     assert hash(changed) == hash((changed.positions, changed.values)) != hash(scheme)
-    # an equal scheme built separately finds the first one's de-chirp plan
-    params = AfdmParams(n=4096, chirp_num=1, cpp_len=7)
-    first = decimation_plan(scheme, params, 8, 3)
+    # an equal scheme built separately from lists compares and hashes equal
     twin = PilotScheme(positions=list(scheme.positions), values=list(scheme.values))
-    assert twin is not scheme and twin == scheme
-    before = decimation_plan.cache_info()
-    assert decimation_plan(twin, params, 8, 3) is first
-    after = decimation_plan.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert twin is not scheme and twin == scheme and hash(twin) == hash(scheme)
+    assert len({scheme: 0, twin: 1}) == 1
 
 
 def test_cached_arrays_are_read_only():

@@ -16,12 +16,17 @@ from afdm_sense import (
     extract_measurements,
     hihtp_recover,
     build_measurement_operator,
+    cpp_strip,
     idaft_modulate,
     observation_index_set,
     sample_profile,
     sampling_rate,
 )
 from afdm_sense.daft_core import _chirp_tables
+
+
+def plan_of(scheme, params, l_taps, q_max):
+    return decimation_plan(build_measurement_operator(scheme, params, l_taps, q_max))
 
 
 def received_frame(scheme, params, l_taps, q_max, profile, noise=None, rng=None):
@@ -52,6 +57,24 @@ def test_sampling_rate_full_rate_limit_and_linearity():
     )
 
 
+def test_sampling_rate_refuses_rates_no_frame_has():
+    cfg = RadarConfig(bandwidth_hz=30e6, n=4096)
+    # AfdmParams's chirp rule; with one tap the numerator leaves the rate as it is
+    with pytest.raises(ValueError, match=r"^chirp numerator must lie in \[1, 8192\), got 10000$"):
+        sampling_rate(16, 30, 10000, cfg)
+    with pytest.raises(ValueError, match=r"^chirp numerator must lie in \[1, 8192\), got 8192$"):
+        sampling_rate(16, 1, 8192, cfg)
+    assert sampling_rate(16, 1, 8191, cfg).compression_ratio == 16 / 4096
+    # a train that PilotScheme.uniform refuses: n_pilots ((L-1) P + 1) > n
+    with pytest.raises(ValueError, match=r"^5000 pilots need 150000 samples, more than n = 4096$"):
+        sampling_rate(5000, 30, 1, cfg)
+    with pytest.raises(ValueError, match="137 pilots need 4110 samples"):
+        sampling_rate(137, 30, 1, cfg)
+    with pytest.raises(ValueError, match="do not fit in a frame of 4096"):
+        PilotScheme.uniform(4096, 137, 30, 7, 1, overlap_mode="reduced")
+    assert sampling_rate(136, 30, 1, cfg).compression_ratio == 4080 / 4096
+
+
 def test_radar_config_derived_quantities():
     cfg = RadarConfig(bandwidth_hz=30e6, n=4096, cpp_len=64)
     assert cfg.sample_period_s == pytest.approx(1 / 30e6)
@@ -70,14 +93,14 @@ def test_no_decimation_equals_full_rate_exactly():
     params = AfdmParams(n=n, chirp_num=p, cpp_len=l_taps - 1, c2=0.17)
     # enough pilots that no divisor below n fits the observations: K == n
     scheme = PilotScheme.uniform(n, 11, l_taps, q_max, p, overlap_mode="reduced")
-    plan = decimation_plan(scheme, params, l_taps, q_max)
+    plan = plan_of(scheme, params, l_taps, q_max)
     assert plan.k_points == n and plan.decimation == 1
     cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.6, p_doppler=0.6)
     prof = sample_profile(cfg, np.random.default_rng(0))
     frame, r = received_frame(scheme, params, l_taps, q_max, prof)
     idx = observation_index_set(scheme, params, l_taps, q_max)
     y_full = extract_measurements(daft_demodulate(r, params), idx)
-    y_sub = dechirp_decimate_receive(r, scheme, params, l_taps, q_max, frame=frame)
+    y_sub = dechirp_decimate_receive(r, plan, frame=frame)
     assert np.array_equal(y_sub, y_full)
 
 
@@ -86,7 +109,7 @@ def test_decimated_receiver_matches_full_rate(c2):
     n, l_taps, q_max, p = 64, 3, 2, 1
     params = AfdmParams(n=n, chirp_num=p, cpp_len=l_taps - 1, c2=c2)
     scheme = PilotScheme.uniform(n, 4, l_taps, q_max, p, overlap_mode="reduced")
-    plan = decimation_plan(scheme, params, l_taps, q_max)
+    plan = plan_of(scheme, params, l_taps, q_max)
     assert plan.n_observed == 16 and plan.k_points == 16 and plan.decimation == 4
     cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.6, p_doppler=0.6)
     rng = np.random.default_rng(1)
@@ -95,35 +118,36 @@ def test_decimated_receiver_matches_full_rate(c2):
         frame, r = received_frame(scheme, params, l_taps, q_max, prof)
         idx = observation_index_set(scheme, params, l_taps, q_max)
         y_full = extract_measurements(daft_demodulate(r, params), idx)
-        y_sub = dechirp_decimate_receive(r, scheme, params, l_taps, q_max, frame=frame)
+        y_sub = dechirp_decimate_receive(r, plan, frame=frame)
         denom = np.linalg.norm(y_full)
         if denom > 0:
             assert np.linalg.norm(y_sub - y_full) / denom < 1e-12
 
 
-def test_cpp_accepted_and_stripped():
+def test_prefixed_frame_refused_naming_cpp_strip():
     n, l_taps, q_max = 64, 3, 2
     params = AfdmParams(n=n, chirp_num=1, cpp_len=l_taps - 1)
     scheme = PilotScheme.uniform(n, 4, l_taps, q_max, 1, overlap_mode="reduced")
+    plan = plan_of(scheme, params, l_taps, q_max)
     cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.6, p_doppler=0.6)
     prof = sample_profile(cfg, np.random.default_rng(2))
     _, r = received_frame(scheme, params, l_taps, q_max, prof)
     with_prefix = np.concatenate([r[-params.cpp_len :] * 0, r])  # any prefix content
-    y1 = dechirp_decimate_receive(r, scheme, params, l_taps, q_max)
-    y2 = dechirp_decimate_receive(with_prefix, scheme, params, l_taps, q_max)
-    assert np.array_equal(y1, y2)
-    with pytest.raises(ValueError, match=r"must have 64 or 66 samples, got \(65,\)"):
-        dechirp_decimate_receive(with_prefix[1:], scheme, params, l_taps, q_max)
+    for frame in (with_prefix, with_prefix[1:]):
+        shape = rf"\({len(frame)},\)"
+        with pytest.raises(ValueError, match=rf"must have 64 samples, got {shape}; .*cpp_strip"):
+            dechirp_decimate_receive(frame, plan)
+    y = dechirp_decimate_receive(cpp_strip(with_prefix, params), plan)
+    assert y.tobytes() == dechirp_decimate_receive(r, plan).tobytes()
 
 
 def test_colliding_fold_rejected():
     n = 64
     params = AfdmParams(n=n, chirp_num=1)
     # windows [0, 7) and [32, 39): 14 bins, K = 16, and both fold onto [0, 7)
-    spread = PilotScheme.uniform(n, 2, 3, 2, 1)
-    r = np.zeros(n, dtype=complex)
+    op = build_measurement_operator(PilotScheme.uniform(n, 2, 3, 2, 1), params, 3, 2)
     with pytest.raises(ValueError, match="folds with collisions"):
-        dechirp_decimate_receive(r, spread, params, 3, 2)
+        decimation_plan(op)
 
 
 @pytest.mark.parametrize("c2", [0.0, 0.137, -0.21])
@@ -136,22 +160,21 @@ def test_collision_free_fold_of_a_non_interval_set(chirp_sign, c2):
     scheme = PilotScheme(positions=(10, 33), values=(1.0, 1.0))
     idx = observation_index_set(scheme, params, l_taps, q_max)
     assert len(idx) == 14 and np.count_nonzero(np.diff(idx) > 1) == 1
-    plan = decimation_plan(scheme, params, l_taps, q_max)
+    plan = plan_of(scheme, params, l_taps, q_max)
     assert plan.k_points == 16 and plan.decimation == 4
     cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.6, p_doppler=0.6)
     rng = np.random.default_rng(6)
     for _ in range(5):
         frame, r = received_frame(scheme, params, l_taps, q_max, sample_profile(cfg, rng))
         y_full = extract_measurements(daft_demodulate(r, params), idx)
-        y_sub = dechirp_decimate_receive(r, scheme, params, l_taps, q_max, frame=frame)
+        y_sub = dechirp_decimate_receive(r, plan, frame=frame)
         assert np.linalg.norm(y_sub - y_full) <= 1e-12 * np.linalg.norm(y_full)
 
 
 def uncached_receive(r, scheme, params, l_taps, q_max):
     """The receiver's formula with every table formed on the call."""
-    r = r[len(r) - params.n :]
     indices = observation_index_set(scheme, params, l_taps, q_max)
-    plan = decimation_plan(scheme, params, l_taps, q_max)
+    plan = plan_of(scheme, params, l_taps, q_max)
     step = plan.decimation
     first, second = _chirp_tables(params)
     spectrum = np.fft.fft(first[::step] * r[::step])
@@ -168,19 +191,17 @@ def test_cached_fold_tables_give_the_uncached_bytes(chirp_sign, c2):
     # decimations 4 (K = 64) and 2 (K = 128)
     for n_p in (12, 30):
         scheme = PilotScheme.uniform(n, n_p, l_taps, q_max, 1, chirp_sign, overlap_mode="reduced")
+        plan = plan_of(scheme, params, l_taps, q_max)
         for k in range(10):
             _, r = received_frame(
                 scheme, params, l_taps, q_max, sample_profile(cfg, rng), NoiseConfig(0.01), rng
             )
             if k == 9:
                 r[::2] = 0.0
-            for frame in (r, np.concatenate((r[-params.cpp_len :], r))):
-                got = dechirp_decimate_receive(frame, scheme, params, l_taps, q_max)
-                ref = uncached_receive(frame, scheme, params, l_taps, q_max)
-                assert got.tobytes() == ref.tobytes()
-        # the receiver's tables are the plan's, computed once per observation set
-        plan = decimation_plan(scheme, params, l_taps, q_max)
-        assert decimation_plan(scheme, params, l_taps, q_max) is plan
+            got = dechirp_decimate_receive(r, plan)
+            ref = uncached_receive(r, scheme, params, l_taps, q_max)
+            assert got.tobytes() == ref.tobytes()
+        # the receiver's tables are the plan's, which every trial of a cell reads
         for table in (plan.first, plan.bins, plan.scale):
             with pytest.raises(ValueError):
                 table[0] = 0
@@ -191,9 +212,11 @@ def test_data_symbols_rejected():
     params = AfdmParams(n=n, chirp_num=1)
     scheme = PilotScheme.uniform(n, 4, l_taps, q_max, 1, overlap_mode="reduced")
     frame = build_pilot_frame(scheme, params, l_taps, q_max)
+    plan = plan_of(scheme, params, l_taps, q_max)
+    dechirp_decimate_receive(np.zeros(n, complex), plan, frame=frame)  # pilots only
     frame[1] += 1.0  # sneak a data symbol in
     with pytest.raises(ValueError, match="data symbols"):
-        dechirp_decimate_receive(np.zeros(n, complex), scheme, params, l_taps, q_max, frame=frame)
+        dechirp_decimate_receive(np.zeros(n, complex), plan, frame=frame)
 
 
 def test_folding_is_injective_for_interval_sets():
@@ -215,7 +238,7 @@ def test_noise_survives_the_decimated_path():
     rng = np.random.default_rng(4)
     prof = sample_profile(cfg, rng)
     _, r = received_frame(scheme, params, l_taps, q_max, prof, NoiseConfig(0.05), rng)
-    y = dechirp_decimate_receive(r, scheme, params, l_taps, q_max)
+    y = dechirp_decimate_receive(r, plan_of(scheme, params, l_taps, q_max))
     assert y.shape == (16,)
     assert np.all(np.isfinite(y))
 
@@ -224,7 +247,8 @@ def test_paper_scale_equivalence_and_same_recovery():
     n, l_taps, q_max, p = 4096, 30, 7, 1
     params = AfdmParams(n=n, chirp_num=p, cpp_len=64)
     scheme = PilotScheme.uniform(n, 16, l_taps, q_max, p, overlap_mode="reduced")
-    plan = decimation_plan(scheme, params, l_taps, q_max)
+    op = build_measurement_operator(scheme, params, l_taps, q_max)
+    plan = decimation_plan(op)
     assert plan.n_observed == 16 * 30 + 14
     assert plan.k_points == 512 and plan.decimation == 8
     radar = RadarConfig(30e6, n, 64, include_cpp_in_duration=True)
@@ -238,9 +262,8 @@ def test_paper_scale_equivalence_and_same_recovery():
     frame, r = received_frame(scheme, params, l_taps, q_max, prof)
     idx = observation_index_set(scheme, params, l_taps, q_max)
     y_full = extract_measurements(daft_demodulate(r, params), idx)
-    y_sub = dechirp_decimate_receive(r, scheme, params, l_taps, q_max, frame=frame)
+    y_sub = dechirp_decimate_receive(r, plan, frame=frame)
     assert np.linalg.norm(y_sub - y_full) / np.linalg.norm(y_full) < 1e-9
-    op = build_measurement_operator(scheme, params, l_taps, q_max)
     # realized levels: every selected slot then carries signal, so the
     # support comparison is not polluted by numerically-zero padding
     s_d = int(prof.mask.any(axis=1).sum())
