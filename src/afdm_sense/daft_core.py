@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -65,23 +65,23 @@ class AfdmParams:
     def c1(self) -> float:
         return self.chirp_sign * self.chirp_num / (2.0 * self.n)
 
+    @cached_property
+    def chirps(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(e^{-i2pi c1 n^2}, e^{-i2pi c2 k^2})`` as read-only vectors,
+        computed on first read and kept on this object, off its fields.
 
-@lru_cache(maxsize=64)
-def _chirp_tables(params: AfdmParams) -> tuple[np.ndarray, np.ndarray]:
-    """Return (e^{-i2pi c1 n^2}, e^{-i2pi c2 k^2}) as read-only vectors.
-
-    The c1 phase is reduced with exact integer arithmetic so that large
-    frames do not lose precision to huge float phase arguments.
-    """
-    n = params.n
-    idx = np.arange(n, dtype=np.int64)
-    # idx^2 is reduced first, so the product stays below 4 n^2 and never wraps
-    frac = (params.chirp_sign * params.chirp_num * ((idx * idx) % (2 * n))) % (2 * n)
-    first = np.exp(-1j * np.pi * frac / n)
-    second = np.exp(-2j * np.pi * np.mod(params.c2 * (idx * idx), 1.0))
-    first.setflags(write=False)
-    second.setflags(write=False)
-    return first, second
+        The c1 phase is reduced with exact integer arithmetic so that large
+        frames do not lose precision to huge float phase arguments.
+        """
+        n = self.n
+        idx = np.arange(n, dtype=np.int64)
+        # idx^2 is reduced first, so the product stays below 4 n^2 and never wraps
+        frac = (self.chirp_sign * self.chirp_num * ((idx * idx) % (2 * n))) % (2 * n)
+        first = np.exp(-1j * np.pi * frac / n)
+        second = np.exp(-2j * np.pi * np.mod(self.c2 * (idx * idx), 1.0))
+        first.setflags(write=False)
+        second.setflags(write=False)
+        return first, second
 
 
 def _as_frame(x, n: int, what: str) -> np.ndarray:
@@ -98,7 +98,7 @@ def idaft_modulate(x, params: AfdmParams) -> np.ndarray:
     Energy preserving.
     """
     x = _as_frame(x, params.n, "symbol vector")
-    first, second = _chirp_tables(params)
+    first, second = params.chirps
     return first.conj() * np.fft.ifft(second.conj() * x, norm="ortho")
 
 
@@ -108,7 +108,7 @@ def daft_demodulate(r, params: AfdmParams) -> np.ndarray:
     Exact adjoint of :func:`idaft_modulate`.
     """
     r = _as_frame(r, params.n, "time signal")
-    first, second = _chirp_tables(params)
+    first, second = params.chirps
     return second * np.fft.fft(first * r, norm="ortho")
 
 

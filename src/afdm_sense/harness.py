@@ -98,12 +98,16 @@ class ExperimentConfig:
     one, never a bool; a tuple field takes one value or a non-empty list,
     tuple or array.  It refuses ``n_pilots`` or ``snr_db`` entries that
     would rerun the same trials, checks the receiver and solver rules and
-    builds, once, the parts that own the rest and that the sweep runs on:
-    the channel model, the waveform (``AfdmParams``), the radar constants
-    and every pilot count's layout (``PilotScheme.uniform``), whose
-    observations must hold the support.  Last, it refuses a field that the
-    run does not read unless the field keeps its default, since it would
-    give one run two hashes.
+    builds, once, the parts that own the rest and that the sweep runs on,
+    kept as attributes off the fields: the channel model ``sparsity``
+    (``SparsityConfig``), the solver's ``levels`` and ``support`` size, the
+    waveform ``params`` (``AfdmParams``), the ``radar`` constants and
+    ``schemes``, every pilot count's layout (``PilotScheme.uniform``), whose
+    observations must hold the support.  Every operator column has the
+    energy ``n_p pilot_amplitude**2``; the pursuit multiplies two such
+    energies and divides by them, so their square must be a normal float.
+    Last, it refuses a field that the run does not read unless the field
+    keeps its default, since it would give one run two hashes.
     """
 
     n: int
@@ -158,10 +162,6 @@ class ExperimentConfig:
                 f"htp_sparsity must lie in [1, l_taps (2 q_max + 1) = {unknowns}], "
                 f"got {self.htp_sparsity}"
             )
-        if not math.isfinite(self.pilot_amplitude) or self.pilot_amplitude == 0:
-            raise ValueError(
-                f"pilot_amplitude must be finite and nonzero, got {self.pilot_amplitude}"
-            )
         # entries with one trial key would run the same trials again
         for name, key in (("n_pilots", int), ("snr_db", _snr_key)):
             values = getattr(self, name)
@@ -201,6 +201,13 @@ class ExperimentConfig:
                 chirp_sign=self.chirp_sign, amplitude=self.pilot_amplitude,
                 overlap_mode=self.overlap_mode, contiguous=self.contiguous,
             )
+            # a column hits one observation per pilot, with the pilot's magnitude
+            energy = n_p * self.pilot_amplitude * self.pilot_amplitude
+            if not sys.float_info.min <= energy * energy < math.inf:
+                raise ValueError(
+                    f"pilot_amplitude {self.pilot_amplitude!r} gives n_pilots={n_p} columns "
+                    f"of energy {energy:.3g}, whose square is not a normal float"
+                )
             rows = len(observation_index_set(schemes[n_p], params, self.l_taps, self.q_max))
             if rows < support:  # every trial's refit would refuse it
                 raise ValueError(
@@ -221,26 +228,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} is read only with {reader}, got {value!r}")
         # kept off the fields, so to_dict, equality and the hash never see them
         vars(self).update(
-            _sparsity=sparsity, _levels=levels, _support=support, _params=params,
-            _radar=radar, _schemes=schemes,
+            sparsity=sparsity, levels=levels, support=support, params=params,
+            radar=radar, schemes=schemes,
         )
-
-    # -- the parts built at construction ---------------------------------
-
-    def sparsity(self) -> SparsityConfig:
-        return self._sparsity
-
-    def resolved_chirp_num(self) -> int:
-        return self._params.chirp_num
-
-    def afdm_params(self) -> AfdmParams:
-        return self._params
-
-    def pilot_scheme(self, n_p: int) -> PilotScheme:
-        return self._schemes[n_p]
-
-    def radar_config(self) -> RadarConfig:
-        return self._radar
 
     def config_hash(self) -> str:
         doc = json.dumps(self.to_dict(), sort_keys=True)
@@ -346,13 +336,13 @@ def _support_matches(alpha_hat: np.ndarray, truth: np.ndarray) -> bool:
     return not on.any() or bool(mags[on].min() > (1 + 1e-9) * mags[~on].max(initial=0.0))
 
 
-def _run_trial(cfg, sparsity, levels, cell, rng):
+def _run_trial(cfg, cell, rng):
     """One trial as a generator of three stages: it yields after the profile
     draw and again after the receiver, and returns ``(error, match,
     iterations)``.  The received frame is dropped before the second yield,
     so a trial waiting on the others of its chunk holds only its profile
     and observations."""
-    profile = sample_profile(sparsity, rng)
+    profile = sample_profile(cfg.sparsity, rng)
     truth = vectorize_profile(profile)
     yield
     received = apply_channel(cell.s_cpp, profile, cell.op.params, cell.noise, rng)
@@ -363,9 +353,9 @@ def _run_trial(cfg, sparsity, levels, cell, rng):
     del received
     yield
     if cfg.solver == "hihtp":
-        result = hihtp_recover(cell.op, y_p, levels[0], levels[1], k_max=cfg.k_max)
+        result = hihtp_recover(cell.op, y_p, *cfg.levels, k_max=cfg.k_max)
     else:
-        result = htp_recover(cell.op, y_p, cfg._support, k_max=cfg.k_max)
+        result = htp_recover(cell.op, y_p, cfg.support, k_max=cfg.k_max)
     err = float(np.linalg.norm(result.alpha - truth) ** 2)
     return err, _support_matches(result.alpha, truth), result.iterations
 
@@ -547,11 +537,11 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     logged, never silently dropped.
     """
     workers = min(_worker_count(), cfg.trials)
-    params = cfg.afdm_params()
+    params = cfg.params
     chash = cfg.config_hash()
     cells: list[_Cell] = []
     for n_p in cfg.n_pilots:
-        scheme = cfg.pilot_scheme(n_p)
+        scheme = cfg.schemes[n_p]
         op = build_measurement_operator(scheme, params, cfg.l_taps, cfg.q_max)
         if op.columns.refit == "svd":  # no refit is certified on this operator
             # the de-chirp receiver takes only the reduced train, which has no spread placement
@@ -580,7 +570,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
         if cfg.receiver == "subnyquist":
             # through the module, where a wrapper installed after import sees it
             plan = subnyquist.decimation_plan(op)
-            f_s = sampling_rate(n_p, cfg.l_taps, params.chirp_num, cfg.radar_config()).f_s_hz
+            f_s = sampling_rate(n_p, cfg.l_taps, params.chirp_num, cfg.radar).f_s_hz
         for snr_db in cfg.snr_db:
             noise = NoiseConfig.from_snr_db(snr_db)
             cells.append(_Cell(n_p, snr_db, op, plan, s_cpp, noise, overhead, f_s))
@@ -596,7 +586,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
         for index in range(start, stop):
             try:
                 rng = _trial_rng(cfg, cell.n_p, cell.snr_db, index)
-                live[index] = _run_trial(cfg, cfg.sparsity(), cfg._levels, cell, rng)
+                live[index] = _run_trial(cfg, cell, rng)
             except Exception:
                 _log_failure(index, cell)
         while live:
@@ -627,7 +617,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
                     l_taps=cfg.l_taps,
                     q_max=cfg.q_max,
                     p_delay=cfg.p_delay,
-                    p_doppler=cfg.sparsity().p_doppler,
+                    p_doppler=cfg.sparsity.p_doppler,
                     n_pilots=cell.n_p,
                     snr_db=cell.snr_db,
                     mse=float(errs.mean()),

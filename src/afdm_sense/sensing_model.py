@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .daft_core import AfdmParams, idaft_modulate, _chirp_tables
+from .daft_core import AfdmParams, idaft_modulate
 from .hihtp import _Columns
 
 __all__ = [
@@ -242,7 +242,7 @@ def build_measurement_operator(
     n, nd = params.n, 2 * q_max + 1
     indices = observation_index_set(scheme, params, l_taps, q_max)
     s_p = idaft_modulate(build_pilot_frame(scheme, params, l_taps, q_max), params)
-    first, second = _chirp_tables(params)
+    first, second = params.chirps
     taps = np.arange(l_taps)
     # row l of the batch is the frame delayed circularly by l samples: a
     # window of the frame with its last l_taps - 1 samples put in front

@@ -20,8 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .daft_core import _chirp_tables
-
 __all__ = [
     "RadarConfig",
     "RateInfo",
@@ -119,7 +117,7 @@ def decimation_plan(op) -> DecimationPlan:
     if np.any(folded[1:] == folded[:-1]):
         raise ValueError("observation set folds with collisions at this rate")
     step = n // k_points
-    first, second = _chirp_tables(params)
+    first, second = params.chirps
     tables = (first[::step].copy(), bins, second[indices] * (step / np.sqrt(n)))
     for table in tables:
         table.setflags(write=False)

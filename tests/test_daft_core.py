@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from afdm_sense import (
     idaft_modulate,
     select_chirp_rate,
 )
-from afdm_sense.daft_core import _chirp_tables
 
 
 def build_daft_operator(params):
@@ -208,11 +209,31 @@ def test_length_mismatch_raises():
 
 def test_chirp_table_is_exact_for_every_numerator():
     # at n = 2e6 the numerator 2n - 1 times idx^2 exceeds int64; the table
-    # reduces idx^2 first, so its phases are the exact ones.  The table is
-    # built directly, so the cache keeps none of its 32 MB
+    # reduces idx^2 first, so its phases are the exact ones, whatever the
+    # sign and c2.  Each waveform is fresh and keeps its 64 MB of tables
+    # only while it lives
     n = 2_000_000
-    params = AfdmParams(n=n, chirp_num=2 * n - 1)
-    first = _chirp_tables.__wrapped__(params)[0]
     idx = [1, n // 2 + 1, 1_700_001, n - 1]
-    exact = [(params.chirp_num * i * i) % (2 * n) for i in idx]
-    assert np.abs(first[idx] - np.exp(-1j * np.pi * np.array(exact) / n)).max() < 1e-12
+    for chirp_sign, c2 in ((1, 0.0), (-1, 0.0), (1, 0.37)):
+        params = AfdmParams(n=n, chirp_num=2 * n - 1, chirp_sign=chirp_sign, c2=c2)
+        first = params.chirps[0]
+        exact = [(chirp_sign * params.chirp_num * i * i) % (2 * n) for i in idx]
+        assert np.abs(first[idx] - np.exp(-1j * np.pi * np.array(exact) / n)).max() < 1e-12
+
+
+def test_chirp_tables_are_kept_on_the_waveform():
+    params = AfdmParams(n=64, chirp_num=3, chirp_sign=-1, c2=0.21, cpp_len=2)
+    first, second = params.chirps
+    # computed once: a second read returns the same arrays, which no caller can write
+    assert params.chirps[0] is first and params.chirps[1] is second
+    for table in (first, second):
+        with pytest.raises(ValueError):
+            table[0] = 0
+    # an equal waveform computes its own tables, to the same bits
+    twin = AfdmParams(n=64, chirp_num=3, chirp_sign=-1, c2=0.21, cpp_len=2)
+    assert twin.chirps[0] is not first
+    assert twin.chirps[0].tobytes() == first.tobytes()
+    assert twin.chirps[1].tobytes() == second.tobytes()
+    # the tables stay off the fields: equality, hash and asdict see only these
+    assert twin == params and hash(twin) == hash(params) and {twin: 1}[params] == 1
+    assert asdict(params) == dict(n=64, chirp_num=3, chirp_sign=-1, c2=0.21, cpp_len=2)

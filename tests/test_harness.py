@@ -1,10 +1,12 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +108,8 @@ def test_config_round_trip_and_derived_fields():
     cfg = small_config()
     doc = cfg.to_dict()
     assert ExperimentConfig.from_dict(doc) == cfg
-    assert cfg.resolved_chirp_num() == 1
-    assert cfg.afdm_params().cpp_len == 4
+    assert cfg.params.chirp_num == 1
+    assert cfg.params.cpp_len == 4
     with pytest.raises(ValueError, match="unknown config fields"):
         ExperimentConfig.from_dict({**doc, "bogus": 1})
 
@@ -285,11 +287,11 @@ def test_config_validation():
     ]:
         with pytest.raises(ValueError, match=match):
             small_config(**overrides)
-    assert small_config(chirp_num=127, l_taps=1).afdm_params().chirp_num == 127
-    assert small_config(cpp_len=2).afdm_params().cpp_len == 2
-    assert small_config(cpp_len=64).afdm_params().cpp_len == 64
+    assert small_config(chirp_num=127, l_taps=1).params.chirp_num == 127
+    assert small_config(cpp_len=2).params.cpp_len == 2
+    assert small_config(cpp_len=64).params.cpp_len == 64
     # a huge finite margin saturates the sparsity levels instead of overflowing
-    assert small_config(margin=1e308).sparsity().sparsity_levels() == (3, 5)
+    assert small_config(margin=1e308).sparsity.sparsity_levels() == (3, 5)
     with pytest.raises(ValueError, match="snr_db"):
         small_config(snr_db=(20.0, -4000.0))
     with pytest.raises(ValueError, match="noise variance"):
@@ -981,6 +983,13 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         ["run", {"chirp_num": 2**63, "l_taps": 1}],
         # a 2^50-sample frame exceeds the address space: the allocation fails at once
         ["run", {"n": 2**50}],
+        # column energies 4 A^2 whose square leaves the normal floats: the build's
+        # norm, the pair test or the refit overflowed, or every estimate was zero
+        ["run", {"pilot_amplitude": 1e160}],
+        ["run", {"pilot_amplitude": 1e150}],
+        ["run", {"pilot_amplitude": 1e-150}],
+        ["run", {"pilot_amplitude": 1e-160}],
+        ["run", {"pilot_amplitude": 1e-300}],
         ["overhead", "ofdm", "--n-pilots-td", "4", "--n-pilots-fd", "8", "--n-symbols", "16",
          "--l-taps", "30", "--q-max", "-5"],
         ["overhead", "ofdm", "--n-pilots-td", "4", "--n-pilots-fd", "8", "--n-symbols", "16",
@@ -995,7 +1004,8 @@ def test_cli_errors_are_reported(tmp_path, capsys):
          "run-nan-margin", "run-snr-overflow", "run-snr-trial-key", "run-short-prefix",
          "run-unknown-overlap-mode", "run-disjoint-subnyquist", "run-reduced-contiguous",
          "run-uncertified", "run-unknown-model", "run-zero-taps", "run-negative-q-max",
-         "run-huge-chirp", "run-huge-frame",
+         "run-huge-chirp", "run-huge-frame", "run-amplitude-1e160", "run-amplitude-1e150",
+         "run-amplitude-1e-150", "run-amplitude-1e-160", "run-amplitude-1e-300",
          "ofdm-q-max", "ofdm-chirp-num", "otfs-pilots"],
 )
 def test_cli_rejects_out_of_range_inputs(argv, capsys, tmp_path):
@@ -1009,6 +1019,28 @@ def test_cli_rejects_out_of_range_inputs(argv, capsys, tmp_path):
     # one error line, never a traceback
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert not captured.out
+
+
+def test_pilot_amplitude_bounded_by_column_energy(monkeypatch):
+    # every column of the n_p = 6 operator has the energy 6 A^2, whose square
+    # must be a normal float; at both edges a noise-free sweep gives the unit
+    # amplitude's support rate and MSE without a warning, and one step past
+    # either edge is refused
+    monkeypatch.setenv("AFDM_SENSE_THREADS", "1")
+    top = math.sqrt(math.sqrt(sys.float_info.max) / 6)
+    bottom = math.sqrt(math.sqrt(sys.float_info.min) / 6)
+    over = dict(model="type2", p_delay=0.3, p_doppler=0.3, cluster_len=None, n_pilots=6)
+    unit = run_monte_carlo(small_config(trials=10, snr_db=4000.0, **over))[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for amplitude in (top * (1 - 1e-12), bottom * (1 + 1e-12)):
+            cfg = small_config(pilot_amplitude=amplitude, trials=10, snr_db=4000.0, **over)
+            rec = run_monte_carlo(cfg)[0]
+            assert rec.trials_ok == 10 and rec.support_rate == unit.support_rate
+            assert rec.mse == pytest.approx(unit.mse, rel=1e-9)
+        for amplitude in (top * (1 + 1e-12), bottom * (1 - 1e-12)):
+            with pytest.raises(ValueError, match=r"^pilot_amplitude .* n_pilots=6 .*normal float$"):
+                small_config(pilot_amplitude=amplitude, **over)
 
 
 def test_cli_names_missing_fields(capsys, tmp_path):

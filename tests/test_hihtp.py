@@ -20,7 +20,6 @@ from afdm_sense import (
     restricted_least_squares,
 )
 from afdm_sense import hihtp
-from afdm_sense.daft_core import _chirp_tables
 from afdm_sense.hihtp import _GRAM_COND_MAX, RecoveryResult, _Columns, _pursuit
 
 
@@ -498,7 +497,7 @@ def test_built_structure_matches_dense_adapter(layout, chirp):
     # the delayed frames gathered by modular index give the same stored
     # values to the last bit as the build's window view of the frame
     s_p = idaft_modulate(build_pilot_frame(scheme, params, l_taps, q_max), params)
-    first, second = _chirp_tables(params)
+    first, second = params.chirps
     taps = np.arange(l_taps)
     spectra = np.fft.fft(first * s_p[(np.arange(n) - taps[:, None]) % n], axis=1, norm="ortho")
     base = (np.asarray(scheme.positions)[:, None] - params.chirp_sign * params.chirp_num * taps) % n

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from afdm_sense import (
     sample_profile,
     sampling_rate,
 )
-from afdm_sense.daft_core import _chirp_tables
 
 
 def plan_of(scheme, params, l_taps, q_max):
@@ -176,7 +177,7 @@ def uncached_receive(r, scheme, params, l_taps, q_max):
     indices = observation_index_set(scheme, params, l_taps, q_max)
     plan = plan_of(scheme, params, l_taps, q_max)
     step = plan.decimation
-    first, second = _chirp_tables(params)
+    first, second = replace(params).chirps  # an equal waveform's tables, formed on this call
     spectrum = np.fft.fft(first[::step] * r[::step])
     return second[indices] * (step / np.sqrt(params.n)) * spectrum[indices % plan.k_points]
 
@@ -201,6 +202,8 @@ def test_cached_fold_tables_give_the_uncached_bytes(chirp_sign, c2):
             got = dechirp_decimate_receive(r, plan)
             ref = uncached_receive(r, scheme, params, l_taps, q_max)
             assert got.tobytes() == ref.tobytes()
+        # the plan decimates the waveform's own chirp table
+        assert plan.first.tobytes() == params.chirps[0][:: plan.decimation].tobytes()
         # the receiver's tables are the plan's, which every trial of a cell reads
         for table in (plan.first, plan.bins, plan.scale):
             with pytest.raises(ValueError):
