@@ -92,13 +92,13 @@ class SparsityConfig:
 
     def mean_sparsity_levels(self) -> tuple[int, int]:
         """Expected active tap / bin counts, rounded up and clamped."""
-        s_d = min(self.l_taps, max(1, _fuzzy_ceil(self.p_delay * self.l_taps)))
-        s_dop = min(self.n_doppler, max(1, _fuzzy_ceil(self.p_doppler * self.n_doppler)))
-        return s_d, s_dop
+        return self._levels(1.0)
 
     def sparsity_levels(self) -> tuple[int, int]:
         """Margin-inflated levels used by the recovery algorithms."""
-        scale = 1.0 + self.margin
+        return self._levels(1.0 + self.margin)
+
+    def _levels(self, scale: float) -> tuple[int, int]:
         # clamped before rounding: a huge margin inflates the product to infinity
         s_d = max(1, _fuzzy_ceil(min(scale * self.p_delay * self.l_taps, self.l_taps)))
         s_dop = max(1, _fuzzy_ceil(min(scale * self.p_doppler * self.n_doppler, self.n_doppler)))
@@ -151,6 +151,24 @@ class NoiseConfig:
         return cls(sigma_w2=sigma_w2)
 
 
+def _activity(cfg: SparsityConfig, rng: np.random.Generator, lead: tuple = ()) -> tuple:
+    """Delay activity, shape ``lead + (L,)``, then Doppler activity, shape
+    ``lead + (L, 2Q+1)`` (for type1 a broadcast view), of ``lead`` independent
+    realizations: the one sampler of the trials and the tail statistics."""
+    l_taps, nd = cfg.l_taps, cfg.n_doppler
+    taps = rng.random(lead + (l_taps,)) < cfg.p_delay
+    if cfg.model == "type1":
+        pattern = rng.random(lead + (nd,)) < cfg.p_doppler
+        doppler = np.broadcast_to(pattern[..., None, :], lead + (l_taps, nd))
+    elif cfg.model == "type2":
+        doppler = rng.random(lead + (l_taps, nd)) < cfg.p_doppler
+    else:
+        # row s: the circular cluster that starts at bin s
+        clusters = (np.arange(nd) - np.arange(nd)[:, None]) % nd < cfg.cluster_len
+        doppler = clusters[rng.integers(0, nd, size=lead + (l_taps,))]
+    return taps, doppler
+
+
 def sample_profile(cfg: SparsityConfig, rng: np.random.Generator) -> DelayDopplerProfile:
     """Draw one channel realization.
 
@@ -159,20 +177,8 @@ def sample_profile(cfg: SparsityConfig, rng: np.random.Generator) -> DelayDopple
     complex Gaussian with variance ``cfg.gain_variance``.
     """
     l_taps, nd = cfg.l_taps, cfg.n_doppler
-    active_taps = rng.random(l_taps) < cfg.p_delay
-    if cfg.model == "type1":
-        pattern = rng.random(nd) < cfg.p_doppler
-        doppler = np.broadcast_to(pattern, (l_taps, nd)).copy()
-    elif cfg.model == "type2":
-        doppler = rng.random((l_taps, nd)) < cfg.p_doppler
-    else:
-        starts = rng.integers(0, nd, size=l_taps)
-        offsets = np.arange(cfg.cluster_len)
-        doppler = np.zeros((l_taps, nd), dtype=bool)
-        rows = np.repeat(np.arange(l_taps), cfg.cluster_len)
-        cols = ((starts[:, None] + offsets[None, :]) % nd).reshape(-1)
-        doppler[rows, cols] = True
-    mask = active_taps[:, None] & doppler
+    taps, doppler = _activity(cfg, rng)
+    mask = taps[:, None] & doppler
     scale = math.sqrt(cfg.gain_variance / 2.0)
     gains = scale * (rng.standard_normal((l_taps, nd)) + 1j * rng.standard_normal((l_taps, nd)))
     gains[~mask] = 0.0
@@ -255,12 +261,16 @@ def apply_channel(
 
 
 def chernoff_tail_bound(n: int, p: float, level: int) -> float:
-    """Chernoff bound on ``P[Binomial(n, p) > level]`` for ``level >= n p``.
+    """Chernoff bound on ``P[Binomial(n, p) > level]``.
 
-    ``(p / a)^level ((1 - p) / (1 - a))^(n - level)`` with ``a = level / n``.
+    ``(p / a)^level ((1 - p) / (1 - a))^(n - level)`` with ``a = level / n``
+    for ``level >= n p``; below the mean, where the formula bounds nothing,
+    the trivial bound 1.
     """
     if not 0 < p < 1:
         raise ValueError(f"p must lie in (0, 1), got {p}")
+    if level < n * p:
+        return 1.0
     if level >= n:
         return p**n if level == n else 0.0
     a = level / n
@@ -268,39 +278,24 @@ def chernoff_tail_bound(n: int, p: float, level: int) -> float:
     return math.exp(log_bound)
 
 
-def _doppler_exceed_counts(
-    cfg: SparsityConfig, trials: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-trial, per-tap active Doppler bin counts, shape (trials, l_taps)."""
-    nd = cfg.n_doppler
-    if cfg.model == "type1":
-        counts = (rng.random((trials, nd)) < cfg.p_doppler).sum(axis=1)
-        return np.broadcast_to(counts[:, None], (trials, cfg.l_taps))
-    if cfg.model == "type2":
-        return (rng.random((trials, cfg.l_taps, nd)) < cfg.p_doppler).sum(axis=2)
-    rng.integers(0, nd, size=(trials, cfg.l_taps))  # consume the start draws
-    return np.full((trials, cfg.l_taps), cfg.cluster_len)
-
-
 def empirical_sparsity_stats(
     cfg: SparsityConfig, trials: int, rng: np.random.Generator
 ) -> dict:
     """Monte-Carlo tail frequencies of the sparsity-level events.
 
-    Samples activity indicators only (no gains) and reports the frequency
-    of the delay count exceeding the inflated delay level, the frequency of
-    some active tap exceeding the inflated Doppler level, the frequency of
-    the joint hierarchical-sparsity event, and the closed-form Chernoff
-    values the frequencies should stay under.
+    Draws each trial's activity as :func:`sample_profile` does, without the
+    gains, and reports the frequency of the delay count exceeding the
+    inflated delay level, the frequency of some active tap exceeding the
+    inflated Doppler level, the frequency of the joint hierarchical-sparsity
+    event, and the closed-form Chernoff values the frequencies should stay
+    under.
     """
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
     s_d, s_dop = cfg.sparsity_levels()
-    active = rng.random((trials, cfg.l_taps)) < cfg.p_delay
-    delay_counts = active.sum(axis=1)
-    dop_counts = _doppler_exceed_counts(cfg, trials, rng)
-    joint_exceed = (active & (dop_counts > s_dop)).any(axis=1)
-    delay_exceed = delay_counts > s_d
+    active, doppler = _activity(cfg, rng, (trials,))
+    joint_exceed = (active & (doppler.sum(axis=2) > s_dop)).any(axis=1)
+    delay_exceed = active.sum(axis=1) > s_d
 
     chernoff_row = chernoff_tail_bound(cfg.n_doppler, cfg.p_doppler, s_dop)
     if cfg.model == "type1":
@@ -356,17 +351,32 @@ def profile_from_json(text: str) -> DelayDopplerProfile:
     """Inverse of :func:`profile_to_json`.
 
     Grid sizes and coordinates must be JSON integers, gains finite and the
-    gain variance finite and positive.  An active entry off the grid, or a
-    second entry for the same (l, q), raises ``ValueError`` naming the entry.
+    gain variance finite and positive.  Anything else raises ``ValueError``
+    naming the key, bound or entry at fault: a document that is not an object
+    or lacks a key, ``l_taps < 1`` or ``q_max < 0``, an ``active`` that is not
+    a list, an entry that is not ``[l, q, re, im]``, an entry off the grid, or
+    a second entry for the same (l, q).
     """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"profile JSON must be an object, got {type(doc).__name__}")
+    for key in ("l_taps", "q_max", "gain_var", "active"):
+        if key not in doc:
+            raise ValueError(f"profile JSON lacks the key {key!r}")
     l_taps, q_max = _json_int(doc["l_taps"], "l_taps"), _json_int(doc["q_max"], "q_max")
+    if l_taps < 1 or q_max < 0:
+        raise ValueError(f"l_taps must be >= 1 and q_max >= 0, got {l_taps} and {q_max}")
     gain_var = _json_finite(doc["gain_var"], "gain_var")
     if gain_var <= 0:
         raise ValueError(f"gain_var must be positive, got {gain_var}")
+    if not isinstance(doc["active"], list):
+        raise ValueError(f"active must be a list of [l, q, re, im] entries, got {doc['active']!r}")
     gains = np.zeros((l_taps, 2 * q_max + 1), dtype=np.complex128)
     mask = np.zeros_like(gains, dtype=bool)
-    for k, (l, q, re, im) in enumerate(doc["active"]):
+    for k, entry in enumerate(doc["active"]):
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise ValueError(f"active entry {k} must be [l, q, re, im], got {entry!r}")
+        l, q, re, im = entry
         l, q = _json_int(l, f"active entry {k}: l"), _json_int(q, f"active entry {k}: q")
         if not (0 <= l < l_taps and -q_max <= q <= q_max):
             raise ValueError(

@@ -19,7 +19,6 @@ import hashlib
 import io
 import json
 import logging
-import math
 import numbers
 import os
 import pickle
@@ -46,6 +45,7 @@ from .hihtp import _GRAM_COND_MAX, hihtp_recover, htp_recover
 from .sensing_model import (
     MeasurementOperator,
     PilotScheme,
+    _check_column_energy,
     build_measurement_operator,
     build_pilot_frame,
     extract_measurements,
@@ -201,13 +201,9 @@ class ExperimentConfig:
                 chirp_sign=self.chirp_sign, amplitude=self.pilot_amplitude,
                 overlap_mode=self.overlap_mode, contiguous=self.contiguous,
             )
-            # a column hits one observation per pilot, with the pilot's magnitude
-            energy = n_p * self.pilot_amplitude * self.pilot_amplitude
-            if not sys.float_info.min <= energy * energy < math.inf:
-                raise ValueError(
-                    f"pilot_amplitude {self.pilot_amplitude!r} gives n_pilots={n_p} columns "
-                    f"of energy {energy:.3g}, whose square is not a normal float"
-                )
+            _check_column_energy(
+                schemes[n_p], f"pilot_amplitude {self.pilot_amplitude!r} gives n_pilots={n_p}"
+            )
             rows = len(observation_index_set(schemes[n_p], params, self.l_taps, self.q_max))
             if rows < support:  # every trial's refit would refuse it
                 raise ValueError(

@@ -22,6 +22,7 @@ building the scheme of each of its pilot counts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -225,6 +226,21 @@ class MeasurementOperator:
         return self.columns.dense(np.arange(self.shape[1]))
 
 
+def _check_column_energy(scheme: PilotScheme, source: str) -> None:
+    """Refuse pilots whose operator columns' energy has no normal square.
+
+    A column hits one observation per pilot, with the pilot's magnitude, so
+    every column has the energy ``sum |v_p|^2``; the build's norms and the
+    pursuit's pair test multiply two such energies and divide by them.
+    """
+    # on Python floats an overflow gives inf, not a warning
+    energy = math.fsum(x * x for v in map(complex, scheme.values) for x in (v.real, v.imag))
+    if not sys.float_info.min <= energy * energy < math.inf:
+        raise ValueError(
+            f"{source} columns of energy {energy:.3g}, whose square is not a normal float"
+        )
+
+
 def build_measurement_operator(
     scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int
 ) -> MeasurementOperator:
@@ -237,8 +253,10 @@ def build_measurement_operator(
     ``m_p`` sits in bin ``base = (m_p - chirp_sign P l) mod n`` and column
     (l, q) hits row ``(base + q) mod n`` with ``second[(base + q) mod n] *
     spectrum_l[base]``; only these hits are stored.  The build raises if the
-    spectra carry more than round-off outside the pilot bins.
+    spectra carry more than round-off outside the pilot bins, and it refuses
+    first pilot values whose column energy squared is not a normal float.
     """
+    _check_column_energy(scheme, "the pilot values give")
     n, nd = params.n, 2 * q_max + 1
     indices = observation_index_set(scheme, params, l_taps, q_max)
     s_p = idaft_modulate(build_pilot_frame(scheme, params, l_taps, q_max), params)

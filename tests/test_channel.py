@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -95,6 +96,53 @@ def test_type3_rows_are_circular_clusters():
             # contiguous modulo nd: some rotation packs the cluster at the front
             packed = [np.roll(row, r)[:3].all() for r in range(nd)]
             assert any(packed)
+
+
+# a reordered or added draw changes these digests, dicts and next draws
+_STREAM_PINS = {
+    "type1": (
+        {"p_doppler": 0.3},
+        "1c67def275df69a7ec789bc426571f0496bed373bdc5f864ffaaff30a3d292b2",
+        {"doppler_level": 4, "prob_doppler_exceed_joint": 0.022,
+         "chernoff_doppler_bound": 0.3310256824218749, "prob_hierarchically_sparse": 0.9165},
+        2575898164,
+    ),
+    "type2": (
+        {"p_doppler": 0.3},
+        "56453808e6a489820630898159ac583b4421945f0991cfce4e532469f62d0c2c",
+        {"doppler_level": 4, "prob_doppler_exceed_joint": 0.0755,
+         "chernoff_doppler_bound": 0.7944616378124998, "prob_hierarchically_sparse": 0.87},
+        648247490,
+    ),
+    "type3": (
+        {"cluster_len": 3},
+        "e4ba8fb63a6116f304715a9c13b26360364b53d9fe7f807f6fd6ea6c40ff23f1",
+        {"doppler_level": 5, "prob_doppler_exceed_joint": 0.0,
+         "chernoff_doppler_bound": 0.0, "prob_hierarchically_sparse": 0.937},
+        4260124445,
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_STREAM_PINS))
+def test_sampler_stream_is_pinned(model):
+    kwargs, digest, doppler_stats, next_draw = _STREAM_PINS[model]
+    cfg = SparsityConfig(model, l_taps=8, q_max=3, p_delay=0.3, **kwargs)
+    rng = np.random.default_rng(29)
+    h = hashlib.sha256()
+    for _ in range(20):
+        prof = sample_profile(cfg, rng)
+        h.update(prof.gains.tobytes())
+        h.update(prof.mask.tobytes())
+    assert h.hexdigest() == digest
+    rng = np.random.default_rng(29)
+    stats = empirical_sparsity_stats(cfg, 2000, rng)
+    expected = {"trials": 2000, "delay_level": 4, "prob_delay_exceed": 0.063,
+                "chernoff_delay_bound": 0.4978713599999999, **doppler_stats}
+    # a changed count moves a frequency by 1/2000; the bounds may differ in the last digit
+    assert stats == pytest.approx(expected, rel=1e-12)
+    # type3's statistics read only the delay draws, but must consume the starts too
+    assert rng.integers(2**32) == next_draw
 
 
 def test_power_normalization_monte_carlo():
@@ -338,6 +386,18 @@ def test_chernoff_bound_value():
             chernoff_tail_bound(30, p, 9)
 
 
+@pytest.mark.parametrize("n, p", [(30, 0.2), (15, 0.3), (8, 0.3)])
+def test_chernoff_bound_bounds_every_level(n, p):
+    # below the mean the formula bounds nothing, so the bound is the trivial 1
+    for level in range(-1, n + 2):
+        bound = chernoff_tail_bound(n, p, level)
+        assert 0.0 <= bound <= 1.0
+        # the exact tail's sum may exceed 1 by round-off
+        assert bound >= binom_tail_above(n, p, level) - 1e-12
+        if level < n * p:
+            assert bound == 1.0
+
+
 def test_empirical_delay_tail_matches_exact_binomial():
     cfg = SparsityConfig("type2", l_taps=30, q_max=7, p_delay=0.2, p_doppler=0.2)
     stats = empirical_sparsity_stats(cfg, 100_000, np.random.default_rng(12))
@@ -437,5 +497,32 @@ def test_profile_json_rejects_off_grid_and_duplicate_entries(fields, reason):
     # repeat overwrote the earlier gain, (1.5, 0.7) was truncated to (1, 0),
     # l_taps 2.9 to 2, and a NaN gain variance was kept; q=5 raised IndexError
     doc = {"l_taps": 2, "q_max": 1, "gain_var": 0.5, "active": [], **fields}
+    with pytest.raises(ValueError, match=reason):
+        profile_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ([], r"profile JSON must be an object, got list"),
+        ({}, r"profile JSON lacks the key 'l_taps'"),
+        ({"l_taps": 2, "q_max": 1, "gain_var": 0.5}, r"profile JSON lacks the key 'active'"),
+        (
+            {"l_taps": 2, "q_max": 1, "gain_var": 0.5, "active": 5},
+            r"active must be a list of \[l, q, re, im\] entries, got 5",
+        ),
+        (
+            {"l_taps": 2, "q_max": 1, "gain_var": 0.5, "active": [[0, 0, 1.0]]},
+            r"active entry 0 must be \[l, q, re, im\], got \[0, 0, 1.0\]",
+        ),
+        (
+            {"l_taps": -2, "q_max": 1, "gain_var": 0.5, "active": []},
+            r"l_taps must be >= 1 and q_max >= 0, got -2 and 1",
+        ),
+    ],
+    ids=["not-object", "empty-object", "no-active", "active-number", "three-item-entry",
+         "negative-taps"],
+)
+def test_profile_json_rejects_malformed_documents(doc, reason):
     with pytest.raises(ValueError, match=reason):
         profile_from_json(json.dumps(doc))

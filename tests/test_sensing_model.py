@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 from itertools import product
 
@@ -244,15 +245,39 @@ def test_operator_off_pattern_energy_rejected(monkeypatch):
 @pytest.mark.parametrize("amplitude, c2", [(float("nan"), 0.0), (1.0, float("nan"))])
 def test_operator_with_nan_rejected(amplitude, c2):
     # a NaN chirp parameter is refused by the waveform itself; a NaN pilot
-    # makes every stray norm NaN, which the build refuses
+    # gives every column a NaN energy, which the build refuses before its transform
     if np.isnan(c2):
         with pytest.raises(ValueError, match="c2 must be finite"):
             AfdmParams(n=64, chirp_num=1, c2=c2)
         return
     params = AfdmParams(n=64, chirp_num=1, c2=c2)
     scheme = PilotScheme.uniform(64, 2, 3, 1, 1, amplitude=amplitude)
-    with pytest.raises(ValueError, match="off the hit pattern"):
+    with pytest.raises(ValueError, match="columns of energy nan, whose square is not a normal"):
         build_measurement_operator(scheme, params, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "amplitude, energy",
+    [(1e160, "inf"), (1e150, "6e\\+300"), (1e-160, "6e-320"), (1e-300, "0")],
+    ids=["1e160", "1e150", "1e-160", "1e-300"],
+)
+def test_operator_refuses_column_energy_without_normal_square(amplitude, energy):
+    # built directly, outside a sweep's config, which refuses these amplitudes too
+    params = AfdmParams(64, 1, cpp_len=2)
+    scheme = PilotScheme.uniform(64, 6, 3, 2, 1, amplitude=amplitude)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"columns of energy {energy}, whose square is not"):
+            build_measurement_operator(scheme, params, 3, 2)
+
+
+def test_operator_builds_for_normal_column_energy():
+    params = AfdmParams(64, 1, cpp_len=2)
+    schemes = [PilotScheme.uniform(64, 6, 3, 2, 1, amplitude=a) for a in (1.0, 25.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit, loud = [build_measurement_operator(s, params, 3, 2) for s in schemes]
+    assert np.allclose(loud.columns.vals, 25.0 * unit.columns.vals, rtol=1e-13, atol=0.0)
 
 
 def test_operator_single_column_degenerate():
