@@ -151,22 +151,25 @@ class NoiseConfig:
         return cls(sigma_w2=sigma_w2)
 
 
-def _activity(cfg: SparsityConfig, rng: np.random.Generator, lead: tuple = ()) -> tuple:
-    """Delay activity, shape ``lead + (L,)``, then Doppler activity, shape
-    ``lead + (L, 2Q+1)`` (for type1 a broadcast view), of ``lead`` independent
-    realizations: the one sampler of the trials and the tail statistics."""
+def _delay_activity(cfg: SparsityConfig, rng: np.random.Generator, lead: tuple = ()):
+    """Delay activity, shape ``lead + (L,)``, of ``lead`` independent realizations."""
+    return rng.random(lead + (cfg.l_taps,)) < cfg.p_delay
+
+
+def _doppler_activity(cfg: SparsityConfig, rng: np.random.Generator, lead: tuple = ()):
+    """Doppler activity, shape ``lead + (L, 2Q+1)`` (for type1 a broadcast
+    view), of ``lead`` independent realizations.  Drawn after their delay
+    activity, it is the one sampler of the trials and the tail statistics;
+    consecutive slices of realizations draw the stream of all of them."""
     l_taps, nd = cfg.l_taps, cfg.n_doppler
-    taps = rng.random(lead + (l_taps,)) < cfg.p_delay
     if cfg.model == "type1":
         pattern = rng.random(lead + (nd,)) < cfg.p_doppler
-        doppler = np.broadcast_to(pattern[..., None, :], lead + (l_taps, nd))
-    elif cfg.model == "type2":
-        doppler = rng.random(lead + (l_taps, nd)) < cfg.p_doppler
-    else:
-        # row s: the circular cluster that starts at bin s
-        clusters = (np.arange(nd) - np.arange(nd)[:, None]) % nd < cfg.cluster_len
-        doppler = clusters[rng.integers(0, nd, size=lead + (l_taps,))]
-    return taps, doppler
+        return np.broadcast_to(pattern[..., None, :], lead + (l_taps, nd))
+    if cfg.model == "type2":
+        return rng.random(lead + (l_taps, nd)) < cfg.p_doppler
+    # row s: the circular cluster that starts at bin s
+    clusters = (np.arange(nd) - np.arange(nd)[:, None]) % nd < cfg.cluster_len
+    return clusters[rng.integers(0, nd, size=lead + (l_taps,))]
 
 
 def sample_profile(cfg: SparsityConfig, rng: np.random.Generator) -> DelayDopplerProfile:
@@ -177,7 +180,8 @@ def sample_profile(cfg: SparsityConfig, rng: np.random.Generator) -> DelayDopple
     complex Gaussian with variance ``cfg.gain_variance``.
     """
     l_taps, nd = cfg.l_taps, cfg.n_doppler
-    taps, doppler = _activity(cfg, rng)
+    taps = _delay_activity(cfg, rng)
+    doppler = _doppler_activity(cfg, rng)
     mask = taps[:, None] & doppler
     scale = math.sqrt(cfg.gain_variance / 2.0)
     gains = scale * (rng.standard_normal((l_taps, nd)) + 1j * rng.standard_normal((l_taps, nd)))
@@ -278,6 +282,10 @@ def chernoff_tail_bound(n: int, p: float, level: int) -> float:
     return math.exp(log_bound)
 
 
+# realizations whose Doppler activity the tail statistics draw at once
+_STATS_SLICE = 4096
+
+
 def empirical_sparsity_stats(
     cfg: SparsityConfig, trials: int, rng: np.random.Generator
 ) -> dict:
@@ -293,8 +301,15 @@ def empirical_sparsity_stats(
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
     s_d, s_dop = cfg.sparsity_levels()
-    active, doppler = _activity(cfg, rng, (trials,))
-    joint_exceed = (active & (doppler.sum(axis=2) > s_dop)).any(axis=1)
+    active = _delay_activity(cfg, rng, (trials,))
+    # the Doppler draws follow a slice of realizations at a time, so that
+    # one slice's floats, not every trial's, exist at once
+    joint_exceed = np.empty(trials, dtype=bool)
+    for start in range(0, trials, _STATS_SLICE):
+        stop = min(start + _STATS_SLICE, trials)
+        doppler = _doppler_activity(cfg, rng, (stop - start,))
+        row_exceed = doppler.sum(axis=2) > s_dop
+        joint_exceed[start:stop] = (active[start:stop] & row_exceed).any(axis=1)
     delay_exceed = active.sum(axis=1) > s_d
 
     chernoff_row = chernoff_tail_bound(cfg.n_doppler, cfg.p_doppler, s_dop)

@@ -48,10 +48,11 @@ from .sensing_model import (
     _check_column_energy,
     build_measurement_operator,
     build_pilot_frame,
+    data_slots,
     extract_measurements,
     observation_index_set,
 )
-from .subnyquist import DecimationPlan, RadarConfig, dechirp_decimate_receive, sampling_rate
+from .subnyquist import DecimationPlan, RadarConfig, dechirp_decimate_receive
 
 __all__ = [
     "ExperimentConfig",
@@ -172,7 +173,8 @@ class ExperimentConfig:
                     raise ValueError(f"{name} repeats the entry {v!r}")
                 if twin is not None:
                     raise ValueError(f"{name} entries {twin!r} and {v!r} share one trial key")
-        # f_s_hz reports the reduced train's rate; another layout needs a higher one
+        # the de-chirp receiver runs on the reduced train only: a spread train's
+        # observed bins collide mod K, and a packed one samples more for its pilots
         if self.receiver == "subnyquist" and self.overlap_mode != "reduced":
             raise ValueError("the sub-Nyquist receiver needs overlap_mode 'reduced'")
         if self.cpp_len is not None and self.cpp_len < self.l_taps - 1:  # the channel refuses it
@@ -304,8 +306,8 @@ class ResultRecord:
     mse_stderr: float
     support_rate: float
     mean_iterations: float
-    overhead: int
-    f_s_hz: float
+    overhead: int  # the frame's pilot and guard slots
+    f_s_hz: float  # the receiver's rate: K / T de-chirped, else the bandwidth
     wall_time_s: float
     trials_ok: int
     trials_failed: int
@@ -552,21 +554,15 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
             )
         frame = build_pilot_frame(scheme, params, cfg.l_taps, cfg.q_max)
         s_cpp = cpp_extend(idaft_modulate(frame, params), params)
-        overhead = pilot_overhead(
-            "afdm",
-            {
-                "n_pilots": n_p,
-                "l_taps": cfg.l_taps,
-                "q_max": cfg.q_max,
-                "chirp_num": params.chirp_num,
-            },
-        )
+        # the row states what its cell ran: the frame's pilots and guards, and
+        # the rate of the receiver's K-point fold or the full bandwidth
+        overhead = cfg.n - len(data_slots(scheme, params, cfg.l_taps, cfg.q_max))
         plan = None
         f_s = cfg.bandwidth_hz
         if cfg.receiver == "subnyquist":
             # through the module, where a wrapper installed after import sees it
             plan = subnyquist.decimation_plan(op)
-            f_s = sampling_rate(n_p, cfg.l_taps, params.chirp_num, cfg.radar).f_s_hz
+            f_s = plan.k_points / cfg.radar.frame_duration_s
         for snr_db in cfg.snr_db:
             noise = NoiseConfig.from_snr_db(snr_db)
             cells.append(_Cell(n_p, snr_db, op, plan, s_cpp, noise, overhead, f_s))

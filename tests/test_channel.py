@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,40 @@ def test_sampler_stream_is_pinned(model):
     assert stats == pytest.approx(expected, rel=1e-12)
     # type3's statistics read only the delay draws, but must consume the starts too
     assert rng.integers(2**32) == next_draw
+
+
+# (count of delay exceedances, of joint Doppler exceedances, of hierarchically
+# sparse realizations, next draw) of 10007 realizations at seed 12, as drawn
+# when every realization's Doppler activity was one array
+_SLICED_STREAM_PINS = {
+    "type1": ({"p_doppler": 0.2}, (588, 595, 8859), 1590220916),
+    "type2": ({"p_doppler": 0.2}, (588, 3084, 6614), 2611922278),
+    "type3": ({"cluster_len": 6}, (588, 0, 9419), 1590220916),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_SLICED_STREAM_PINS))
+def test_sliced_tail_statistics_keep_the_stream(model):
+    # 10007 realizations cross three slice boundaries and end in a partial slice
+    kwargs, counts, next_draw = _SLICED_STREAM_PINS[model]
+    cfg = SparsityConfig(model, l_taps=30, q_max=7, p_delay=0.2, **kwargs)
+    rng = np.random.default_rng(12)
+    stats = empirical_sparsity_stats(cfg, 10_007, rng)
+    keys = ("prob_delay_exceed", "prob_doppler_exceed_joint", "prob_hierarchically_sparse")
+    assert tuple(round(stats[k] * 10_007) for k in keys) == counts
+    assert rng.integers(2**32) == next_draw
+
+
+def test_tail_statistics_hold_one_slice_of_doppler_draws():
+    # the Doppler activity of all 100000 realizations drawn at once peaked near 400 MB
+    cfg = SparsityConfig("type2", l_taps=30, q_max=7, p_delay=0.2, p_doppler=0.2)
+    tracemalloc.start()
+    try:
+        empirical_sparsity_stats(cfg, 100_000, np.random.default_rng(107))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120e6
 
 
 def test_power_normalization_monte_carlo():

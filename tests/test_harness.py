@@ -24,7 +24,7 @@ from afdm_sense import (
 from afdm_sense import cli, harness, hihtp, subnyquist
 from afdm_sense.channel import SparsityConfig, doppler_phase
 from afdm_sense.daft_core import AfdmParams
-from afdm_sense.sensing_model import PilotScheme
+from afdm_sense.sensing_model import PilotScheme, build_measurement_operator, data_slots
 from afdm_sense.subnyquist import RadarConfig
 from afdm_sense.cli import main as cli_main
 
@@ -61,6 +61,31 @@ def test_overhead_reference_values():
     # the smallest grids each waveform accepts
     assert pilot_overhead("ofdm", dict(n_pilots_td=0, n_pilots_fd=0, n_symbols=1, l_taps=1)) == 0
     assert pilot_overhead("otfs", dict(n_otfs=1, m_otfs=1, l_taps=1, q_max=0)) == 1
+
+
+# (n, l_taps, q_max, chirp_num, n_pilots) of reduced trains whose guards do
+# not wrap the frame; the last two are criterion 8's paper cell and the
+# subnyquist_snr workload's train
+REDUCED_TRAINS = [
+    (256, 3, 2, 1, 6), (256, 8, 3, 1, 4), (512, 4, 1, 3, 16), (512, 5, 2, 2, 9),
+    (4096, 30, 7, 1, 16), (4096, 8, 3, 1, 255),
+]
+
+
+@pytest.mark.parametrize("chirp_sign", [1, -1])
+@pytest.mark.parametrize("n, l_taps, q_max, chirp_num, n_pilots", REDUCED_TRAINS)
+def test_afdm_overhead_formula_is_a_reduced_train_frame(n, l_taps, q_max, chirp_num, n_pilots,
+                                                        chirp_sign):
+    # the closed form counts a reduced train's pilots and guards
+    formula = pilot_overhead(
+        "afdm", dict(n_pilots=n_pilots, l_taps=l_taps, q_max=q_max, chirp_num=chirp_num)
+    )
+    assert formula < n  # no wrap
+    scheme = PilotScheme.uniform(
+        n, n_pilots, l_taps, q_max, chirp_num, chirp_sign=chirp_sign, overlap_mode="reduced"
+    )
+    params = AfdmParams(n=n, chirp_num=chirp_num, chirp_sign=chirp_sign)
+    assert formula == n - len(data_slots(scheme, params, l_taps, q_max))
 
 
 @pytest.mark.parametrize(
@@ -195,7 +220,8 @@ def test_config_validation():
         small_config(master_seed=-1)
     with pytest.raises(ValueError, match="overlap_mode must be one of"):
         small_config(overlap_mode="foo")
-    # f_s_hz would report the reduced train's rate for a disjoint layout
+    # the de-chirp receiver runs on the reduced train only: a spread train's
+    # observed bins collide mod K, and a packed one samples more for its pilots
     for contiguous in (False, True):
         with pytest.raises(ValueError, match="overlap_mode 'reduced'"):
             small_config(receiver="subnyquist", contiguous=contiguous)
@@ -367,6 +393,58 @@ def test_subnyquist_sweep_pinned():
         assert (rec.support_rate, rec.mean_iterations) == (support_rate, mean_iterations), snr_db
         assert (rec.trials_ok, rec.trials_failed) == (100, 0), snr_db
         assert rec.mse == pytest.approx(mse, rel=1e-12, abs=0.0), snr_db
+
+
+# the CI sweeps' configs
+CI_SWEEP = {
+    "n": 256, "l_taps": 8, "q_max": 3, "model": "type2", "p_delay": 0.3,
+    "p_doppler": 0.3, "trials": 40, "n_pilots": [4, 8], "snr_db": [20.0],
+}
+CI_REDUCED = {
+    "n": 64, "l_taps": 3, "q_max": 2, "model": "type2", "p_delay": 0.3, "p_doppler": 0.3,
+    "trials": 40, "n_pilots": [6], "snr_db": [20.0], "overlap_mode": "reduced",
+    "receiver": "subnyquist",
+}
+# config, each pilot count's frame overhead, and f_s_hz
+ROW_FACT_CASES = {
+    "paper_sweep": (BENCHMARK_CONFIGS["paper_sweep"], {8: 696, 16: 1392, 32: 2784}, 30e6),
+    # K = 2048 for 2046 observed bins
+    "subnyquist_snr": (BENCHMARK_CONFIGS["subnyquist_snr"], {255: 2059}, 15e6),
+    "ci_sweep": (CI_SWEEP, {4: 108, 8: 216}, 30e6),
+    "ci_subnyquist": (CI_REDUCED, {6: 28}, 15e6),  # K = 32 for 22 bins
+    "ci_htp": ({**CI_SWEEP, "solver": "htp"}, {4: 108, 8: 216}, 30e6),
+    "ci_type1": ({**CI_SWEEP, "model": "type1"}, {4: 108, 8: 216}, 30e6),
+    "ci_type3": ({**CI_SWEEP, "model": "type3", "p_doppler": 0.0, "cluster_len": 2},
+                 {4: 108, 8: 216}, 30e6),
+    "packed": ({**CI_SWEEP, "l_taps": 3, "q_max": 2, "n_pilots": [6, 8], "contiguous": True},
+               {6: 48, 8: 62}, 30e6),
+    # T counts the prefix: 32 samples in 68 / 10 MHz
+    "dechirp_with_prefix": ({**CI_REDUCED, "n_pilots": [6, 7], "chirp_sign": -1, "cpp_len": 4,
+                             "include_cpp_in_duration": True, "bandwidth_hz": 10e6},
+                            {6: 28, 7: 31}, 32 / 6.8e-6),
+}
+
+
+@pytest.mark.parametrize("case", ROW_FACT_CASES)
+def test_rows_state_what_their_cells_ran(case):
+    # overhead counts the frame's pilots and guards, and f_s_hz is the
+    # de-chirp receiver's K / T or the full bandwidth; neither depends on
+    # the trials, so two run
+    doc, overheads, f_s_hz = ROW_FACT_CASES[case]
+    cfg = ExperimentConfig.from_dict({**doc, "trials": 2})
+    records = run_monte_carlo(cfg)
+    assert [r.n_pilots for r in records] == [n_p for n_p in cfg.n_pilots for _ in cfg.snr_db]
+    for rec in records:
+        scheme = cfg.schemes[rec.n_pilots]
+        free = data_slots(scheme, cfg.params, cfg.l_taps, cfg.q_max)
+        assert rec.overhead == cfg.n - len(free) == overheads[rec.n_pilots]
+        if cfg.receiver == "subnyquist":
+            op = build_measurement_operator(scheme, cfg.params, cfg.l_taps, cfg.q_max)
+            k_points = subnyquist.decimation_plan(op).k_points
+            assert rec.f_s_hz == k_points / cfg.radar.frame_duration_s
+        else:
+            assert rec.f_s_hz == cfg.bandwidth_hz
+        assert rec.f_s_hz == pytest.approx(f_s_hz, rel=1e-15)
 
 
 @pytest.mark.parametrize(
