@@ -173,8 +173,10 @@ class ExperimentConfig:
                     raise ValueError(f"{name} repeats the entry {v!r}")
                 if twin is not None:
                     raise ValueError(f"{name} entries {twin!r} and {v!r} share one trial key")
-        # the de-chirp receiver runs on the reduced train only: a spread train's
-        # observed bins collide mod K, and a packed one samples more for its pilots
+        # the de-chirp receiver runs on the reduced train only: at the K its
+        # observation count gives, a spread train's windows fold onto one another,
+        # and a packed one samples more for its pilots; pilots that fold on
+        # purpose are item 1 of ROADMAP.md
         if self.receiver == "subnyquist" and self.overlap_mode != "reduced":
             raise ValueError("the sub-Nyquist receiver needs overlap_mode 'reduced'")
         if self.cpp_len is not None and self.cpp_len < self.l_taps - 1:  # the channel refuses it
@@ -513,7 +515,7 @@ class _Cell(typing.NamedTuple):
 
     n_p: int
     snr_db: float
-    op: MeasurementOperator
+    op: MeasurementOperator  # the one the trials run on: the plan's fold for the de-chirp receiver
     plan: DecimationPlan | None  # the de-chirp receiver's, None at full rate
     s_cpp: np.ndarray
     noise: NoiseConfig
@@ -541,6 +543,13 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     for n_p in cfg.n_pilots:
         scheme = cfg.schemes[n_p]
         op = build_measurement_operator(scheme, params, cfg.l_taps, cfg.q_max)
+        plan = None
+        f_s = cfg.bandwidth_hz
+        if cfg.receiver == "subnyquist":
+            # through the module, where a wrapper installed after import sees it
+            plan = subnyquist.decimation_plan(op)
+            op = plan.op  # the trials measure and recover on the K-point fold
+            f_s = plan.k_points / cfg.radar.frame_duration_s
         if op.columns.refit == "svd":  # no refit is certified on this operator
             # the de-chirp receiver takes only the reduced train, which has no spread placement
             fix = (
@@ -557,12 +566,6 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
         # the row states what its cell ran: the frame's pilots and guards, and
         # the rate of the receiver's K-point fold or the full bandwidth
         overhead = cfg.n - len(data_slots(scheme, params, cfg.l_taps, cfg.q_max))
-        plan = None
-        f_s = cfg.bandwidth_hz
-        if cfg.receiver == "subnyquist":
-            # through the module, where a wrapper installed after import sees it
-            plan = subnyquist.decimation_plan(op)
-            f_s = plan.k_points / cfg.radar.frame_duration_s
         for snr_db in cfg.snr_db:
             noise = NoiseConfig.from_snr_db(snr_db)
             cells.append(_Cell(n_p, snr_db, op, plan, s_cpp, noise, overhead, f_s))

@@ -40,8 +40,6 @@ __all__ = [
     "build_pilot_frame",
     "build_measurement_operator",
     "extract_measurements",
-    "export_operator",
-    "load_operator",
 ]
 
 _OVERLAP_MODES = ("disjoint", "reduced")
@@ -306,67 +304,3 @@ def extract_measurements(y, indices) -> np.ndarray:
         raise ValueError("observation index out of range")
     return y[indices]
 
-
-def export_operator(op: MeasurementOperator, path) -> None:
-    """Write the operator in a plain-text format for cross-tool comparison.
-
-    Header: frame geometry and matrix shape; one line per nonzero entry
-    with row, column, real and imaginary parts (17 significant digits).
-    """
-    rows, cols = op.shape
-    p = op.params
-    lines = [
-        "afdm-sense operator v1",
-        f"n {p.n} chirp_num {p.chirp_num} chirp_sign {p.chirp_sign} c2 {p.c2!r} "
-        f"l_taps {op.l_taps} q_max {op.q_max}",
-        f"rows {rows} cols {cols}",
-        "indices " + " ".join(str(int(k)) for k in op.row_indices),
-    ]
-    nz_r, nz_c = np.nonzero(op.matrix)
-    for i, j, v in zip(nz_r, nz_c, op.matrix[nz_r, nz_c]):
-        lines.append(f"{i} {j} {float(v.real)!r} {float(v.imag)!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_operator(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back an exported operator; returns (matrix, row_indices).
-
-    A malformed file raises ``ValueError`` naming the file and the line.
-    """
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-
-    def error(lineno: int, reason: str) -> ValueError:
-        return ValueError(f"{path}, line {lineno}: {reason}")
-
-    if not lines or lines[0] != "afdm-sense operator v1":
-        raise error(1, "not an exported operator file")
-    if len(lines) < 4:
-        raise error(len(lines) + 1, "the file ends inside the header")
-    # the file is ASCII, so isdigit accepts exactly the non-negative integers
-    shape = lines[2].split()
-    if len(shape) != 4 or shape[0::2] != ["rows", "cols"] or not all(
-        tok.isdigit() for tok in shape[1::2]
-    ):
-        raise error(3, "expected 'rows R cols C'")
-    rows, cols = int(shape[1]), int(shape[3])
-    tokens = lines[3].split()
-    if tokens[:1] != ["indices"] or not all(tok.isdigit() for tok in tokens[1:]):
-        raise error(4, "expected 'indices' and non-negative integers")
-    indices = np.array([int(tok) for tok in tokens[1:]], dtype=np.int64)
-    if len(indices) != rows:
-        raise error(4, f"{len(indices)} indices for {rows} rows")
-    matrix = np.zeros((rows, cols), dtype=np.complex128)
-    for lineno, line in enumerate(lines[4:], start=5):
-        if not line:
-            continue
-        try:
-            i, j, re, im = line.split()
-            i, j, value = int(i), int(j), complex(float(re), float(im))
-        except ValueError:
-            raise error(lineno, "expected 'row col real imag'") from None
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise error(lineno, f"entry ({i}, {j}) lies outside the {rows} x {cols} matrix")
-        matrix[i, j] = value
-    return matrix, indices

@@ -3,22 +3,25 @@
 Multiplying the received frame by the conjugate zero-th chirp carrier
 turns the pilot response into a signal whose DFT occupies exactly the
 observation index set.  Keeping every (n / K)-th sample folds bin k onto
-k mod K; when the observed bins have distinct residues mod K, as a
-circular interval of length at most K has, a K-point DFT recovers the
-observed samples at a fraction of the full rate.  K is the smallest
-divisor of the frame length no smaller than the observation count.
-``decimation_plan`` reads an operator's observation set once and holds the
-receiver's tables (the decimated chirp, the folded bins and their scale);
-a sweep builds one per pilot count and hands it to every trial.
+k mod K: each kept bin is the sum of the D = n / K full-rate bins of its
+residue, each divided by its second chirp, so a K-point DFT measures the
+K-point fold of the full-rate operator.  K is the smallest divisor of the
+frame length no smaller than the observation count.  ``decimation_plan``
+folds an operator once and holds the folded operator with the receiver's
+tables (the decimated chirp, the folded bins and their scale); a sweep
+builds one per pilot count, and every trial receives and recovers on it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+
+from .hihtp import _Columns
+from .sensing_model import MeasurementOperator
 
 __all__ = [
     "RadarConfig",
@@ -90,48 +93,78 @@ def sampling_rate(n_pilots: int, l_taps: int, chirp_num: int, cfg: RadarConfig) 
 
 
 class DecimationPlan(NamedTuple):
-    n_observed: int
+    n_observed: int  # the folded rows: the observed residues mod K
     k_points: int
     decimation: int
     first: np.ndarray  # the zero-th chirp at every decimation-th sample
-    bins: np.ndarray  # every observed bin's residue mod K
-    scale: np.ndarray  # the second chirp at the observed bins, times decimation / sqrt(n)
-    positions: tuple[int, ...]  # the only bins a pilot-only frame fills
+    bins: np.ndarray  # every folded row's residue mod K
+    scale: np.ndarray  # the second chirp at the rows' representatives, times decimation / sqrt(n)
+    op: MeasurementOperator  # the K-point fold of the full-rate operator
 
 
-def decimation_plan(op) -> DecimationPlan:
-    """Choose the folded DFT size for an operator's observation set.
+def decimation_plan(op: MeasurementOperator) -> DecimationPlan:
+    """Fold an operator onto the K bins its decimated receiver measures.
 
     K is the smallest divisor of the frame length that is at least the
     observation count; the emulated receiver then keeps one sample in
     every n / K, so it samples at ``K / T``, at least the minimal rate
-    ``sampling_rate`` gives.  The plan holds the receiver's read-only
-    tables; bins sharing a residue mod K raise.
+    ``sampling_rate`` gives.  Each residue mod K is represented by its
+    first observed row, and the folded rows keep the representatives'
+    order; ``row_indices`` of the folded operator holds their full-rate
+    bins.  A hit on a row that is not its residue's representative moves
+    there, times the second chirp at the representative over the second
+    chirp at its row, and the hits a column folds onto one row add up.
+    The folded operator carries its own conditioning certificate, which
+    judges the fold; where no two observed bins share a residue it equals
+    the full-rate operator.  The plan's tables are read-only.
     """
     indices, params = op.row_indices, op.params
-    n = params.n
-    k_points = next(k for k in range(len(indices), n + 1) if n % k == 0)
-    bins = indices % k_points
-    # sort and compare neighbours: np.unique would import numpy.ma on first use
-    folded = np.sort(bins)
-    if np.any(folded[1:] == folded[:-1]):
-        raise ValueError("observation set folds with collisions at this rate")
+    n, m = params.n, len(indices)
+    k_points = next(k for k in range(m, n + 1) if n % k == 0)
     step = n // k_points
+    residue = indices % k_points
+    # every row's representative, its residue's first row, and its folded row
+    first_row = np.full(k_points, m)
+    np.minimum.at(first_row, residue, np.arange(m))
+    rep = first_row[residue]
+    reps = np.flatnonzero(rep == np.arange(m))
     first, second = params.chirps
-    tables = (first[::step].copy(), bins, second[indices] * (step / np.sqrt(n)))
+    # the padding row m goes to the fold's padding row, untouched
+    to_row = np.append(np.searchsorted(reps, rep), len(reps))
+    moved = np.append(rep != np.arange(m), False)
+    weight = np.append(second[indices[rep]] / second[indices], 1.0)
+    hits = op.columns.rows
+    rows = to_row[hits]
+    vals = np.where(moved[hits], op.columns.vals * weight[hits], op.columns.vals)
+    order = np.argsort(rows, axis=1, kind="stable")
+    rows = np.take_along_axis(rows, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    # a column's hits on one folded row add up on the first of them
+    repeat = np.zeros(rows.shape, dtype=bool)
+    repeat[:, 1:] = (rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] < len(reps))
+    col, pos = np.nonzero(repeat)
+    head = np.maximum.accumulate(np.where(repeat, 0, np.arange(rows.shape[1])), axis=1)
+    np.add.at(vals, (col, head[col, pos]), vals[col, pos])
+    rows[col, pos], vals[col, pos] = len(reps), 0.0
+    kept = indices[reps]
+    tables = (first[::step].copy(), residue[reps], second[kept] * (step / np.sqrt(n)), kept)
     for table in tables:
         table.setflags(write=False)
-    return DecimationPlan(len(indices), k_points, step, *tables, op.scheme.positions)
+    folded = replace(op, columns=_Columns(len(reps), rows, vals), row_indices=kept)
+    return DecimationPlan(len(reps), k_points, step, *tables[:3], folded)
 
 
 def dechirp_decimate_receive(r, plan: DecimationPlan, frame=None) -> np.ndarray:
-    """Recover the observed samples from a decimated de-chirped frame.
+    """Measure a decimated de-chirped frame on the plan's folded operator.
 
     Takes the prefix-free frame of ``n`` samples, as ``daft_demodulate``
     does.  The frame must be pilot-only; passing the transmitted frame via
-    ``frame`` enables that check.  Returns the same vector, in the same
-    sorted order, that full-rate demodulation followed by index gathering
-    would produce.
+    ``frame`` enables that check.  Returns one sample per row of
+    ``plan.op``: the scaled K-point DFT bin of each row's residue, which
+    is ``plan.op.columns.matvec`` of the profile plus noise of
+    ``decimation * sigma_w2`` per bin.  Where no two observed bins share a
+    residue, it is the vector that full-rate demodulation followed by
+    index gathering would produce.
     """
     r = np.asarray(r, dtype=np.complex128)
     n = plan.decimation * plan.k_points
@@ -140,7 +173,7 @@ def dechirp_decimate_receive(r, plan: DecimationPlan, frame=None) -> np.ndarray:
             f"received frame must have {n} samples, got {r.shape}; strip a prefix with cpp_strip"
         )
     if frame is not None:
-        off_pilot = np.delete(np.asarray(frame, dtype=np.complex128), plan.positions)
+        off_pilot = np.delete(np.asarray(frame, dtype=np.complex128), plan.op.scheme.positions)
         if np.any(np.abs(off_pilot) > 0):
             raise ValueError("data symbols present: the folded band would be corrupted")
     spectrum = np.fft.fft(plan.first * r[:: plan.decimation])

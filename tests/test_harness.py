@@ -220,8 +220,10 @@ def test_config_validation():
         small_config(master_seed=-1)
     with pytest.raises(ValueError, match="overlap_mode must be one of"):
         small_config(overlap_mode="foo")
-    # the de-chirp receiver runs on the reduced train only: a spread train's
-    # observed bins collide mod K, and a packed one samples more for its pilots
+    # the de-chirp receiver runs on the reduced train only: at the K its
+    # observation count gives, a spread train's windows fold onto one another,
+    # and a packed one samples more for its pilots; pilots that fold on
+    # purpose are item 1 of ROADMAP.md
     for contiguous in (False, True):
         with pytest.raises(ValueError, match="overlap_mode 'reduced'"):
             small_config(receiver="subnyquist", contiguous=contiguous)
@@ -616,6 +618,42 @@ def test_sweep_builds_one_plan_per_dechirp_pilot_count(monkeypatch, overrides, p
     records = run_monte_carlo(cfg)
     assert [op.scheme.n_pilots for op in ops] == planned
     assert records_to_csv_str(records) == reference
+
+
+def test_dechirp_trials_run_on_the_plans_fold(monkeypatch):
+    # the trials' pursuit reads the plan's folded operator, and the sweep
+    # judges that operator's certificate; counted here, on one worker
+    monkeypatch.setenv("AFDM_SENSE_THREADS", "1")
+    cfg = small_config(trials=3, n_pilots=(6,), receiver="subnyquist", overlap_mode="reduced")
+    original_plan, original_recover = subnyquist.decimation_plan, harness.hihtp_recover
+    plans, ops = [], []
+
+    def planning(op):
+        plans.append(original_plan(op))
+        return plans[-1]
+
+    def recovering(op, *args, **kwargs):
+        ops.append(op)
+        return original_recover(op, *args, **kwargs)
+
+    monkeypatch.setattr(subnyquist, "decimation_plan", planning)
+    monkeypatch.setattr(harness, "hihtp_recover", recovering)
+    assert run_monte_carlo(cfg)[0].trials_ok == 3
+    assert len(plans) == 1 and len(ops) == 3 and all(op is plans[0].op for op in ops)
+    # a plan whose operator takes no certified refit: the cell is refused,
+    # although its full-rate operator is certified
+    assert plans[0].op.columns.refit == "solve"
+    three = PilotScheme.uniform(
+        cfg.n, 3, cfg.l_taps, cfg.q_max, cfg.params.chirp_num, overlap_mode="reduced"
+    )
+    uncertified = build_measurement_operator(three, cfg.params, cfg.l_taps, cfg.q_max)
+    assert uncertified.columns.refit == "svd"
+    monkeypatch.setattr(
+        subnyquist, "decimation_plan", lambda op: original_plan(op)._replace(op=uncertified)
+    )
+    with pytest.raises(ValueError, match=r"^n_pilots=6 gives an operator whose conditioning "
+                       r"certificate .* exceeds the bound .*; use more pilots$"):
+        run_monte_carlo(cfg)
 
 
 def test_failed_trials_counted_not_fatal(monkeypatch):

@@ -18,8 +18,6 @@ from afdm_sense import (
     data_slots,
     extract_measurements,
     idaft_modulate,
-    load_operator,
-    export_operator,
     observation_index_set,
     sample_profile,
     vectorize_profile,
@@ -510,62 +508,6 @@ def test_paper_build_allocates_no_dense_matrix():
         tracemalloc.stop()
     assert peak <= 6 * 2**20
     assert op.columns.rows.shape == (450, 32) and "matrix" not in vars(op)
-
-
-def test_operator_export_roundtrip(tmp_path):
-    params = AfdmParams(n=64, chirp_num=2, c2=0.11)
-    scheme = PilotScheme.uniform(64, 2, 3, 2, 2)
-    op = build_measurement_operator(scheme, params, 3, 2)
-    path = tmp_path / "operator.txt"
-    export_operator(op, path)
-    matrix, indices = load_operator(path)
-    assert np.array_equal(indices, op.row_indices)
-    assert np.array_equal(matrix, op.matrix)
-
-
-def _drop_last_index(lines):
-    lines[3] = lines[3].rsplit(" ", 1)[0]
-    return lines
-
-
-@pytest.mark.parametrize(
-    "corrupt, lineno",
-    [
-        (lambda lines: lines[:4] + ["-1 0 1.0 0.0"] + lines[5:], 5),
-        (lambda lines: lines[:3], 4),
-        (lambda lines: lines[:6] + [f"{lines[2].split()[1]} 0 1.0 0.0"], 7),
-        (lambda lines: lines[:5] + ["0 -1 1.0 0.0"], 6),
-        (_drop_last_index, 4),
-        (lambda lines: lines[:5] + ["0 1 1.0"], 6),
-        (lambda lines: ["afdm-sense operator v2"] + lines[1:], 1),
-        (lambda lines: lines[:2] + ["rows 4 columns 6"] + lines[3:], 3),
-        (lambda lines: lines[:3] + [lines[3] + " 1.5"] + lines[4:], 4),
-    ],
-    ids=["negative-row", "truncated", "row-outside", "negative-col", "index-count", "short-entry",
-         "wrong-first-line", "malformed-shape", "fractional-index"],
-)
-def test_load_operator_rejects_malformed_files(tmp_path, corrupt, lineno):
-    params = AfdmParams(n=64, chirp_num=2, c2=0.11)
-    op = build_measurement_operator(PilotScheme.uniform(64, 2, 3, 2, 2), params, 3, 2)
-    path = tmp_path / "operator.txt"
-    export_operator(op, path)
-    lines = corrupt(path.read_text(encoding="ascii").splitlines())
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    with pytest.raises(ValueError, match=rf"operator\.txt, line {lineno}: "):
-        load_operator(path)
-
-
-def test_operator_export_writes_structural_entries_only(tmp_path):
-    # the paper n_p=8 operator: one entry per pilot and column
-    n, l_taps, q_max, n_pilots = 4096, 30, 7, 8
-    params = AfdmParams(n=n, chirp_num=1, cpp_len=64)
-    op = build_measurement_operator(
-        PilotScheme.uniform(n, n_pilots, l_taps, q_max, 1), params, l_taps, q_max
-    )
-    path = tmp_path / "operator.txt"
-    export_operator(op, path)
-    entries = path.read_text(encoding="ascii").splitlines()[4:]
-    assert len(entries) == n_pilots * l_taps * (2 * q_max + 1)
 
 
 def test_list_built_scheme_matches_tuple_built():

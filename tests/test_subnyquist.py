@@ -5,6 +5,7 @@ import pytest
 
 from afdm_sense import (
     AfdmParams,
+    ExperimentConfig,
     NoiseConfig,
     PilotScheme,
     RadarConfig,
@@ -23,6 +24,7 @@ from afdm_sense import (
     observation_index_set,
     sample_profile,
     sampling_rate,
+    vectorize_profile,
 )
 
 
@@ -142,13 +144,101 @@ def test_prefixed_frame_refused_naming_cpp_strip():
     assert y.tobytes() == dechirp_decimate_receive(r, plan).tobytes()
 
 
-def test_colliding_fold_rejected():
-    n = 64
-    params = AfdmParams(n=n, chirp_num=1)
-    # windows [0, 7) and [32, 39): 14 bins, K = 16, and both fold onto [0, 7)
-    op = build_measurement_operator(PilotScheme.uniform(n, 2, 3, 2, 1), params, 3, 2)
-    with pytest.raises(ValueError, match="folds with collisions"):
-        decimation_plan(op)
+@pytest.mark.parametrize("c2", [0.0, 0.137])
+@pytest.mark.parametrize("chirp_sign", [1, -1])
+@pytest.mark.parametrize("layout", ["two-windows", "three-rows-per-residue"])
+def test_colliding_fold_is_the_folded_operator(layout, chirp_sign, c2):
+    l_taps, q_max = 3, 2
+    if layout == "two-windows":
+        # windows 32 apart at K = 16: both fold onto the first one's residues
+        n, k_points = 64, 16
+        scheme = PilotScheme.uniform(n, 2, l_taps, q_max, 1, chirp_sign)
+    else:
+        # windows 48 apart at K = 24: every residue holds three observed rows
+        n, k_points = 192, 24
+        scheme = PilotScheme(positions=(10, 58, 106), values=(1.0, 1.0, 1.0))
+    params = AfdmParams(n=n, chirp_num=1, chirp_sign=chirp_sign, cpp_len=l_taps - 1, c2=c2)
+    op = build_measurement_operator(scheme, params, l_taps, q_max)
+    plan = decimation_plan(op)
+    assert plan.k_points == k_points and plan.decimation == n // k_points
+    # the first window's rows represent every residue, in their order
+    window = len(op.row_indices) // scheme.n_pilots
+    assert plan.n_observed == plan.op.shape[0] == window
+    assert np.array_equal(plan.op.row_indices, op.row_indices[:window])
+    assert np.array_equal(plan.bins, op.row_indices[:window] % k_points)
+    # 7 folded rows for 15 columns: the fold's own certificate is infinite
+    assert plan.op.columns.cond == np.inf
+    cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.6, p_doppler=0.6)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        profile = sample_profile(cfg, rng)
+        frame, r = received_frame(scheme, params, l_taps, q_max, profile)
+        y_sub = dechirp_decimate_receive(r, plan, frame=frame)
+        truth = vectorize_profile(profile)
+        # relative to the full-rate samples: at c2 = 0 the two windows' hits
+        # of every delay-1 column cancel in the fold, so a profile active
+        # only there leaves the folded samples zero
+        scale = np.linalg.norm(op.columns.matvec(truth))
+        assert scale > 0
+        assert np.linalg.norm(y_sub - plan.op.columns.matvec(truth)) <= 1e-12 * scale
+
+
+def parent_tables(op):
+    """The receiver's tables as a plan formed them before it folded the
+    operator: one per observed bin, which owned its residue alone."""
+    indices, n = op.row_indices, op.params.n
+    k_points = next(k for k in range(len(indices), n + 1) if n % k == 0)
+    step = n // k_points
+    first, second = op.params.chirps
+    return first[::step], indices % k_points, second[indices] * (step / np.sqrt(n))
+
+
+# (config, observed bins, K) of collision-free de-chirp trains
+IDENTITY_TRAINS = {
+    # the subnyquist_snr benchmark train
+    "subnyquist_snr": (
+        dict(n=4096, l_taps=8, q_max=3, model="type2", p_delay=0.3, p_doppler=0.3,
+             n_pilots=[255], overlap_mode="reduced", receiver="subnyquist"),
+        2046, 2048,
+    ),
+    # the CI de-chirp train
+    "ci_subnyquist": (
+        dict(n=64, l_taps=3, q_max=2, model="type2", p_delay=0.3, p_doppler=0.3,
+             n_pilots=[6], overlap_mode="reduced", receiver="subnyquist"),
+        22, 32,
+    ),
+    # a reduced train of 16 bins started so that they cross 16 = K
+    "crossing": (None, 16, 16),
+}
+
+
+@pytest.mark.parametrize("c2", [0.0, 0.137])
+@pytest.mark.parametrize("chirp_sign", [1, -1])
+@pytest.mark.parametrize("train", IDENTITY_TRAINS)
+def test_collision_free_fold_is_the_full_rate_operator(train, chirp_sign, c2):
+    doc, observed, k_points = IDENTITY_TRAINS[train]
+    if doc is None:
+        l_taps, q_max = 3, 2
+        params = AfdmParams(n=64, chirp_num=1, chirp_sign=chirp_sign, cpp_len=l_taps - 1, c2=c2)
+        scheme = PilotScheme.uniform(
+            64, 4, l_taps, q_max, 1, chirp_sign, overlap_mode="reduced", start=14
+        )
+    else:
+        cfg = ExperimentConfig.from_dict({**doc, "chirp_sign": chirp_sign, "c2": c2})
+        l_taps, q_max, params = cfg.l_taps, cfg.q_max, cfg.params
+        scheme = cfg.schemes[doc["n_pilots"][0]]
+    op = build_measurement_operator(scheme, params, l_taps, q_max)
+    plan = decimation_plan(op)
+    assert plan.n_observed == len(op.row_indices) == observed and plan.k_points == k_points
+    if doc is None:
+        assert op.row_indices[0] < k_points <= op.row_indices[-1]
+    full, folded = op.columns, plan.op.columns
+    for name in ("rows", "vals", "gram", "cell"):
+        assert getattr(folded, name).tobytes() == getattr(full, name).tobytes()
+    assert folded.cond == full.cond and folded.refit == full.refit
+    assert plan.op.row_indices.tobytes() == op.row_indices.tobytes()
+    for got, want in zip((plan.first, plan.bins, plan.scale), parent_tables(op)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("c2", [0.0, 0.137, -0.21])
