@@ -15,7 +15,6 @@ the expected total channel power is exactly one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,13 +29,10 @@ __all__ = [
     "NoiseConfig",
     "sample_profile",
     "vectorize_profile",
-    "devectorize_profile",
     "apply_channel",
     "doppler_phase",
     "chernoff_tail_bound",
     "empirical_sparsity_stats",
-    "profile_to_json",
-    "profile_from_json",
 ]
 
 _MODELS = ("type1", "type2", "type3")
@@ -111,7 +107,6 @@ class DelayDopplerProfile:
 
     gains: np.ndarray
     mask: np.ndarray
-    gain_var: float
 
     def __post_init__(self) -> None:
         self.gains = np.asarray(self.gains, dtype=np.complex128)
@@ -186,24 +181,12 @@ def sample_profile(cfg: SparsityConfig, rng: np.random.Generator) -> DelayDopple
     scale = math.sqrt(cfg.gain_variance / 2.0)
     gains = scale * (rng.standard_normal((l_taps, nd)) + 1j * rng.standard_normal((l_taps, nd)))
     gains[~mask] = 0.0
-    return DelayDopplerProfile(gains=gains, mask=mask, gain_var=cfg.gain_variance)
+    return DelayDopplerProfile(gains=gains, mask=mask)
 
 
 def vectorize_profile(profile: DelayDopplerProfile) -> np.ndarray:
     """Row-major flattening: entry (l, q) lands at ``l (2Q+1) + Q + q``."""
     return np.where(profile.mask, profile.gains, 0.0).reshape(-1)
-
-
-def devectorize_profile(
-    vec, l_taps: int, q_max: int, gain_var: float = 1.0
-) -> DelayDopplerProfile:
-    """Inverse of :func:`vectorize_profile`; mask recovered from nonzeros."""
-    nd = 2 * q_max + 1
-    vec = np.asarray(vec, dtype=np.complex128)
-    if vec.shape != (l_taps * nd,):
-        raise ValueError(f"expected shape ({l_taps * nd},), got {vec.shape}")
-    gains = vec.reshape(l_taps, nd).copy()
-    return DelayDopplerProfile(gains=gains, mask=gains != 0, gain_var=gain_var)
 
 
 @lru_cache(maxsize=None)  # a bound below 2 q_max + 1 would evict the tables a sweep warms
@@ -330,78 +313,3 @@ def empirical_sparsity_stats(
         "chernoff_doppler_bound": chernoff_joint,
         "prob_hierarchically_sparse": float((~delay_exceed & ~joint_exceed).mean()),
     }
-
-
-def profile_to_json(profile: DelayDopplerProfile) -> str:
-    """Serialize to JSON: grid shape, gain variance, active (l, q, re, im)."""
-    rows, cols = np.nonzero(profile.mask)
-    active = [
-        [int(l), int(qi) - profile.q_max, profile.gains[l, qi].real, profile.gains[l, qi].imag]
-        for l, qi in zip(rows, cols)
-    ]
-    return json.dumps(
-        {
-            "l_taps": profile.l_taps,
-            "q_max": profile.q_max,
-            "gain_var": profile.gain_var,
-            "active": active,
-        }
-    )
-
-
-def _json_int(value, name: str) -> int:
-    # bool is an int in Python but not in JSON, and int() would truncate a float
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _json_finite(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def profile_from_json(text: str) -> DelayDopplerProfile:
-    """Inverse of :func:`profile_to_json`.
-
-    Grid sizes and coordinates must be JSON integers, gains finite and the
-    gain variance finite and positive.  Anything else raises ``ValueError``
-    naming the key, bound or entry at fault: a document that is not an object
-    or lacks a key, ``l_taps < 1`` or ``q_max < 0``, an ``active`` that is not
-    a list, an entry that is not ``[l, q, re, im]``, an entry off the grid, or
-    a second entry for the same (l, q).
-    """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"profile JSON must be an object, got {type(doc).__name__}")
-    for key in ("l_taps", "q_max", "gain_var", "active"):
-        if key not in doc:
-            raise ValueError(f"profile JSON lacks the key {key!r}")
-    l_taps, q_max = _json_int(doc["l_taps"], "l_taps"), _json_int(doc["q_max"], "q_max")
-    if l_taps < 1 or q_max < 0:
-        raise ValueError(f"l_taps must be >= 1 and q_max >= 0, got {l_taps} and {q_max}")
-    gain_var = _json_finite(doc["gain_var"], "gain_var")
-    if gain_var <= 0:
-        raise ValueError(f"gain_var must be positive, got {gain_var}")
-    if not isinstance(doc["active"], list):
-        raise ValueError(f"active must be a list of [l, q, re, im] entries, got {doc['active']!r}")
-    gains = np.zeros((l_taps, 2 * q_max + 1), dtype=np.complex128)
-    mask = np.zeros_like(gains, dtype=bool)
-    for k, entry in enumerate(doc["active"]):
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise ValueError(f"active entry {k} must be [l, q, re, im], got {entry!r}")
-        l, q, re, im = entry
-        l, q = _json_int(l, f"active entry {k}: l"), _json_int(q, f"active entry {k}: q")
-        if not (0 <= l < l_taps and -q_max <= q <= q_max):
-            raise ValueError(
-                f"active entry {k} (l={l}, q={q}) lies outside the grid "
-                f"l in [0, {l_taps}), q in [{-q_max}, {q_max}]"
-            )
-        if mask[l, q + q_max]:
-            raise ValueError(f"active entry {k} (l={l}, q={q}) repeats an earlier entry")
-        gains[l, q + q_max] = complex(
-            _json_finite(re, f"active entry {k}: re"), _json_finite(im, f"active entry {k}: im")
-        )
-        mask[l, q + q_max] = True
-    return DelayDopplerProfile(gains=gains, mask=mask, gain_var=gain_var)

@@ -19,7 +19,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the Monte-Carlo sweep described by a JSON config")
     run.add_argument("config", help="path to the experiment config (JSON)")
-    run.add_argument("--format", choices=("csv", "json", "plotdata"), default="csv")
+    run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--out", default=None, help="output path (default: results.<format>)")
 
     over = sub.add_parser("overhead", help="closed-form pilot plus guard overhead")

@@ -27,7 +27,6 @@ __all__ = [
     "daft_demodulate",
     "cpp_extend",
     "cpp_strip",
-    "daft_domain_shift",
     "select_chirp_rate",
 ]
 
@@ -130,14 +129,6 @@ def cpp_strip(s_cpp, params: AfdmParams) -> np.ndarray:
     if s_cpp.shape != (expected,):
         raise ValueError(f"prefixed signal must have shape ({expected},), got {s_cpp.shape}")
     return s_cpp[params.cpp_len :].copy()
-
-
-def daft_domain_shift(params: AfdmParams, delay: int, doppler: int) -> int:
-    """Transform-domain index shift produced by an on-grid path.
-
-    An impulse at index ``m`` reappears at ``(m + shift) mod n``.
-    """
-    return (doppler - params.chirp_sign * params.chirp_num * delay) % params.n
 
 
 def select_chirp_rate(l_taps: int, q_max: int, s_delay: int, s_doppler: int) -> int:

@@ -685,7 +685,7 @@ def records_to_csv_str(records: list[ResultRecord]) -> str:
 
 
 def emit_report(records: list[ResultRecord], fmt: str, out_path) -> str:
-    """Write records as csv, json or plot-ready (snr, mse) series."""
+    """Write records as csv or json."""
     if not records:
         raise ValueError("no records to emit")
     out_path = str(out_path)
@@ -693,18 +693,8 @@ def emit_report(records: list[ResultRecord], fmt: str, out_path) -> str:
         text = records_to_csv_str(records)
     elif fmt == "json":
         text = json.dumps([asdict(r) for r in records], indent=2) + "\n"
-    elif fmt == "plotdata":
-        lines = []
-        seen: dict[tuple, list] = {}
-        for rec in records:
-            seen.setdefault((rec.config_hash, rec.n_pilots), []).append(rec)
-        for (chash, n_p), group in seen.items():
-            lines.append(f"# series config={chash} n_pilots={n_p}")
-            for rec in sorted(group, key=lambda r: r.snr_db):
-                lines.append(f"{rec.snr_db!r} {rec.mse!r}")
-        text = "\n".join(lines) + "\n"
     else:
-        raise ValueError(f"format must be csv, json or plotdata, got {fmt!r}")
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return out_path

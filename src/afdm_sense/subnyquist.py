@@ -57,13 +57,6 @@ class RadarConfig:
         samples = self.n + (self.cpp_len if self.include_cpp_in_duration else 0)
         return samples * self.sample_period_s
 
-    @property
-    def cpp_duration_s(self) -> float:
-        return self.cpp_len * self.sample_period_s
-
-    def max_delay_s(self, l_taps: int) -> float:
-        return (l_taps - 1) * self.sample_period_s
-
 
 class RateInfo(NamedTuple):
     f_s_hz: float
@@ -93,7 +86,6 @@ def sampling_rate(n_pilots: int, l_taps: int, chirp_num: int, cfg: RadarConfig) 
 
 
 class DecimationPlan(NamedTuple):
-    n_observed: int  # the folded rows: the observed residues mod K
     k_points: int
     decimation: int
     first: np.ndarray  # the zero-th chirp at every decimation-th sample
@@ -115,8 +107,8 @@ def decimation_plan(op: MeasurementOperator) -> DecimationPlan:
     there, times the second chirp at the representative over the second
     chirp at its row, and the hits a column folds onto one row add up.
     The folded operator carries its own conditioning certificate, which
-    judges the fold; where no two observed bins share a residue it equals
-    the full-rate operator.  The plan's tables are read-only.
+    judges the fold; where no two observed bins share a residue the plan
+    holds the full-rate operator itself.  The plan's tables are read-only.
     """
     indices, params = op.row_indices, op.params
     n, m = params.n, len(indices)
@@ -129,6 +121,12 @@ def decimation_plan(op: MeasurementOperator) -> DecimationPlan:
     rep = first_row[residue]
     reps = np.flatnonzero(rep == np.arange(m))
     first, second = params.chirps
+    kept = indices[reps]
+    tables = (first[::step].copy(), residue[reps], second[kept] * (step / np.sqrt(n)), kept)
+    for table in tables:
+        table.setflags(write=False)
+    if len(reps) == m:  # no two observed bins share a residue: the fold is the operator
+        return DecimationPlan(k_points, step, *tables[:3], op)
     # the padding row m goes to the fold's padding row, untouched
     to_row = np.append(np.searchsorted(reps, rep), len(reps))
     moved = np.append(rep != np.arange(m), False)
@@ -146,12 +144,8 @@ def decimation_plan(op: MeasurementOperator) -> DecimationPlan:
     head = np.maximum.accumulate(np.where(repeat, 0, np.arange(rows.shape[1])), axis=1)
     np.add.at(vals, (col, head[col, pos]), vals[col, pos])
     rows[col, pos], vals[col, pos] = len(reps), 0.0
-    kept = indices[reps]
-    tables = (first[::step].copy(), residue[reps], second[kept] * (step / np.sqrt(n)), kept)
-    for table in tables:
-        table.setflags(write=False)
     folded = replace(op, columns=_Columns(len(reps), rows, vals), row_indices=kept)
-    return DecimationPlan(len(reps), k_points, step, *tables[:3], folded)
+    return DecimationPlan(k_points, step, *tables[:3], folded)
 
 
 def dechirp_decimate_receive(r, plan: DecimationPlan, frame=None) -> np.ndarray:

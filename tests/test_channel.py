@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import tracemalloc
 
@@ -16,12 +15,9 @@ from afdm_sense import (
     build_pilot_frame,
     chernoff_tail_bound,
     cpp_extend,
-    devectorize_profile,
     doppler_phase,
     empirical_sparsity_stats,
     idaft_modulate,
-    profile_from_json,
-    profile_to_json,
     sample_profile,
     vectorize_profile,
 )
@@ -197,38 +193,26 @@ def test_power_normalization_monte_carlo():
 
 
 def test_vectorize_single_row_and_index_arithmetic():
-    prof = devectorize_profile(np.array([1, 2, 3], dtype=complex), 1, 1)
+    prof = DelayDopplerProfile(np.array([[1, 2, 3]], dtype=complex), np.ones((1, 3), bool))
     assert np.array_equal(vectorize_profile(prof), np.array([1, 2, 3], dtype=complex))
     gains = np.zeros((2, 3), dtype=complex)
     gains[1, 0] = 2j  # (l=1, q=-1) -> flat index 1*3 + 1 + (-1) = 3
-    prof = devectorize_profile(gains.reshape(-1), 2, 1)
+    prof = DelayDopplerProfile(gains, gains != 0)
     assert np.array_equal(vectorize_profile(prof), np.array([0, 0, 0, 2j, 0, 0]))
-    with pytest.raises(ValueError, match=r"expected shape \(6,\), got \(5,\)"):
-        devectorize_profile(np.zeros(5), 2, 1)
 
 
 def test_profile_rejects_bad_grids():
     with pytest.raises(ValueError, match="gains and mask must be 2-d arrays of equal shape"):
-        DelayDopplerProfile(np.zeros(3), np.zeros(3, bool), 1.0)
+        DelayDopplerProfile(np.zeros(3), np.zeros(3, bool))
     # the Doppler axis runs from -q_max to q_max
     with pytest.raises(ValueError, match=r"Doppler dimension must be odd \(2 q_max \+ 1\)"):
-        DelayDopplerProfile(np.zeros((2, 4)), np.zeros((2, 4), bool), 1.0)
-
-
-def test_vectorize_roundtrip():
-    cfg = SparsityConfig("type2", l_taps=5, q_max=2, p_delay=0.5, p_doppler=0.5)
-    prof = sample_profile(cfg, np.random.default_rng(6))
-    back = devectorize_profile(vectorize_profile(prof), 5, 2, gain_var=prof.gain_var)
-    assert np.array_equal(back.gains, prof.gains)
-    assert np.array_equal(back.mask, prof.mask)
+        DelayDopplerProfile(np.zeros((2, 4)), np.zeros((2, 4), bool))
 
 
 def identity_profile(l_taps, q_max):
     gains = np.zeros((l_taps, 2 * q_max + 1), dtype=complex)
-    mask = np.zeros_like(gains, dtype=bool)
     gains[0, q_max] = 1.0
-    mask[0, q_max] = True
-    return devectorize_profile(gains.reshape(-1), l_taps, q_max)
+    return DelayDopplerProfile(gains, gains != 0)
 
 
 def test_apply_channel_identity_path():
@@ -246,7 +230,7 @@ def test_apply_channel_single_path_closed_form():
     a0 = 0.7 - 0.2j
     gains = np.zeros((3, 3), dtype=complex)
     gains[2, 2] = a0  # l=2, q=1
-    prof = devectorize_profile(gains.reshape(-1), 3, 1)
+    prof = DelayDopplerProfile(gains, gains != 0)
     base = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     s = cpp_extend(base, params)
     r = apply_channel(s, prof, params)
@@ -259,7 +243,8 @@ def test_apply_channel_linearity():
     cfg = SparsityConfig("type2", l_taps=6, q_max=2, p_delay=0.5, p_doppler=0.5)
     rng = np.random.default_rng(9)
     p1, p2 = sample_profile(cfg, rng), sample_profile(cfg, rng)
-    both = devectorize_profile(vectorize_profile(p1) + vectorize_profile(p2), 6, 2)
+    gains = p1.gains + p2.gains
+    both = DelayDopplerProfile(gains, gains != 0)
     s = cpp_extend(rng.standard_normal(32) + 1j * rng.standard_normal(32), params)
     r = apply_channel(s, p1, params) + apply_channel(s, p2, params)
     assert np.abs(apply_channel(s, both, params) - r).max() < 1e-12
@@ -272,7 +257,7 @@ def test_apply_channel_time_invariant_is_circular_convolution():
     rng = np.random.default_rng(10)
     taps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     gains = taps.reshape(4, 1)
-    prof = devectorize_profile(gains.reshape(-1), 4, 0)
+    prof = DelayDopplerProfile(gains, gains != 0)
     base = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     r = apply_channel(cpp_extend(base, params), prof, params)
     oracle = np.zeros(n, dtype=complex)
@@ -387,7 +372,7 @@ def test_first_terms_written_in_place(model, kwargs, chirp_sign):
     gapped = pilots.copy()
     gapped[::3] = 0.0
     empty = DelayDopplerProfile(
-        np.zeros((l_taps, 2 * q_max + 1), complex), np.zeros((l_taps, 2 * q_max + 1), bool), 1.0
+        np.zeros((l_taps, 2 * q_max + 1), complex), np.zeros((l_taps, 2 * q_max + 1), bool)
     )
     exact_zeros = 0
     for seed in range(30):
@@ -487,77 +472,3 @@ def test_stats_requires_enough_trials():
     cfg = SparsityConfig("type2", l_taps=4, q_max=1, p_delay=0.5, p_doppler=0.5)
     with pytest.raises(ValueError):
         empirical_sparsity_stats(cfg, 10, np.random.default_rng(0))
-
-
-def test_profile_json_roundtrip():
-    cfg = SparsityConfig("type2", l_taps=6, q_max=2, p_delay=0.5, p_doppler=0.5)
-    prof = sample_profile(cfg, np.random.default_rng(16))
-    doc = profile_to_json(prof)
-    parsed = json.loads(doc)
-    assert set(parsed) == {"l_taps", "q_max", "gain_var", "active"}
-    back = profile_from_json(doc)
-    assert np.array_equal(back.gains, prof.gains)
-    assert np.array_equal(back.mask, prof.mask)
-    assert back.gain_var == prof.gain_var
-
-
-@pytest.mark.parametrize(
-    "fields, reason",
-    [
-        ({"active": [[-1, 0, 1.0, 0.0]]}, r"active entry 0 \(l=-1, q=0\) lies outside the grid"),
-        (
-            {"active": [[0, 0, 1.0, 0.0], [1, -3, 1.0, 0.0]]},
-            r"active entry 1 \(l=1, q=-3\) lies outside the grid",
-        ),
-        ({"active": [[0, 5, 1.0, 0.0]]}, r"active entry 0 \(l=0, q=5\) lies outside the grid"),
-        (
-            {"active": [[1, 1, 1.0, 0.0], [1, 1, 2.0, 0.0]]},
-            r"active entry 1 \(l=1, q=1\) repeats an earlier entry",
-        ),
-        ({"active": [[1.5, 0.7, 1.0, 0.0]]}, r"active entry 0: l must be a JSON integer"),
-        ({"active": [[1, 0.7, 1.0, 0.0]]}, r"active entry 0: q must be a JSON integer"),
-        ({"active": [[1, 0, float("nan"), 0.0]]}, r"active entry 0: re must be a finite number"),
-        ({"active": [[1, 0, 1.0, float("inf")]]}, r"active entry 0: im must be a finite number"),
-        ({"l_taps": 2.9}, r"l_taps must be a JSON integer"),
-        ({"q_max": True}, r"q_max must be a JSON integer"),
-        ({"gain_var": float("nan")}, r"gain_var must be a finite number"),
-        ({"gain_var": 0.0}, r"gain_var must be positive"),
-    ],
-    ids=["negative-delay", "doppler-below", "doppler-above", "duplicate", "fractional-delay",
-         "fractional-doppler", "nan-gain", "inf-gain", "fractional-taps", "boolean-doppler",
-         "nan-gain-var", "zero-gain-var"],
-)
-def test_profile_json_rejects_off_grid_and_duplicate_entries(fields, reason):
-    # each of these used to load: l=-1 on tap 1, q=-3 wrapped onto q=0, a
-    # repeat overwrote the earlier gain, (1.5, 0.7) was truncated to (1, 0),
-    # l_taps 2.9 to 2, and a NaN gain variance was kept; q=5 raised IndexError
-    doc = {"l_taps": 2, "q_max": 1, "gain_var": 0.5, "active": [], **fields}
-    with pytest.raises(ValueError, match=reason):
-        profile_from_json(json.dumps(doc))
-
-
-@pytest.mark.parametrize(
-    "doc, reason",
-    [
-        ([], r"profile JSON must be an object, got list"),
-        ({}, r"profile JSON lacks the key 'l_taps'"),
-        ({"l_taps": 2, "q_max": 1, "gain_var": 0.5}, r"profile JSON lacks the key 'active'"),
-        (
-            {"l_taps": 2, "q_max": 1, "gain_var": 0.5, "active": 5},
-            r"active must be a list of \[l, q, re, im\] entries, got 5",
-        ),
-        (
-            {"l_taps": 2, "q_max": 1, "gain_var": 0.5, "active": [[0, 0, 1.0]]},
-            r"active entry 0 must be \[l, q, re, im\], got \[0, 0, 1.0\]",
-        ),
-        (
-            {"l_taps": -2, "q_max": 1, "gain_var": 0.5, "active": []},
-            r"l_taps must be >= 1 and q_max >= 0, got -2 and 1",
-        ),
-    ],
-    ids=["not-object", "empty-object", "no-active", "active-number", "three-item-entry",
-         "negative-taps"],
-)
-def test_profile_json_rejects_malformed_documents(doc, reason):
-    with pytest.raises(ValueError, match=reason):
-        profile_from_json(json.dumps(doc))

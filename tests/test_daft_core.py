@@ -8,7 +8,6 @@ from afdm_sense import (
     cpp_extend,
     cpp_strip,
     daft_demodulate,
-    daft_domain_shift,
     idaft_modulate,
     select_chirp_rate,
 )
@@ -140,7 +139,7 @@ def test_shift_structure_single_path(sign):
         s = idaft_modulate(x, params)
         r = np.exp(2j * np.pi * np.arange(n) * q / n) * np.roll(s, l)
         y = daft_demodulate(r, params)
-        k = (m + daft_domain_shift(params, l, q)) % n
+        k = (m + q - sign * p * l) % n
         assert abs(abs(y[k]) - 1.0) < 1e-12
         mask = np.ones(n, dtype=bool)
         mask[k] = False

@@ -566,22 +566,11 @@ def test_emit_csv_json_roundtrip(tmp_path):
     assert text.count("\n") == len(records) + 1
     json_path = emit_report(records, "json", tmp_path / "out.json")
     assert load_records_json(json_path) == records
-    with pytest.raises(ValueError, match="format"):
-        emit_report(records, "xml", tmp_path / "out.xml")
+    for fmt in ("xml", "plotdata"):
+        with pytest.raises(ValueError, match=f"format must be csv or json, got '{fmt}'"):
+            emit_report(records, fmt, tmp_path / f"out.{fmt}")
     with pytest.raises(ValueError, match="no records"):
         emit_report([], "csv", tmp_path / "empty.csv")
-
-
-def test_emit_plotdata_series(tmp_path):
-    cfg = small_config(trials=5, snr_db=(0.0, 10.0, 20.0), n_pilots=(4, 5))
-    records = run_monte_carlo(cfg)
-    path = emit_report(records, "plotdata", tmp_path / "plot.txt")
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    headers = [ln for ln in lines if ln.startswith("# series")]
-    points = [ln for ln in lines if ln and not ln.startswith("#")]
-    assert len(headers) == 2
-    assert len(points) == 6
 
 
 def test_doppler_tables_warmed_once_per_sweep(monkeypatch):
@@ -1034,6 +1023,18 @@ def test_cli_run_writes_csv(tmp_path, capsys):
     assert cli_main(["run", str(cfg_path), "--out", str(out_path)]) == 0
     assert out_path.exists()
     assert "config_hash" in out_path.read_text().splitlines()[0]
+
+
+def test_cli_refuses_an_unknown_format(tmp_path, capsys, monkeypatch):
+    # argparse exits 2 on a format outside its choices, before the sweep runs
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(small_config(trials=4).to_dict()))
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", str(cfg_path), "--format", "plotdata"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'plotdata'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_cli_errors_are_reported(tmp_path, capsys):

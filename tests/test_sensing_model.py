@@ -77,7 +77,7 @@ def test_overlapping_windows_match_the_chain():
     unit = np.eye(op.shape[1], dtype=complex)
     for j in range(op.shape[1]):
         gains = unit[j].reshape(l_taps, 2 * q_max + 1)
-        path = DelayDopplerProfile(gains=gains, mask=gains != 0, gain_var=1.0)
+        path = DelayDopplerProfile(gains=gains, mask=gains != 0)
         chain = simulate_observations(scheme, params, l_taps, q_max, path)
         assert np.abs(chain - op.matrix[:, j]).max() <= 1e-12
         assert np.abs(chain - op.columns.matvec(unit[j])).max() <= 1e-12
@@ -220,7 +220,7 @@ def test_operator_hit_pattern(mode, contiguous, sign, c2, start):
             # whatever was set to zero was round-off
             gains = np.zeros((l_taps, nd), dtype=complex)
             gains[l, q + q_max] = 1.0
-            path = DelayDopplerProfile(gains=gains, mask=gains != 0, gain_var=1.0)
+            path = DelayDopplerProfile(gains=gains, mask=gains != 0)
             chain = simulate_observations(scheme, params, l_taps, q_max, path)
             assert np.abs(chain - col).max() < 1e-13
 
