@@ -172,10 +172,12 @@ def flat_threshold(x, n_blocks: int, block_size: int, s: int) -> SupportSet:
 class _Columns:
     """Exact-nonzero structure of an ``m``-row operator, stored per column.
 
-    Built from every column's hits, as given by the operator build, or by
-    ``from_dense`` from a dense matrix.  ``rows`` and ``vals`` hold them in
-    increasing row order, padded with row ``m`` and value 0; row ``m``
-    addresses a zero appended to each observation vector.  ``comp`` labels
+    Built from a table of every column's hits, padded with row ``m`` and
+    value 0, which may list a column's hits in any order, padding among
+    them, and repeat a row: a column's hits on one row add up, in the given
+    order, on the first.  ``rows`` and ``vals`` hold the merged hits in
+    increasing row order, then the padding; row ``m`` addresses a zero
+    appended to each observation vector.  ``comp`` labels
     the connected components of columns that share a row.  For an operator
     built on the delay-Doppler grid these are the paper's residue classes of
     the window shift ``q - chirp_sign P l``: taken mod ``(L-1) P + 1`` when a
@@ -202,9 +204,17 @@ class _Columns:
     """
 
     def __init__(self, m: int, rows, vals) -> None:
-        order = np.argsort(rows, axis=1, kind="stable")
-        self.rows = np.take_along_axis(np.asarray(rows, dtype=np.int64), order, axis=1)
-        self.vals = np.take_along_axis(np.asarray(vals, dtype=np.complex128), order, axis=1)
+        rows, vals = np.asarray(rows, dtype=np.int64), np.asarray(vals, dtype=np.complex128)
+        for _ in range(2):  # the second pass sorts the hits merged away, now padding, last
+            order = np.argsort(rows, axis=1, kind="stable")
+            rows, vals = np.take_along_axis(rows, order, 1), np.take_along_axis(vals, order, 1)
+            # a column's hits on one row add up, in the given order, on the first of them
+            repeat = (np.diff(rows, axis=1, prepend=-1) == 0) & (rows < m)
+            col, pos = np.nonzero(repeat)
+            head = np.maximum.accumulate(np.where(repeat, 0, np.arange(rows.shape[1])), axis=1)
+            np.add.at(vals, (col, head[col, pos]), vals[col, pos])
+            rows[col, pos], vals[col, pos] = m, 0.0
+        self.rows, self.vals = rows, vals
         ncols, width = self.rows.shape
         self.shape = (m, ncols)
         col, pos = np.nonzero(self.rows < m)  # every hit, by column, rows increasing
@@ -354,9 +364,12 @@ def _parallel_classes(a, gram, comp_cols):
 
 def _as_columns(op, block_size: int | None = None) -> tuple[_Columns, int, int]:
     """The column structure of an operator or a bare matrix, with its grid
-    ``(n_blocks, block_size)``: the operator's own, or ``block_size``
-    columns a block, which must divide the matrix's columns."""
+    ``(n_blocks, block_size)``: the operator's own, which a given
+    ``block_size`` may not override, or ``block_size`` columns a block,
+    which must divide the matrix's columns."""
     if hasattr(op, "columns"):
+        if block_size is not None:
+            raise ValueError(f"block_size is read only with a bare matrix, got {block_size}")
         return op.columns, op.l_taps, op.block_size
     cols = _Columns.from_dense(op)
     ncols = cols.shape[1]
@@ -399,7 +412,9 @@ def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarr
     The first two equal the SVD solve to round-off.
     """
     # the pursuit hands every refit its _Columns
-    cols = matrix if isinstance(matrix, _Columns) else _as_columns(matrix, 1)[0]
+    cols = matrix if isinstance(matrix, _Columns) else getattr(matrix, "columns", None)
+    if cols is None:
+        cols = _Columns.from_dense(matrix)
     m, ncols = cols.shape
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (m,):
@@ -487,14 +502,15 @@ def hihtp_recover(
 ) -> RecoveryResult:
     """Hierarchical hard thresholding pursuit.
 
-    ``op`` is a MeasurementOperator or a bare matrix (then ``block_size``
-    is required and must divide its column count).  The column structure
-    the pursuit runs on is built with the operator, or derived once per
-    call for a bare matrix.  Stops when the selected support
-    repeats or after ``k_max`` iterations; the estimate is hierarchically
-    sparse with exact zeros off the support.  Once the supports cycle, the
-    iterations left to ``k_max`` are read off the cycle rather than
-    recomputed, with the same result as the full ``k_max`` iterations.
+    ``op`` is a MeasurementOperator, on its own block grid, or a bare
+    matrix with a ``block_size`` that divides its column count.  The
+    column structure the pursuit runs on is built with the operator, or
+    derived once per call for a bare matrix.  Stops when the selected
+    support repeats or after ``k_max`` iterations; the estimate is
+    hierarchically sparse with exact zeros off the support.  Once the
+    supports cycle, the iterations left to ``k_max`` are read off the
+    cycle rather than recomputed, with the same result as the full
+    ``k_max`` iterations.
     """
     cols, nb, bs = _as_columns(op, block_size)
     return _pursuit(

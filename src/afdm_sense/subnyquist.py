@@ -105,10 +105,11 @@ def decimation_plan(op: MeasurementOperator) -> DecimationPlan:
     order; ``row_indices`` of the folded operator holds their full-rate
     bins.  A hit on a row that is not its residue's representative moves
     there, times the second chirp at the representative over the second
-    chirp at its row, and the hits a column folds onto one row add up.
-    The folded operator carries its own conditioning certificate, which
-    judges the fold; where no two observed bins share a residue the plan
-    holds the full-rate operator itself.  The plan's tables are read-only.
+    chirp at its row, and the column structure adds up a column's hits on
+    one row.  The folded operator carries its own conditioning certificate,
+    which judges the fold; where no two observed bins share a residue the
+    plan holds the full-rate operator itself.  The plan's tables are
+    read-only.
     """
     indices, params = op.row_indices, op.params
     n, m = params.n, len(indices)
@@ -127,25 +128,13 @@ def decimation_plan(op: MeasurementOperator) -> DecimationPlan:
         table.setflags(write=False)
     if len(reps) == m:  # no two observed bins share a residue: the fold is the operator
         return DecimationPlan(k_points, step, *tables[:3], op)
-    # the padding row m goes to the fold's padding row, untouched
+    # every hit's folded row and weight; the padding row m goes to the fold's
     to_row = np.append(np.searchsorted(reps, rep), len(reps))
-    moved = np.append(rep != np.arange(m), False)
     weight = np.append(second[indices[rep]] / second[indices], 1.0)
+    weight[reps] = 1.0  # a chirp over itself is off 1 by round-off; staying hits keep their bytes
     hits = op.columns.rows
-    rows = to_row[hits]
-    vals = np.where(moved[hits], op.columns.vals * weight[hits], op.columns.vals)
-    order = np.argsort(rows, axis=1, kind="stable")
-    rows = np.take_along_axis(rows, order, axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
-    # a column's hits on one folded row add up on the first of them
-    repeat = np.zeros(rows.shape, dtype=bool)
-    repeat[:, 1:] = (rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] < len(reps))
-    col, pos = np.nonzero(repeat)
-    head = np.maximum.accumulate(np.where(repeat, 0, np.arange(rows.shape[1])), axis=1)
-    np.add.at(vals, (col, head[col, pos]), vals[col, pos])
-    rows[col, pos], vals[col, pos] = len(reps), 0.0
-    folded = replace(op, columns=_Columns(len(reps), rows, vals), row_indices=kept)
-    return DecimationPlan(k_points, step, *tables[:3], folded)
+    cols = _Columns(len(reps), to_row[hits], op.columns.vals * weight[hits])
+    return DecimationPlan(k_points, step, *tables[:3], replace(op, columns=cols, row_indices=kept))
 
 
 def dechirp_decimate_receive(r, plan: DecimationPlan, frame=None) -> np.ndarray:

@@ -521,6 +521,46 @@ def test_built_structure_matches_dense_adapter(layout, chirp):
     assert built.dense(idx).tobytes() == op.matrix[:, idx].tobytes()
 
 
+def test_repeated_hits_on_a_row_add_up():
+    # three columns of hits on four rows, padded with row 4: column 0 lists
+    # row 2 twice and out of order, column 1 lists row 1 three times with
+    # padding among them, column 2 lists its two rows out of order
+    rng = np.random.default_rng(31)
+    a, b, c, d, e, f, g, h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    rows = [[2, 0, 2, 4], [1, 4, 1, 1], [3, 0, 4, 4]]
+    vals = [[a, b, c, 0], [d, 0, e, f], [g, h, 0, 0]]
+    cols = _Columns(4, rows, vals)
+    # the same hits with each row's added up in the given order
+    merged = _Columns(4, [[0, 2], [1, 4], [0, 3]], [[b, a + c], [d + e + f, 0], [h, g]])
+    for name in ("gram", "diag", "comp", "cell"):
+        assert getattr(cols, name).tobytes() == getattr(merged, name).tobytes(), name
+    assert (cols.sq_norm, cols.cond, cols.refit) == (merged.sq_norm, merged.cond, merged.refit)
+    x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    normal = cols.rmatvec(cols.matvec(x))
+    assert np.linalg.norm(cols.gram_matvec(x) - normal) <= 1e-12 * np.linalg.norm(normal)
+    # the Gram diagonal and the squared Frobenius norm count both hits on row 0
+    ones = _Columns(3, [[0, 0, 1], [1, 2, 3]], [[1, 1, 1], [1, 1, 0]])
+    assert ones.gram[0, 0, 0] == ones.rmatvec(ones.matvec(np.eye(2)[0]))[0] == 5
+    assert ones.sq_norm == 7
+
+
+def test_operator_refuses_block_size():
+    # the operator sets the grid, 5 Doppler bins a tap; a block_size the
+    # pursuit would not read is refused, not ignored
+    op = small_operator(n=64, l_taps=3, q_max=2)
+    y = op.columns.matvec(np.eye(op.shape[1])[0])
+    with pytest.raises(ValueError, match="^block_size is read only with a bare matrix, got 3$"):
+        hihtp_recover(op, y, 1, 1, block_size=3)
+    with pytest.raises(ValueError, match="^block_size is read only with a bare matrix, got 7$"):
+        htp_recover(op, y, 2, block_size=7)
+    assert hihtp_recover(op, y, 1, 1).support.block_size == 5
+    # the refit reads no grid, so it takes the operator as it is
+    support = SupportSet([0], 5)
+    assert restricted_least_squares(op, y, support).tobytes() == (
+        restricted_least_squares(op.columns, y, support).tobytes()
+    )
+
+
 @pytest.fixture(scope="module")
 def gradient_operators():
     """(column structure, dense matrix) of the paper n_p=8, 16 and 32

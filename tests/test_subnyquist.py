@@ -26,6 +26,7 @@ from afdm_sense import (
     sampling_rate,
     vectorize_profile,
 )
+from afdm_sense.hihtp import _Columns
 
 
 def plan_of(scheme, params, l_taps, q_max):
@@ -142,9 +143,40 @@ def test_prefixed_frame_refused_naming_cpp_strip():
     assert y.tobytes() == dechirp_decimate_receive(r, plan).tobytes()
 
 
+def merged_fold_columns(op):
+    """The folded column structure from a hit table that the fold sorts and
+    merges itself: a moved hit times its chirp ratio, and a column's hits
+    on one folded row added up in row order on the first of them."""
+    indices, n = op.row_indices, op.params.n
+    m = len(indices)
+    k_points = next(k for k in range(m, n + 1) if n % k == 0)
+    residue = indices % k_points
+    first_row = np.full(k_points, m)
+    np.minimum.at(first_row, residue, np.arange(m))
+    rep = first_row[residue]
+    reps = np.flatnonzero(rep == np.arange(m))
+    second = op.params.chirps[1]
+    to_row = np.append(np.searchsorted(reps, rep), len(reps))
+    moved = np.append(rep != np.arange(m), False)
+    weight = np.append(second[indices[rep]] / second[indices], 1.0)
+    hits = op.columns.rows
+    rows = to_row[hits]
+    vals = np.where(moved[hits], op.columns.vals * weight[hits], op.columns.vals)
+    order = np.argsort(rows, axis=1, kind="stable")
+    rows = np.take_along_axis(rows, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    repeat = np.zeros(rows.shape, dtype=bool)
+    repeat[:, 1:] = (rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] < len(reps))
+    col, pos = np.nonzero(repeat)
+    head = np.maximum.accumulate(np.where(repeat, 0, np.arange(rows.shape[1])), axis=1)
+    np.add.at(vals, (col, head[col, pos]), vals[col, pos])
+    rows[col, pos], vals[col, pos] = len(reps), 0.0
+    return _Columns(len(reps), rows, vals)
+
+
 @pytest.mark.parametrize("c2", [0.0, 0.137])
 @pytest.mark.parametrize("chirp_sign", [1, -1])
-@pytest.mark.parametrize("layout", ["two-windows", "three-rows-per-residue"])
+@pytest.mark.parametrize("layout", ["two-windows", "three-rows-per-residue", "shifted-three-rows"])
 def test_colliding_fold_is_the_folded_operator(layout, chirp_sign, c2):
     l_taps, q_max = 3, 2
     if layout == "two-windows":
@@ -152,9 +184,13 @@ def test_colliding_fold_is_the_folded_operator(layout, chirp_sign, c2):
         n, k_points = 64, 16
         scheme = PilotScheme.uniform(n, 2, l_taps, q_max, 1, chirp_sign)
     else:
-        # windows 48 apart at K = 24: every residue holds three observed rows
+        # windows 48 apart at K = 24: every residue holds three observed rows.
+        # Started at 17, some representatives' second chirp over itself is
+        # not exactly 1 at c2 = 0.137, so their hits keep their bytes only
+        # through the fold's unit weight
         n, k_points = 192, 24
-        scheme = PilotScheme(positions=(10, 58, 106), values=(1.0, 1.0, 1.0))
+        start = 17 if layout == "shifted-three-rows" else 10
+        scheme = PilotScheme(positions=(start, start + 48, start + 96), values=(1.0, 1.0, 1.0))
     params = AfdmParams(n=n, chirp_num=1, chirp_sign=chirp_sign, cpp_len=l_taps - 1, c2=c2)
     op = build_measurement_operator(scheme, params, l_taps, q_max)
     plan = decimation_plan(op)
@@ -166,6 +202,13 @@ def test_colliding_fold_is_the_folded_operator(layout, chirp_sign, c2):
     assert np.array_equal(plan.bins, op.row_indices[:window] % k_points)
     # 7 folded rows for 15 columns: the fold's own certificate is infinite
     assert plan.op.columns.cond == np.inf
+    ref = merged_fold_columns(op)
+    for name in ("rows", "vals", "gram", "diag", "comp", "cell", "alias"):
+        got, want = getattr(plan.op.columns, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    for name in ("cond", "sq_norm", "refit"):
+        assert getattr(plan.op.columns, name) == getattr(ref, name), name
     cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.6, p_doppler=0.6)
     rng = np.random.default_rng(8)
     for _ in range(5):
