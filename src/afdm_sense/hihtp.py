@@ -280,7 +280,8 @@ class _Columns:
 
     @classmethod
     def from_dense(cls, matrix) -> "_Columns":
-        """Hits of a dense matrix: its exact nonzeros, column by column."""
+        """Hits of a dense matrix: its exact nonzeros, column by column.  The
+        one way a dense matrix enters the solver, which takes no bare matrix."""
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim != 2:
             raise ValueError(f"operator must be a matrix, got {matrix.ndim} dimensions")
@@ -362,33 +363,14 @@ def _parallel_classes(a, gram, comp_cols):
     return label
 
 
-def _as_columns(op, block_size: int | None = None) -> tuple[_Columns, int, int]:
-    """The column structure of an operator or a bare matrix, with its grid
-    ``(n_blocks, block_size)``: the operator's own, which a given
-    ``block_size`` may not override, or ``block_size`` columns a block,
-    which must divide the matrix's columns."""
-    if hasattr(op, "columns"):
-        if block_size is not None:
-            raise ValueError(f"block_size is read only with a bare matrix, got {block_size}")
-        return op.columns, op.l_taps, op.block_size
-    cols = _Columns.from_dense(op)
-    ncols = cols.shape[1]
-    if block_size is None or block_size < 1 or ncols % block_size:
-        raise ValueError(f"block_size must divide the {ncols} matrix columns, got {block_size}")
-    return cols, ncols // block_size, block_size
-
-
-def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarray:
+def restricted_least_squares(op, y, support: SupportSet, b=None) -> np.ndarray:
     """Least-squares fit constrained to the support, zero elsewhere.
 
-    ``matrix`` is a MeasurementOperator, a dense matrix or the pursuit's
-    column structure, and ``support.indices`` are the matrix columns the fit
-    may use.  A dense matrix has its whole column structure derived again
-    on every call, Gram blocks of every component included, so a caller
-    that fits one matrix repeatedly should pass the operator or its
-    ``columns``.  ``b`` is ``M^H y`` as ``_Columns.rmatvec`` forms it, gathered
-    here when not given; the first two paths below read ``A_S^H y`` as
-    ``b[S]`` and solve the components' independent blocks.  The operator's
+    ``op`` is a MeasurementOperator or its column structure ``columns``,
+    which the pursuit hands every refit, and ``support.indices`` are the
+    columns the fit may use.  ``b`` is ``M^H y`` as ``_Columns.rmatvec``
+    forms it, gathered here when not given; the first two paths below read
+    ``A_S^H y`` as ``b[S]`` and solve the components' independent blocks.  The operator's
     build chose one of three paths (``_Columns.refit``):
 
     * ``"scale"``: the columns fall into classes of parallel columns,
@@ -411,10 +393,7 @@ def restricted_least_squares(matrix, y, support: SupportSet, b=None) -> np.ndarr
 
     The first two equal the SVD solve to round-off.
     """
-    # the pursuit hands every refit its _Columns
-    cols = matrix if isinstance(matrix, _Columns) else getattr(matrix, "columns", None)
-    if cols is None:
-        cols = _Columns.from_dense(matrix)
+    cols = getattr(op, "columns", op)
     m, ncols = cols.shape
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (m,):
@@ -492,42 +471,25 @@ def _pursuit(cols, y, threshold, k_max):
     return RecoveryResult(alpha, prev, k_max, "max_iter")
 
 
-def hihtp_recover(
-    op,
-    y,
-    s_block: int,
-    s_entry: int,
-    k_max: int = 20,
-    block_size: int | None = None,
-) -> RecoveryResult:
+def hihtp_recover(op, y, s_block: int, s_entry: int, k_max: int = 20) -> RecoveryResult:
     """Hierarchical hard thresholding pursuit.
 
-    ``op`` is a MeasurementOperator, on its own block grid, or a bare
-    matrix with a ``block_size`` that divides its column count.  The
-    column structure the pursuit runs on is built with the operator, or
-    derived once per call for a bare matrix.  Stops when the selected
+    ``op`` is a MeasurementOperator: the pursuit runs on the column
+    structure built with it, ``op.columns``, on its block grid of
+    ``op.l_taps`` blocks of ``op.block_size``.  Stops when the selected
     support repeats or after ``k_max`` iterations; the estimate is
     hierarchically sparse with exact zeros off the support.  Once the
     supports cycle, the iterations left to ``k_max`` are read off the
     cycle rather than recomputed, with the same result as the full
     ``k_max`` iterations.
     """
-    cols, nb, bs = _as_columns(op, block_size)
+    nb, bs = op.l_taps, op.block_size
     return _pursuit(
-        cols,
-        y,
-        lambda g: hierarchical_threshold(g, nb, bs, s_block, s_entry),
-        k_max,
+        op.columns, y, lambda g: hierarchical_threshold(g, nb, bs, s_block, s_entry), k_max
     )
 
 
-def htp_recover(
-    op,
-    y,
-    s: int,
-    k_max: int = 20,
-    block_size: int | None = None,
-) -> RecoveryResult:
-    """Classical pursuit baseline with flat top-s thresholding."""
-    cols, nb, bs = _as_columns(op, block_size)
-    return _pursuit(cols, y, lambda g: flat_threshold(g, nb, bs, s), k_max)
+def htp_recover(op, y, s: int, k_max: int = 20) -> RecoveryResult:
+    """Classical pursuit baseline: flat top-s thresholding on the operator's grid."""
+    nb, bs = op.l_taps, op.block_size
+    return _pursuit(op.columns, y, lambda g: flat_threshold(g, nb, bs, s), k_max)

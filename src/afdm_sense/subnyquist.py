@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .daft_core import AfdmParams
 from .hihtp import _Columns
 from .sensing_model import MeasurementOperator
 
@@ -47,6 +48,8 @@ class RadarConfig:
             raise ValueError(f"bandwidth_hz must be finite and positive, got {self.bandwidth_hz}")
         if self.n <= 0 or self.cpp_len < 0:
             raise ValueError("frame length must be positive and prefix length >= 0")
+        if math.isinf(self.frame_duration_s):  # every rate over it would be 0
+            raise ValueError(f"bandwidth_hz {self.bandwidth_hz} gives an infinite frame duration")
 
     @property
     def sample_period_s(self) -> float:
@@ -69,13 +72,13 @@ def sampling_rate(n_pilots: int, l_taps: int, chirp_num: int, cfg: RadarConfig) 
     The rate is ``n_pilots ((l_taps - 1) chirp_num + 1) / T`` with ``T``
     taken from ``cfg``; the ratio is always quoted against the
     prefix-free frame duration, i.e. equals
-    ``n_pilots ((l_taps - 1) chirp_num + 1) / n``.  A ``chirp_num`` or a
-    train that ``AfdmParams`` or ``PilotScheme.uniform`` refuses raises.
+    ``n_pilots ((l_taps - 1) chirp_num + 1) / n``.  A frame (``n``,
+    ``chirp_num``, ``cpp_len``) that ``AfdmParams`` refuses, or a train that
+    ``PilotScheme.uniform`` refuses, raises.
     """
     if n_pilots < 1 or l_taps < 1:
         raise ValueError("n_pilots and l_taps must both be >= 1")
-    if not 1 <= chirp_num < 2 * cfg.n:
-        raise ValueError(f"chirp numerator must lie in [1, {2 * cfg.n}), got {chirp_num}")
+    AfdmParams(n=cfg.n, chirp_num=chirp_num, cpp_len=cfg.cpp_len)  # refuses what no frame has
     per_frame = n_pilots * ((l_taps - 1) * chirp_num + 1)
     if per_frame > cfg.n:
         raise ValueError(f"{n_pilots} pilots need {per_frame} samples, more than n = {cfg.n}")

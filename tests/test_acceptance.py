@@ -126,7 +126,7 @@ def test_c3_noise_free_exact_recovery():
         estimate = hihtp_recover(op, y, 2, 1).alpha
         best, best_res = None, np.inf
         for sup in all_hierarchical_supports(l_taps, nd, 2, 1):
-            z = restricted_least_squares(op.matrix, y, sup)
+            z = restricted_least_squares(op, y, sup)
             res = float(np.linalg.norm(y - op.matrix @ z))
             if res < best_res - 1e-12:
                 best, best_res = z, res

@@ -1070,6 +1070,11 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         ["rate", "--n-pilots", "16", "--l-taps", "30", "--chirp-num", "10000", "--n", "4096",
          "--bandwidth-hz", "30e6"],
         ["rate", "--n-pilots", "5000", "--l-taps", "30", "--n", "4096", "--bandwidth-hz", "30e6"],
+        # a frame that AfdmParams refuses, and a bandwidth whose sample period overflows
+        ["rate", "--n-pilots", "16", "--l-taps", "30", "--n", "4095", "--bandwidth-hz", "30e6"],
+        ["rate", "--n-pilots", "16", "--l-taps", "30", "--n", "4096", "--bandwidth-hz", "30e6",
+         "--cpp-len", "5000"],
+        ["rate", "--n-pilots", "16", "--l-taps", "30", "--n", "4096", "--bandwidth-hz", "1e-320"],
         # a dict overrides the small config; one pilot gives fewer observations than the support
         ["run", {"n_pilots": [4, 1]}],
         ["run", {"solver": "htp", "htp_sparsity": 1000}],
@@ -1107,6 +1112,8 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         ["run", {"pilot_amplitude": 1e-150}],
         ["run", {"pilot_amplitude": 1e-160}],
         ["run", {"pilot_amplitude": 1e-300}],
+        # a frame that lasts an infinite time, whose rows' de-chirped rate would be 0
+        ["run", {"bandwidth_hz": 1e-320}],
         ["overhead", "ofdm", "--n-pilots-td", "4", "--n-pilots-fd", "8", "--n-symbols", "16",
          "--l-taps", "30", "--q-max", "-5"],
         ["overhead", "ofdm", "--n-pilots-td", "4", "--n-pilots-fd", "8", "--n-symbols", "16",
@@ -1115,7 +1122,8 @@ def test_cli_errors_are_reported(tmp_path, capsys):
          "--n-pilots", "-3"],
     ],
     ids=["pilots", "taps", "q-max", "chirp-num", "otfs-grid", "nan-bandwidth", "inf-bandwidth",
-         "rate-pilots", "rate-chirp-num", "rate-huge-chirp", "rate-long-train", "run-one-pilot", "run-htp-sparsity",
+         "rate-pilots", "rate-chirp-num", "rate-huge-chirp", "rate-long-train", "rate-odd-frame",
+         "rate-long-prefix", "rate-tiny-bandwidth", "run-one-pilot", "run-htp-sparsity",
          "run-unread-htp-sparsity", "run-unread-margin", "run-huge-c2", "run-negative-seed",
          "run-spread-pilots", "run-inf-margin",
          "run-nan-margin", "run-snr-overflow", "run-snr-trial-key", "run-short-prefix",
@@ -1123,6 +1131,7 @@ def test_cli_errors_are_reported(tmp_path, capsys):
          "run-uncertified", "run-unknown-model", "run-zero-taps", "run-negative-q-max",
          "run-huge-chirp", "run-huge-frame", "run-amplitude-1e160", "run-amplitude-1e150",
          "run-amplitude-1e-150", "run-amplitude-1e-160", "run-amplitude-1e-300",
+         "run-tiny-bandwidth",
          "ofdm-q-max", "ofdm-chirp-num", "otfs-pilots"],
 )
 def test_cli_rejects_out_of_range_inputs(argv, capsys, tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import tracemalloc
 from collections import Counter
 from itertools import combinations, cycle, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,12 +43,11 @@ def best_support_oracle(x, n_blocks, block_size, s_block, s_entry):
     return best
 
 
-def exhaustive_recovery_oracle(matrix, y, n_blocks, block_size, s_block, s_entry):
+def exhaustive_recovery_oracle(op, y, s_block, s_entry):
     best, best_res = None, np.inf
-    cols = _Columns.from_dense(matrix)  # derived once, not once per support
-    for sup in all_hierarchical_supports(n_blocks, block_size, s_block, s_entry):
-        z = restricted_least_squares(cols, y, sup)
-        res = np.linalg.norm(y - matrix @ z)
+    for sup in all_hierarchical_supports(op.l_taps, op.block_size, s_block, s_entry):
+        z = restricted_least_squares(op, y, sup)
+        res = np.linalg.norm(y - op.matrix @ z)
         if res < best_res - 1e-12:
             best, best_res = z, res
     return best
@@ -168,10 +168,11 @@ def test_restricted_ls_unitary_full_support():
     a = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
     y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     sup = SupportSet(range(6), 3)
-    z = restricted_least_squares(a, y, sup)
+    cols = _Columns.from_dense(a)
+    z = restricted_least_squares(cols, y, sup)
     assert np.abs(z - a.conj().T @ y).max() < 1e-10
     # the empty support fits nothing
-    empty = restricted_least_squares(a, y, SupportSet([], 3))
+    empty = restricted_least_squares(cols, y, SupportSet([], 3))
     assert empty.shape == (6,) and not empty.any()
 
 
@@ -182,7 +183,7 @@ def test_restricted_ls_consistent_system():
     sup = SupportSet([1, 6], 3)
     idx = sup.indices
     alpha[idx] = [1.5, -2j]
-    z = restricted_least_squares(a, a @ alpha, sup)
+    z = restricted_least_squares(_Columns.from_dense(a), a @ alpha, sup)
     assert np.abs(z - alpha).max() < 1e-10
     off = np.ones(9, dtype=bool)
     off[idx] = False
@@ -195,13 +196,13 @@ def test_restricted_ls_rank_deficient_minimum_norm():
     a = np.stack([col, col, rng.standard_normal(8) + 0j], axis=1)
     y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     sup = SupportSet([0, 1, 2], 3)
-    z = restricted_least_squares(a, y, sup)
+    z = restricted_least_squares(_Columns.from_dense(a), y, sup)
     oracle = np.linalg.pinv(a) @ y  # SVD pseudo-inverse: minimum-norm solution
     assert np.abs(z[:3] - oracle).max() < 1e-10
 
 
 def test_restricted_ls_overdetermined_support_rejected():
-    a = np.eye(2, dtype=complex)
+    a = _Columns.from_dense(np.eye(2, dtype=complex))
     sup = SupportSet([0, 1, 2], 2)
     with pytest.raises(ValueError, match="exceeds"):
         restricted_least_squares(a, np.zeros(2, dtype=complex), sup)
@@ -210,6 +211,13 @@ def test_restricted_ls_overdetermined_support_rejected():
     for outside in ([-1], [2]):
         with pytest.raises(ValueError, match="outside"):
             restricted_least_squares(a, np.zeros(2, dtype=complex), SupportSet(outside, 2))
+
+
+def dense_operator(matrix, block_size):
+    """What the pursuits read of an operator, for a dense matrix on a grid
+    of ``block_size`` columns a block."""
+    cols = _Columns.from_dense(matrix)
+    return SimpleNamespace(columns=cols, l_taps=cols.shape[1] // block_size, block_size=block_size)
 
 
 def lstsq_reference(matrix, y, support):
@@ -292,9 +300,10 @@ def test_restricted_ls_matches_dense_lstsq(structured_systems, certified_systems
     ranks = []
     paths = ("scale", "solve", "solve", "svd")
     for (matrix, y, sup), path in zip(structured_systems, paths, strict=True):
-        assert _Columns.from_dense(matrix).refit == path
+        cols = _Columns.from_dense(matrix)
+        assert cols.refit == path
         ref = lstsq_reference(matrix, y, sup)
-        got = restricted_least_squares(matrix, y, sup)
+        got = restricted_least_squares(cols, y, sup)
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
         sv = np.linalg.svd(matrix[:, sup.indices], compute_uv=False)
         ranks.append(int((sv > 1e-10 * sv[0]).sum()))
@@ -330,7 +339,7 @@ def test_scale_refit_on_parallel_classes():
     cols = _Columns.from_dense(matrix)
     assert cols.refit == "scale" and cols.alias[0] == cols.alias[1] != cols.alias[2]
     ref = lstsq_reference(matrix, y, sup)
-    got = restricted_least_squares(matrix, y, sup)
+    got = restricted_least_squares(cols, y, sup)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
     # pairs at sine 1e-6 and 1e-9: their squared sines from the Gram are
     # 1e-12 and exactly 0, but the projection residuals are 1e-6 and 1e-9 of
@@ -341,7 +350,7 @@ def test_scale_refit_on_parallel_classes():
         cols = _Columns.from_dense(tilted)
         assert cols.refit != "scale" and cols.alias is None
     ref = lstsq_reference(tilted, y, sup)
-    got = restricted_least_squares(tilted, y, sup)
+    got = restricted_least_squares(cols, y, sup)
     assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
     # parallel pairs must partition the columns: a Gram block linking column
     # 0 to column 1 but not 1 to 0 gives no classes
@@ -355,8 +364,9 @@ def test_scale_refit_on_parallel_classes():
     weak = np.diag([1.0, 1e-11, 0.0])[:, :2] + 0j
     sup = SupportSet(range(2), 2)
     y = y[:3]
-    assert _Columns.from_dense(weak).refit == "scale"
-    got = restricted_least_squares(weak, y, sup)
+    cols = _Columns.from_dense(weak)
+    assert cols.refit == "scale"
+    got = restricted_least_squares(cols, y, sup)
     assert got[1] == 0.0 and np.abs(got - lstsq_reference(weak, y, sup)).max() <= 1e-15
 
 
@@ -370,7 +380,7 @@ def test_restricted_ls_rank_rule_is_global():
     matrix[4:, 2:] = 1e-11 * a
     y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     sup = SupportSet(range(4), 2)
-    got = restricted_least_squares(matrix, y, sup)
+    got = restricted_least_squares(_Columns.from_dense(matrix), y, sup)
     assert np.abs(got - lstsq_reference(matrix, y, sup)).max() < 1e-10
     assert not got[2:].any()
 
@@ -544,23 +554,6 @@ def test_repeated_hits_on_a_row_add_up():
     assert ones.sq_norm == 7
 
 
-def test_operator_refuses_block_size():
-    # the operator sets the grid, 5 Doppler bins a tap; a block_size the
-    # pursuit would not read is refused, not ignored
-    op = small_operator(n=64, l_taps=3, q_max=2)
-    y = op.columns.matvec(np.eye(op.shape[1])[0])
-    with pytest.raises(ValueError, match="^block_size is read only with a bare matrix, got 3$"):
-        hihtp_recover(op, y, 1, 1, block_size=3)
-    with pytest.raises(ValueError, match="^block_size is read only with a bare matrix, got 7$"):
-        htp_recover(op, y, 2, block_size=7)
-    assert hihtp_recover(op, y, 1, 1).support.block_size == 5
-    # the refit reads no grid, so it takes the operator as it is
-    support = SupportSet([0], 5)
-    assert restricted_least_squares(op, y, support).tobytes() == (
-        restricted_least_squares(op.columns, y, support).tobytes()
-    )
-
-
 @pytest.fixture(scope="module")
 def gradient_operators():
     """(column structure, dense matrix) of the paper n_p=8, 16 and 32
@@ -672,7 +665,7 @@ def test_hihtp_single_path_two_iterations():
     assert res.iterations <= 2
     assert np.linalg.norm(res.alpha - alpha) < 1e-8
     # oracle: least squares on the true support
-    oracle = restricted_least_squares(op.matrix, op.matrix @ alpha, res.support)
+    oracle = restricted_least_squares(op, op.matrix @ alpha, res.support)
     assert np.linalg.norm(res.alpha - oracle) < 1e-10
 
 
@@ -687,7 +680,7 @@ def test_hihtp_matches_exhaustive_oracle_noise_free():
             alpha[b * 3 + j] = rng.standard_normal() + 1j * rng.standard_normal()
         y = op.matrix @ alpha
         res = hihtp_recover(op, y, 2, 1)
-        oracle = exhaustive_recovery_oracle(op.matrix, y, 4, 3, 2, 1)
+        oracle = exhaustive_recovery_oracle(op, y, 2, 1)
         if np.linalg.norm(res.alpha - oracle) <= 1e-8:
             wins += 1
     assert wins >= 95
@@ -765,9 +758,10 @@ def test_adversarial_instance_separates_hihtp_from_htp():
     matrix = np.stack([col_a, col_a, col_b, np.array([0, 0, 1, 0], dtype=complex)], axis=1)
     truth = np.array([1.0, 0.0, 0.5, 0.0], dtype=complex)  # blocks (0,) and (1,)
     y = matrix @ truth
-    hier = hihtp_recover(matrix, y, 2, 1, block_size=2)
+    op = dense_operator(matrix, 2)
+    hier = hihtp_recover(op, y, 2, 1)
     assert np.linalg.norm(hier.alpha - truth) < 1e-10
-    flat = htp_recover(matrix, y, 2, block_size=2)
+    flat = htp_recover(op, y, 2)
     assert np.linalg.norm(flat.alpha - truth) > 0.1
 
 
@@ -779,25 +773,15 @@ def test_flat_threshold_examples():
         flat_threshold(x, 2, 2, 5)
 
 
-def test_bare_matrix_requires_grid():
-    matrix, y = np.eye(4, dtype=complex), np.zeros(4, dtype=complex)
-    with pytest.raises(ValueError, match="block_size must divide the 4 matrix columns, got None"):
-        hihtp_recover(matrix, y, 1, 1)
-    # the block count is the column count over block_size, which must divide it
-    for block_size in (3, 0):
-        with pytest.raises(ValueError, match=f"block_size must divide .*, got {block_size}$"):
-            htp_recover(matrix, y, 1, block_size=block_size)
-
-
 def test_kmax_validated():
     op = small_operator()
     with pytest.raises(ValueError):
         hihtp_recover(op, np.zeros(op.shape[0], dtype=complex), 1, 1, k_max=0)
     with pytest.raises(ValueError, match=rf"must have shape \({op.shape[0]},\)"):
         hihtp_recover(op, np.zeros(op.shape[0] + 1, dtype=complex), 1, 1)
-    # a bare operator must be a matrix
+    # a column structure is built from a matrix only
     with pytest.raises(ValueError, match="operator must be a matrix, got 1 dimensions"):
-        hihtp_recover(np.ones(4), np.zeros(4, dtype=complex), 1, 1, block_size=1)
+        _Columns.from_dense(np.ones(4))
 
 
 @pytest.mark.parametrize("c", [1e-3, 1e3])
@@ -812,9 +796,10 @@ def test_pursuit_is_scale_invariant(solver, c):
     y = matrix @ alpha + 0.3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
 
     def recover(m, obs):
+        op = dense_operator(m, 3)
         if solver == "hihtp":
-            return hihtp_recover(m, obs, 2, 1, block_size=3)
-        return htp_recover(m, obs, 2, block_size=3)
+            return hihtp_recover(op, obs, 2, 1)
+        return htp_recover(op, obs, 2)
 
     base = recover(matrix, y)
     assert base.iterations == 3

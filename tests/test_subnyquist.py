@@ -77,6 +77,17 @@ def test_sampling_rate_refuses_rates_no_frame_has():
     with pytest.raises(ValueError, match="do not fit in a frame of 4096"):
         PilotScheme.uniform(4096, 137, 30, 7, 1, overlap_mode="reduced")
     assert sampling_rate(136, 30, 1, cfg).compression_ratio == 4080 / 4096
+    # AfdmParams's frame rules: an odd frame and a prefix longer than the frame
+    with pytest.raises(ValueError, match="^frame length must be positive and even, got 4095$"):
+        sampling_rate(16, 30, 1, RadarConfig(bandwidth_hz=30e6, n=4095))
+    with pytest.raises(ValueError, match=r"^prefix length must lie in \[0, n = 4096\], got 5000$"):
+        sampling_rate(16, 30, 1, RadarConfig(bandwidth_hz=30e6, n=4096, cpp_len=5000))
+    # a bandwidth whose sample period, or frame duration, overflows to inf,
+    # over which every rate would be 0
+    for bandwidth in (1e-320, 1e-305):
+        with pytest.raises(ValueError, match=f"^bandwidth_hz {bandwidth} gives an infinite "):
+            RadarConfig(bandwidth_hz=bandwidth, n=4096)
+    assert sampling_rate(16, 30, 1, RadarConfig(bandwidth_hz=1e-300, n=4096)).f_s_hz > 0.0
 
 
 def test_radar_config_derived_quantities():
