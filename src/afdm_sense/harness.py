@@ -201,8 +201,7 @@ class ExperimentConfig:
         schemes = {}
         for n_p in self.n_pilots:
             schemes[n_p] = PilotScheme.uniform(
-                self.n, n_p, self.l_taps, self.q_max, chirp_num,
-                chirp_sign=self.chirp_sign, amplitude=self.pilot_amplitude,
+                params, n_p, self.l_taps, self.q_max, amplitude=self.pilot_amplitude,
                 overlap_mode=self.overlap_mode, contiguous=self.contiguous,
             )
             _check_column_energy(

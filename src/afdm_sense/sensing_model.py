@@ -9,7 +9,8 @@ operator maps the vectorized delay-Doppler profile to the observed
 samples.  A Doppler shift moves the de-chirped spectrum of a delayed
 frame by whole bins, so the operator takes one transform per delay tap.
 
-``PilotScheme.uniform`` offers three placements.  Spread pilots sit
+``PilotScheme.uniform`` lays pilots on an ``AfdmParams`` frame, each with
+the window ``window_offsets`` gives, in three placements.  Spread pilots sit
 ``n // n_pilots`` apart and packed ones (``contiguous=True``) put their
 windows back to back, giving ``n_pilots * ((L-1) P + 2 Q + 1)``
 observations.  Reduced pilots sit exactly ``(L-1) P + 1`` apart so
@@ -76,23 +77,22 @@ class PilotScheme:
     @classmethod
     def uniform(
         cls,
-        n: int,
+        params: AfdmParams,
         n_pilots: int,
         l_taps: int,
         q_max: int,
-        chirp_num: int,
-        chirp_sign: int = 1,
         amplitude: float = 1.0,
         overlap_mode: str = "disjoint",
         contiguous: bool = False,
         start: int | None = None,
     ) -> "PilotScheme":
-        """Equal-value pilots at uniform spacing.
+        """Equal-value pilots at uniform spacing on the frame of ``params``.
 
-        Disjoint non-contiguous placement spreads pilots ``n // n_pilots``
-        apart; disjoint contiguous placement packs the windows back to
-        back; reduced placement spaces pilots exactly ``(l_taps - 1)
-        chirp_num + 1`` apart and refuses ``contiguous=True``.
+        Each window is ``window_offsets(params, l_taps, q_max)``, no wider
+        than the frame.  Disjoint non-contiguous placement spreads pilots
+        ``n // n_pilots`` apart; disjoint contiguous placement packs the
+        windows back to back; reduced placement spaces pilots the window's
+        width less ``2 q_max`` apart and refuses ``contiguous=True``.
         """
         if overlap_mode not in _OVERLAP_MODES:
             raise ValueError(f"overlap_mode must be one of {_OVERLAP_MODES}, got {overlap_mode!r}")
@@ -103,10 +103,11 @@ class PilotScheme:
             )
         if n_pilots < 1:
             raise ValueError(f"at least one pilot is required, got n_pilots={n_pilots}")
-        width = (l_taps - 1) * chirp_num + 2 * q_max + 1
-        stride = (l_taps - 1) * chirp_num + 1
+        n = params.n
+        offsets = window_offsets(params, l_taps, q_max)
+        width = len(offsets)
         if overlap_mode == "reduced":
-            spacing = stride
+            spacing = width - 2 * q_max
         elif contiguous:
             spacing = width
         else:
@@ -120,19 +121,18 @@ class PilotScheme:
                 f"disjoint windows of width {width} need spacing >= {width}, got {spacing}"
             )
         if start is None:
-            # anchor so the first window starts at index 0
-            lo = min(-q_max, -q_max - chirp_sign * chirp_num * (l_taps - 1))
-            start = (-lo) % n
+            start = -int(offsets[0]) % n  # the first window starts at index 0
         positions = tuple(int((start + p * spacing) % n) for p in range(n_pilots))
-        values = tuple(complex(amplitude) for _ in range(n_pilots))
-        return cls(positions=positions, values=values)
+        return cls(positions=positions, values=(complex(amplitude),) * n_pilots)
 
 
 def window_offsets(params: AfdmParams, l_taps: int, q_max: int) -> np.ndarray:
     """Sorted transform-domain shifts a path can apply to a pilot."""
-    shift = params.chirp_sign * params.chirp_num
-    ends = (-q_max, q_max, -q_max - shift * (l_taps - 1), q_max - shift * (l_taps - 1))
-    return np.arange(min(ends), max(ends) + 1)
+    delay = -params.chirp_sign * params.chirp_num * (l_taps - 1)
+    lo, hi = min(0, delay) - q_max, max(0, delay) + q_max
+    if hi - lo >= params.n:  # it would alias onto itself; refused before it is built
+        raise ValueError(f"observation window of {hi - lo + 1} exceeds the frame length {params.n}")
+    return np.arange(lo, hi + 1)
 
 
 def observation_index_set(
@@ -145,9 +145,6 @@ def observation_index_set(
     """
     n = params.n
     offsets = window_offsets(params, l_taps, q_max)
-    width = len(offsets)
-    if width > n:
-        raise ValueError(f"observation window of {width} exceeds the frame length {n}")
     outside = [m for m in scheme.positions if not 0 <= m < n]
     if outside:
         raise ValueError(f"pilot positions {outside} lie outside [0, {n})")

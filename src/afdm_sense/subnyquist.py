@@ -58,7 +58,10 @@ class RadarConfig:
     @property
     def frame_duration_s(self) -> float:
         samples = self.n + (self.cpp_len if self.include_cpp_in_duration else 0)
-        return samples * self.sample_period_s
+        try:
+            return samples * self.sample_period_s
+        except OverflowError:  # raised at construction, so a built config never does
+            raise ValueError(f"a frame of {samples} samples converts to no float") from None
 
 
 class RateInfo(NamedTuple):
@@ -73,8 +76,8 @@ def sampling_rate(n_pilots: int, l_taps: int, chirp_num: int, cfg: RadarConfig) 
     taken from ``cfg``; the ratio is always quoted against the
     prefix-free frame duration, i.e. equals
     ``n_pilots ((l_taps - 1) chirp_num + 1) / n``.  A frame (``n``,
-    ``chirp_num``, ``cpp_len``) that ``AfdmParams`` refuses, or a train that
-    ``PilotScheme.uniform`` refuses, raises.
+    ``chirp_num``, ``cpp_len``) that ``AfdmParams`` refuses, or a reduced
+    train that ``PilotScheme.uniform`` refuses at ``q_max = 0``, raises.
     """
     if n_pilots < 1 or l_taps < 1:
         raise ValueError("n_pilots and l_taps must both be >= 1")

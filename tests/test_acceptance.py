@@ -53,7 +53,7 @@ def report(criterion, ok, detail):
 def test_c1_cross_path_consistency():
     n, l_taps, q_max = 256, 8, 3
     params = AfdmParams(n=n, chirp_num=1, cpp_len=l_taps - 1)
-    scheme = PilotScheme.uniform(n, 2, l_taps, q_max, 1)
+    scheme = PilotScheme.uniform(params, 2, l_taps, q_max)
     op = build_measurement_operator(scheme, params, l_taps, q_max)
     cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.3, p_doppler=0.3)
     frame = build_pilot_frame(scheme, params, l_taps, q_max)
@@ -113,7 +113,7 @@ def test_c2_threshold_matches_exhaustive_best_approximation():
 def test_c3_noise_free_exact_recovery():
     n, l_taps, q_max = 32, 4, 1
     params = AfdmParams(n=n, chirp_num=1, cpp_len=l_taps - 1)
-    scheme = PilotScheme.uniform(n, 4, l_taps, q_max, 1)
+    scheme = PilotScheme.uniform(params, 4, l_taps, q_max)
     op = build_measurement_operator(scheme, params, l_taps, q_max)
     nd = 2 * q_max + 1
     wins = 0
@@ -212,9 +212,7 @@ def test_c5_kronecker_factorization_structure():
     params = AfdmParams(n=n, chirp_num=p, chirp_sign=sign, cpp_len=l_taps - 1)
     classes = (l_taps - 1) * p + 1
     n_pilots = n // classes
-    scheme = PilotScheme.uniform(
-        n, n_pilots, l_taps, q_max, p, chirp_sign=sign, overlap_mode="reduced"
-    )
+    scheme = PilotScheme.uniform(params, n_pilots, l_taps, q_max, overlap_mode="reduced")
     cols = build_measurement_operator(scheme, params, l_taps, q_max).columns
     m, ncols = cols.shape
     l, q = np.divmod(np.arange(ncols), 2 * q_max + 1)
@@ -254,7 +252,7 @@ def test_c5_kronecker_factorization_structure():
 
 def _subnyquist_case(n, l_taps, q_max, n_pilots, seed):
     params = AfdmParams(n=n, chirp_num=1, cpp_len=max(l_taps - 1, 1))
-    scheme = PilotScheme.uniform(n, n_pilots, l_taps, q_max, 1, overlap_mode="reduced")
+    scheme = PilotScheme.uniform(params, n_pilots, l_taps, q_max, overlap_mode="reduced")
     cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.4, p_doppler=0.4)
     rng = np.random.default_rng(seed)
     profile = sample_profile(cfg, rng)

@@ -366,7 +366,7 @@ def test_first_terms_written_in_place(model, kwargs, chirp_sign):
     n, l_taps, q_max = 256, 8, 3
     cfg = SparsityConfig(model, l_taps=l_taps, q_max=q_max, p_delay=0.3, **kwargs)
     params = AfdmParams(n=n, chirp_num=1, chirp_sign=chirp_sign, cpp_len=l_taps - 1)
-    scheme = PilotScheme.uniform(n, 16, l_taps, q_max, 1, chirp_sign, overlap_mode="reduced")
+    scheme = PilotScheme.uniform(params, 16, l_taps, q_max, overlap_mode="reduced")
     frame = build_pilot_frame(scheme, params, l_taps, q_max)
     pilots = cpp_extend(idaft_modulate(frame, params), params)
     gapped = pilots.copy()

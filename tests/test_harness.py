@@ -81,10 +81,8 @@ def test_afdm_overhead_formula_is_a_reduced_train_frame(n, l_taps, q_max, chirp_
         "afdm", dict(n_pilots=n_pilots, l_taps=l_taps, q_max=q_max, chirp_num=chirp_num)
     )
     assert formula < n  # no wrap
-    scheme = PilotScheme.uniform(
-        n, n_pilots, l_taps, q_max, chirp_num, chirp_sign=chirp_sign, overlap_mode="reduced"
-    )
     params = AfdmParams(n=n, chirp_num=chirp_num, chirp_sign=chirp_sign)
+    scheme = PilotScheme.uniform(params, n_pilots, l_taps, q_max, overlap_mode="reduced")
     assert formula == n - len(data_slots(scheme, params, l_taps, q_max))
 
 
@@ -632,9 +630,7 @@ def test_dechirp_trials_run_on_the_plans_fold(monkeypatch):
     # a plan whose operator takes no certified refit: the cell is refused,
     # although its full-rate operator is certified
     assert plans[0].op.columns.refit == "solve"
-    three = PilotScheme.uniform(
-        cfg.n, 3, cfg.l_taps, cfg.q_max, cfg.params.chirp_num, overlap_mode="reduced"
-    )
+    three = PilotScheme.uniform(cfg.params, 3, cfg.l_taps, cfg.q_max, overlap_mode="reduced")
     uncertified = build_measurement_operator(three, cfg.params, cfg.l_taps, cfg.q_max)
     assert uncertified.columns.refit == "svd"
     monkeypatch.setattr(
@@ -1075,6 +1071,12 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         ["rate", "--n-pilots", "16", "--l-taps", "30", "--n", "4096", "--bandwidth-hz", "30e6",
          "--cpp-len", "5000"],
         ["rate", "--n-pilots", "16", "--l-taps", "30", "--n", "4096", "--bandwidth-hz", "1e-320"],
+        # a sample count that converts to no float: a 401-digit frame, and a
+        # 401-digit prefix that counts
+        ["rate", "--n-pilots", "16", "--l-taps", "30", "--n", "1" + "0" * 400,
+         "--bandwidth-hz", "30e6"],
+        ["rate", "--n-pilots", "16", "--l-taps", "30", "--n", "4096", "--bandwidth-hz", "30e6",
+         "--cpp-len", "1" + "0" * 400, "--include-cpp"],
         # a dict overrides the small config; one pilot gives fewer observations than the support
         ["run", {"n_pilots": [4, 1]}],
         ["run", {"solver": "htp", "htp_sparsity": 1000}],
@@ -1123,7 +1125,8 @@ def test_cli_errors_are_reported(tmp_path, capsys):
     ],
     ids=["pilots", "taps", "q-max", "chirp-num", "otfs-grid", "nan-bandwidth", "inf-bandwidth",
          "rate-pilots", "rate-chirp-num", "rate-huge-chirp", "rate-long-train", "rate-odd-frame",
-         "rate-long-prefix", "rate-tiny-bandwidth", "run-one-pilot", "run-htp-sparsity",
+         "rate-long-prefix", "rate-tiny-bandwidth", "rate-huge-frame", "rate-huge-prefix",
+         "run-one-pilot", "run-htp-sparsity",
          "run-unread-htp-sparsity", "run-unread-margin", "run-huge-c2", "run-negative-seed",
          "run-spread-pilots", "run-inf-margin",
          "run-nan-margin", "run-snr-overflow", "run-snr-trial-key", "run-short-prefix",

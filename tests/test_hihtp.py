@@ -230,14 +230,14 @@ def lstsq_reference(matrix, y, support):
 def paper_operator(n_pilots=8, **layout):
     # the C4 sweep geometry, by default its n_p=8 cell: n=4096, L=30, Q=7, chirp numerator 1
     params = AfdmParams(n=4096, chirp_num=1, cpp_len=64)
-    scheme = PilotScheme.uniform(4096, n_pilots, 30, 7, 1, amplitude=25.0, **layout)
+    scheme = PilotScheme.uniform(params, n_pilots, 30, 7, amplitude=25.0, **layout)
     return build_measurement_operator(scheme, params, 30, 7)
 
 
 def subnyquist_operator():
     # the reduced train of the sub-Nyquist benchmark config: 255 pilots, L=8, Q=3
     params = AfdmParams(n=4096, chirp_num=1, cpp_len=7)
-    scheme = PilotScheme.uniform(4096, 255, 8, 3, 1, overlap_mode="reduced")
+    scheme = PilotScheme.uniform(params, 255, 8, 3, overlap_mode="reduced")
     return build_measurement_operator(scheme, params, 8, 3)
 
 
@@ -500,9 +500,7 @@ def test_built_structure_matches_dense_adapter(layout, chirp):
     # dense adapter derives from the dense view
     n, l_taps, q_max = 256, 6, 2
     params = AfdmParams(n=n, cpp_len=5, **{"chirp_num": 1, **chirp})
-    scheme = PilotScheme.uniform(
-        n, 6, l_taps, q_max, params.chirp_num, chirp_sign=params.chirp_sign, **layout
-    )
+    scheme = PilotScheme.uniform(params, 6, l_taps, q_max, **layout)
     op = build_measurement_operator(scheme, params, l_taps, q_max)
     # the delayed frames gathered by modular index give the same stored
     # values to the last bit as the build's window view of the frame
@@ -645,7 +643,7 @@ def test_pursuit_reads_observations_once(paper_np8, monkeypatch):
 
 def small_operator(n=32, l_taps=4, q_max=1, n_pilots=4, chirp_num=1):
     params = AfdmParams(n=n, chirp_num=chirp_num, cpp_len=l_taps - 1)
-    scheme = PilotScheme.uniform(n, n_pilots, l_taps, q_max, chirp_num)
+    scheme = PilotScheme.uniform(params, n_pilots, l_taps, q_max)
     return build_measurement_operator(scheme, params, l_taps, q_max)
 
 

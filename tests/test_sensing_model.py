@@ -21,6 +21,7 @@ from afdm_sense import (
     observation_index_set,
     sample_profile,
     vectorize_profile,
+    window_offsets,
 )
 from afdm_sense import sensing_model
 from afdm_sense.channel import DelayDopplerProfile, doppler_phase
@@ -53,9 +54,9 @@ def test_window_from_index_map_oracle():
 def test_cardinalities_disjoint_and_reduced():
     n, l_taps, q_max, p = 128, 3, 2, 2
     params = AfdmParams(n=n, chirp_num=p)
-    disjoint = PilotScheme.uniform(n, 2, l_taps, q_max, p)
+    disjoint = PilotScheme.uniform(params, 2, l_taps, q_max)
     assert len(observation_index_set(disjoint, params, l_taps, q_max)) == 2 * ((l_taps - 1) * p + 2 * q_max + 1)
-    reduced = PilotScheme.uniform(n, 2, l_taps, q_max, p, overlap_mode="reduced")
+    reduced = PilotScheme.uniform(params, 2, l_taps, q_max, overlap_mode="reduced")
     assert len(observation_index_set(reduced, params, l_taps, q_max)) == 2 * ((l_taps - 1) * p + 1) + 2 * q_max
 
 
@@ -95,7 +96,7 @@ def test_positions_outside_the_frame_rejected(positions):
 
 def test_contiguous_placement_packs_windows():
     params = AfdmParams(n=64, chirp_num=1)
-    packed = PilotScheme.uniform(64, 2, 2, 1, 1, contiguous=True)
+    packed = PilotScheme.uniform(params, 2, 2, 1, contiguous=True)
     idx = observation_index_set(packed, params, 2, 1)
     assert np.array_equal(np.diff(idx), np.ones(len(idx) - 1, dtype=np.int64))
 
@@ -121,18 +122,86 @@ def test_pilot_frame_rejects_distinct_violations():
 def test_uniform_scheme_rejects_no_pilots(n_pilots):
     # the default spread layout would divide the frame by the pilot count
     with pytest.raises(ValueError, match="at least one pilot"):
-        PilotScheme.uniform(4096, n_pilots, 30, 7, 1)
+        PilotScheme.uniform(AfdmParams(4096, 1), n_pilots, 30, 7)
 
 
 def test_uniform_scheme_owns_the_layout_rules():
     # a reduced train is spaced the same either way; only a disjoint one is packed
     with pytest.raises(ValueError, match="contiguous=True needs overlap_mode 'disjoint', got 'reduced'"):
-        PilotScheme.uniform(64, 2, 3, 1, 1, overlap_mode="reduced", contiguous=True)
+        PilotScheme.uniform(AfdmParams(64, 1), 2, 3, 1, overlap_mode="reduced", contiguous=True)
     with pytest.raises(ValueError, match="overlap_mode must be one of .*, got 'foo'"):
-        PilotScheme.uniform(64, 2, 3, 1, 1, overlap_mode="foo")
+        PilotScheme.uniform(AfdmParams(64, 1), 2, 3, 1, overlap_mode="foo")
     # a train longer than the frame
     with pytest.raises(ValueError, match="do not fit in a frame of 64"):
-        PilotScheme.uniform(64, 30, 3, 1, 1, overlap_mode="reduced")
+        PilotScheme.uniform(AfdmParams(64, 1), 30, 3, 1, overlap_mode="reduced")
+
+
+def reference_layout(n, n_pilots, l_taps, q_max, chirp_num, chirp_sign, mode, contiguous):
+    """The layout arithmetic written out: window width, reduced stride and anchor."""
+    width = (l_taps - 1) * chirp_num + 2 * q_max + 1
+    stride = (l_taps - 1) * chirp_num + 1
+    if mode == "reduced":
+        spacing = stride
+    elif contiguous:
+        spacing = width
+    else:
+        spacing = n // n_pilots
+    if spacing < 1 or n_pilots * spacing > n:
+        raise ValueError(f"{n_pilots} pilots with spacing {spacing} do not fit in a frame of {n}")
+    if mode == "disjoint" and spacing < width:
+        raise ValueError(
+            f"disjoint windows of width {width} need spacing >= {width}, got {spacing}"
+        )
+    lo = min(-q_max, -q_max - chirp_sign * chirp_num * (l_taps - 1))
+    return tuple((-lo + p * spacing) % n for p in range(n_pilots))
+
+
+@pytest.mark.parametrize("n", [64, 256, 4096])
+@pytest.mark.parametrize(
+    "mode, contiguous", [("disjoint", False), ("disjoint", True), ("reduced", False)]
+)
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_uniform_layout_matches_the_written_out_arithmetic(sign, p, mode, contiguous, n):
+    params = AfdmParams(n=n, chirp_num=p, chirp_sign=sign)
+    for l_taps, q_max, n_pilots in product((1, 3, 8, 30), (0, 1, 3, 7), (1, 2, 3, 7, 16, 32, 255)):
+        args = (n_pilots, l_taps, q_max)
+        width = (l_taps - 1) * p + 2 * q_max + 1
+        try:
+            expected = reference_layout(n, *args, p, sign, mode, contiguous)
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            got = PilotScheme.uniform(params, *args, overlap_mode=mode, contiguous=contiguous)
+        except ValueError as exc:
+            got = str(exc)
+        else:
+            got = got.positions
+        if width > n:
+            # a window wider than the frame is refused before it is built, also
+            # where a reduced train of it would fit; no operator can use it
+            assert got == f"observation window of {width} exceeds the frame length {n}"
+        else:
+            assert got == expected, (l_taps, q_max, n_pilots)
+
+
+def test_window_wider_than_the_frame_refused_before_it_is_built():
+    # two million Doppler bins: a 16 MB window for a 64-bin frame
+    params = AfdmParams(n=64)
+    wide = "observation window of 2000003 exceeds the frame length 64"
+    tracemalloc.start()
+    try:
+        for build in (
+            lambda: window_offsets(params, 3, 10**6),
+            lambda: PilotScheme.uniform(params, 2, 3, 10**6, overlap_mode="reduced"),
+            lambda: PilotScheme.uniform(params, 2, 3, 10**6),
+        ):
+            with pytest.raises(ValueError, match=f"^{wide}$"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_data_fills_only_safe_slots_and_guard_isolation():
@@ -163,7 +232,7 @@ def test_data_overflow_rejected():
 def test_operator_column_structure():
     n, l_taps, q_max, p = 128, 4, 2, 1
     params = AfdmParams(n=n, chirp_num=p, c2=0.3)
-    scheme = PilotScheme.uniform(n, 3, l_taps, q_max, p)
+    scheme = PilotScheme.uniform(params, 3, l_taps, q_max)
     op = build_measurement_operator(scheme, params, l_taps, q_max)
     nd = 2 * q_max + 1
     for l in range(l_taps):
@@ -197,15 +266,7 @@ def test_operator_hit_pattern(mode, contiguous, sign, c2, start):
     n, l_taps, q_max, p, n_pilots = 256, 4, 2, 2, 3
     params = AfdmParams(n=n, chirp_num=p, chirp_sign=sign, c2=c2, cpp_len=(l_taps - 1) * p)
     scheme = PilotScheme.uniform(
-        n,
-        n_pilots,
-        l_taps,
-        q_max,
-        p,
-        chirp_sign=sign,
-        overlap_mode=mode,
-        contiguous=contiguous,
-        start=start,
+        params, n_pilots, l_taps, q_max, overlap_mode=mode, contiguous=contiguous, start=start
     )
     op = build_measurement_operator(scheme, params, l_taps, q_max)
     nd = 2 * q_max + 1
@@ -235,7 +296,7 @@ def test_operator_off_pattern_energy_rejected(monkeypatch):
         lambda x, p: idaft_modulate(x, replace(p, chirp_num=p.chirp_num + 1)),
     )
     params = AfdmParams(n=64, chirp_num=1)
-    scheme = PilotScheme.uniform(64, 2, 3, 1, 1)
+    scheme = PilotScheme.uniform(params, 2, 3, 1)
     with pytest.raises(ValueError, match="off the hit pattern"):
         build_measurement_operator(scheme, params, 3, 1)
 
@@ -249,7 +310,7 @@ def test_operator_with_nan_rejected(amplitude, c2):
             AfdmParams(n=64, chirp_num=1, c2=c2)
         return
     params = AfdmParams(n=64, chirp_num=1, c2=c2)
-    scheme = PilotScheme.uniform(64, 2, 3, 1, 1, amplitude=amplitude)
+    scheme = PilotScheme.uniform(params, 2, 3, 1, amplitude=amplitude)
     with pytest.raises(ValueError, match="columns of energy nan, whose square is not a normal"):
         build_measurement_operator(scheme, params, 3, 1)
 
@@ -262,7 +323,7 @@ def test_operator_with_nan_rejected(amplitude, c2):
 def test_operator_refuses_column_energy_without_normal_square(amplitude, energy):
     # built directly, outside a sweep's config, which refuses these amplitudes too
     params = AfdmParams(64, 1, cpp_len=2)
-    scheme = PilotScheme.uniform(64, 6, 3, 2, 1, amplitude=amplitude)
+    scheme = PilotScheme.uniform(params, 6, 3, 2, amplitude=amplitude)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"columns of energy {energy}, whose square is not"):
@@ -271,7 +332,7 @@ def test_operator_refuses_column_energy_without_normal_square(amplitude, energy)
 
 def test_operator_builds_for_normal_column_energy():
     params = AfdmParams(64, 1, cpp_len=2)
-    schemes = [PilotScheme.uniform(64, 6, 3, 2, 1, amplitude=a) for a in (1.0, 25.0)]
+    schemes = [PilotScheme.uniform(params, 6, 3, 2, amplitude=a) for a in (1.0, 25.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         unit, loud = [build_measurement_operator(s, params, 3, 2) for s in schemes]
@@ -292,7 +353,7 @@ def test_cross_path_consistency(sign, c2):
     """Simulated chain equals operator times vector for both chirp slopes."""
     n, l_taps, q_max = 128, 5, 2
     params = AfdmParams(n=n, chirp_num=1, chirp_sign=sign, c2=c2, cpp_len=l_taps - 1)
-    scheme = PilotScheme.uniform(n, 2, l_taps, q_max, 1, chirp_sign=sign)
+    scheme = PilotScheme.uniform(params, 2, l_taps, q_max)
     op = build_measurement_operator(scheme, params, l_taps, q_max)
     cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.5, p_doppler=0.5)
     rng = np.random.default_rng(1)
@@ -348,9 +409,7 @@ def reduced_train_operator(l_taps, q_max, p, n_pilots, chirp_sign=-1):
     """The operator of a reduced pilot train that wraps the frame exactly."""
     n = n_pilots * ((l_taps - 1) * p + 1)
     params = AfdmParams(n=n, chirp_num=p, chirp_sign=chirp_sign)
-    scheme = PilotScheme.uniform(
-        n, n_pilots, l_taps, q_max, p, chirp_sign=chirp_sign, overlap_mode="reduced"
-    )
+    scheme = PilotScheme.uniform(params, n_pilots, l_taps, q_max, overlap_mode="reduced")
     return build_measurement_operator(scheme, params, l_taps, q_max)
 
 
@@ -384,7 +443,7 @@ def test_hierarchical_permutation_partitions_grid():
         q_max = int(rng.integers(0, 5))
         p = int(rng.integers(1, 4))
         params = AfdmParams(n=256, chirp_num=p)
-        scheme = PilotScheme.uniform(256, 2, l_taps, q_max, p)
+        scheme = PilotScheme.uniform(params, 2, l_taps, q_max)
         op = build_measurement_operator(scheme, params, l_taps, q_max)
         cells = component_cells(op)
         assert sum(len(s) for s in cells) == l_taps * (2 * q_max + 1)
@@ -396,9 +455,7 @@ def full_wrap_setup(n=256, l_taps=8, q_max=3, values=None):
     p = 1
     params = AfdmParams(n=n, chirp_num=p, chirp_sign=-1, cpp_len=l_taps - 1)
     n_pilots = n // ((l_taps - 1) * p + 1)
-    scheme = PilotScheme.uniform(
-        n, n_pilots, l_taps, q_max, p, chirp_sign=-1, overlap_mode="reduced"
-    )
+    scheme = PilotScheme.uniform(params, n_pilots, l_taps, q_max, overlap_mode="reduced")
     if values is not None:
         scheme = PilotScheme(positions=scheme.positions, values=tuple(values))
     return build_measurement_operator(scheme, params, l_taps, q_max)
@@ -414,9 +471,7 @@ def test_components_are_the_residue_classes():
         if (l_taps - 1) * p + 2 * q_max + 1 > n:
             continue  # one window would exceed the frame
         params = AfdmParams(n=n, chirp_num=p, chirp_sign=sign)
-        scheme = PilotScheme.uniform(
-            n, n_pilots, l_taps, q_max, p, chirp_sign=sign, overlap_mode="reduced"
-        )
+        scheme = PilotScheme.uniform(params, n_pilots, l_taps, q_max, overlap_mode="reduced")
         op = build_measurement_operator(scheme, params, l_taps, q_max)
         assert same_partition(op.columns.comp, window_shifts(op) % stride), (params, l_taps, q_max)
         reduced += 1
@@ -424,7 +479,7 @@ def test_components_are_the_residue_classes():
     # spread disjoint pilots: the window shift itself
     for (l_taps, q_max, p, sign), n_pilots in product(grids, (1, 2, 4)):
         params = AfdmParams(n=256, chirp_num=p, chirp_sign=sign)
-        scheme = PilotScheme.uniform(256, n_pilots, l_taps, q_max, p, chirp_sign=sign)
+        scheme = PilotScheme.uniform(params, n_pilots, l_taps, q_max)
         op = build_measurement_operator(scheme, params, l_taps, q_max)
         assert same_partition(op.columns.comp, window_shifts(op)), (n_pilots, params, l_taps, q_max)
 
@@ -464,7 +519,7 @@ def test_kronecker_nonuniform_reported_not_fatal():
     # folded into (L-1)P+1 residues, and the build reports them as they are
     n, l_taps, q_max, p = 256, 8, 3, 1
     params = AfdmParams(n=n, chirp_num=p, chirp_sign=-1)
-    scheme = PilotScheme.uniform(n, 16, l_taps, q_max, p, chirp_sign=-1)
+    scheme = PilotScheme.uniform(params, 16, l_taps, q_max)
     op = build_measurement_operator(scheme, params, l_taps, q_max)
     assert same_partition(op.columns.comp, window_shifts(op))
     rows, widths = component_shapes(op.columns)
@@ -475,7 +530,7 @@ def test_kronecker_nonuniform_reported_not_fatal():
 def test_isometry_band_from_gram_blocks():
     n, l_taps, q_max = 64, 4, 1
     params = AfdmParams(n=n, chirp_num=1)
-    scheme = PilotScheme.uniform(n, 6, l_taps, q_max, 1)
+    scheme = PilotScheme.uniform(params, 6, l_taps, q_max)
     cols = build_measurement_operator(scheme, params, l_taps, q_max).columns
     # every column carries the pilot energy 6, so the ratios average exactly 1
     assert np.abs(cols.diag - 6.0).max() < 1e-12
@@ -498,7 +553,7 @@ def test_paper_build_allocates_no_dense_matrix():
     # the paper n_p=32 cell, whose dense operator alone is 1408 x 450
     # complex entries (9.7 MB); the build keeps 32 hits per column
     params = AfdmParams(n=4096, chirp_num=1, cpp_len=64)
-    scheme = PilotScheme.uniform(4096, 32, 30, 7, 1, amplitude=25.0)
+    scheme = PilotScheme.uniform(params, 32, 30, 7, amplitude=25.0)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -526,7 +581,7 @@ def test_list_built_scheme_matches_tuple_built():
 
 
 def test_scheme_hash_follows_positions_and_values():
-    scheme = PilotScheme.uniform(4096, 255, 8, 3, 1, overlap_mode="reduced")
+    scheme = PilotScheme.uniform(AfdmParams(4096, 1), 255, 8, 3, overlap_mode="reduced")
     assert hash(scheme) == hash((scheme.positions, scheme.values))
     changed = replace(scheme, values=(2.0,) * 255)
     assert hash(changed) == hash((changed.positions, changed.values)) != hash(scheme)

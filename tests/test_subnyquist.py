@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_sampling_rate_refuses_rates_no_frame_has():
     with pytest.raises(ValueError, match="137 pilots need 4110 samples"):
         sampling_rate(137, 30, 1, cfg)
     with pytest.raises(ValueError, match="do not fit in a frame of 4096"):
-        PilotScheme.uniform(4096, 137, 30, 7, 1, overlap_mode="reduced")
+        PilotScheme.uniform(AfdmParams(4096, 1), 137, 30, 7, overlap_mode="reduced")
     assert sampling_rate(136, 30, 1, cfg).compression_ratio == 4080 / 4096
     # AfdmParams's frame rules: an odd frame and a prefix longer than the frame
     with pytest.raises(ValueError, match="^frame length must be positive and even, got 4095$"):
@@ -88,6 +89,41 @@ def test_sampling_rate_refuses_rates_no_frame_has():
         with pytest.raises(ValueError, match=f"^bandwidth_hz {bandwidth} gives an infinite "):
             RadarConfig(bandwidth_hz=bandwidth, n=4096)
     assert sampling_rate(16, 30, 1, RadarConfig(bandwidth_hz=1e-300, n=4096)).f_s_hz > 0.0
+    # a sample count that converts to no float: the frame, or the frame and
+    # its prefix where the prefix counts
+    huge = 10**400
+    with pytest.raises(ValueError, match=f"^a frame of {huge} samples converts to no float$"):
+        RadarConfig(bandwidth_hz=30e6, n=huge)
+    with pytest.raises(ValueError, match=f"^a frame of {huge + 4096} samples converts to no float$"):
+        RadarConfig(bandwidth_hz=30e6, n=4096, cpp_len=huge, include_cpp_in_duration=True)
+    # a prefix that does not count leaves the duration alone; the waveform refuses it
+    with pytest.raises(ValueError, match=r"^prefix length must lie in \[0, n = 4096\], got 10{400}$"):
+        sampling_rate(16, 30, 1, RadarConfig(bandwidth_hz=30e6, n=4096, cpp_len=huge))
+    assert sampling_rate(16, 30, 1, RadarConfig(bandwidth_hz=30e6, n=2**1023)).f_s_hz > 0.0
+
+
+def test_sampling_rate_refuses_exactly_the_trains_uniform_refuses():
+    # the rate has no Doppler span: it is the reduced train's at q_max = 0
+    def refused(build):
+        try:
+            build()
+        except ValueError:
+            return True
+        return False
+
+    grid = product(
+        (2, 4, 64, 192, 256, 1024, 4096), (1, 2, 3, 8, 30), range(1, 10),
+        (1, 2, 3, 8, 16, 32, 64, 128, 300),
+    )
+    outcomes = []
+    for n, l_taps, p, n_p in grid:
+        rate = refused(lambda: sampling_rate(n_p, l_taps, p, RadarConfig(bandwidth_hz=30e6, n=n)))
+        layout = refused(
+            lambda: PilotScheme.uniform(AfdmParams(n, p), n_p, l_taps, 0, overlap_mode="reduced")
+        )
+        assert rate == layout, (n, l_taps, p, n_p)
+        outcomes.append(rate)
+    assert len(outcomes) == 2835 and 0 < sum(outcomes) < len(outcomes)
 
 
 def test_radar_config_derived_quantities():
@@ -105,7 +141,7 @@ def test_no_decimation_equals_full_rate_exactly():
     n, l_taps, q_max, p = 64, 3, 2, 1
     params = AfdmParams(n=n, chirp_num=p, cpp_len=l_taps - 1, c2=0.17)
     # enough pilots that no divisor below n fits the observations: K == n
-    scheme = PilotScheme.uniform(n, 11, l_taps, q_max, p, overlap_mode="reduced")
+    scheme = PilotScheme.uniform(params, 11, l_taps, q_max, overlap_mode="reduced")
     plan = plan_of(scheme, params, l_taps, q_max)
     assert plan.k_points == n and plan.decimation == 1
     cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.6, p_doppler=0.6)
@@ -121,7 +157,7 @@ def test_no_decimation_equals_full_rate_exactly():
 def test_decimated_receiver_matches_full_rate(c2):
     n, l_taps, q_max, p = 64, 3, 2, 1
     params = AfdmParams(n=n, chirp_num=p, cpp_len=l_taps - 1, c2=c2)
-    scheme = PilotScheme.uniform(n, 4, l_taps, q_max, p, overlap_mode="reduced")
+    scheme = PilotScheme.uniform(params, 4, l_taps, q_max, overlap_mode="reduced")
     plan = plan_of(scheme, params, l_taps, q_max)
     assert plan.op.shape[0] == 16 and plan.k_points == 16 and plan.decimation == 4
     cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.6, p_doppler=0.6)
@@ -140,7 +176,7 @@ def test_decimated_receiver_matches_full_rate(c2):
 def test_prefixed_frame_refused_naming_cpp_strip():
     n, l_taps, q_max = 64, 3, 2
     params = AfdmParams(n=n, chirp_num=1, cpp_len=l_taps - 1)
-    scheme = PilotScheme.uniform(n, 4, l_taps, q_max, 1, overlap_mode="reduced")
+    scheme = PilotScheme.uniform(params, 4, l_taps, q_max, overlap_mode="reduced")
     plan = plan_of(scheme, params, l_taps, q_max)
     cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.6, p_doppler=0.6)
     prof = sample_profile(cfg, np.random.default_rng(2))
@@ -193,7 +229,7 @@ def test_colliding_fold_is_the_folded_operator(layout, chirp_sign, c2):
     if layout == "two-windows":
         # windows 32 apart at K = 16: both fold onto the first one's residues
         n, k_points = 64, 16
-        scheme = PilotScheme.uniform(n, 2, l_taps, q_max, 1, chirp_sign)
+        scheme = PilotScheme.uniform(AfdmParams(n, 1, chirp_sign), 2, l_taps, q_max)
     else:
         # windows 48 apart at K = 24: every residue holds three observed rows.
         # Started at 17, some representatives' second chirp over itself is
@@ -272,9 +308,7 @@ def test_collision_free_fold_is_the_full_rate_operator(train, chirp_sign, c2):
     if doc is None:
         l_taps, q_max = 3, 2
         params = AfdmParams(n=64, chirp_num=1, chirp_sign=chirp_sign, cpp_len=l_taps - 1, c2=c2)
-        scheme = PilotScheme.uniform(
-            64, 4, l_taps, q_max, 1, chirp_sign, overlap_mode="reduced", start=14
-        )
+        scheme = PilotScheme.uniform(params, 4, l_taps, q_max, overlap_mode="reduced", start=14)
     else:
         cfg = ExperimentConfig.from_dict({**doc, "chirp_sign": chirp_sign, "c2": c2})
         l_taps, q_max, params = cfg.l_taps, cfg.q_max, cfg.params
@@ -328,7 +362,7 @@ def test_cached_fold_tables_give_the_uncached_bytes(chirp_sign, c2):
     rng = np.random.default_rng(7)
     # decimations 4 (K = 64) and 2 (K = 128)
     for n_p in (12, 30):
-        scheme = PilotScheme.uniform(n, n_p, l_taps, q_max, 1, chirp_sign, overlap_mode="reduced")
+        scheme = PilotScheme.uniform(params, n_p, l_taps, q_max, overlap_mode="reduced")
         plan = plan_of(scheme, params, l_taps, q_max)
         for k in range(10):
             _, r = received_frame(
@@ -350,7 +384,7 @@ def test_cached_fold_tables_give_the_uncached_bytes(chirp_sign, c2):
 def test_data_symbols_rejected():
     n, l_taps, q_max = 64, 3, 2
     params = AfdmParams(n=n, chirp_num=1)
-    scheme = PilotScheme.uniform(n, 4, l_taps, q_max, 1, overlap_mode="reduced")
+    scheme = PilotScheme.uniform(params, 4, l_taps, q_max, overlap_mode="reduced")
     frame = build_pilot_frame(scheme, params, l_taps, q_max)
     plan = plan_of(scheme, params, l_taps, q_max)
     dechirp_decimate_receive(np.zeros(n, complex), plan, frame=frame)  # pilots only
@@ -373,7 +407,7 @@ def test_folding_is_injective_for_interval_sets():
 def test_noise_survives_the_decimated_path():
     n, l_taps, q_max = 64, 3, 2
     params = AfdmParams(n=n, chirp_num=1, cpp_len=l_taps - 1)
-    scheme = PilotScheme.uniform(n, 4, l_taps, q_max, 1, overlap_mode="reduced")
+    scheme = PilotScheme.uniform(params, 4, l_taps, q_max, overlap_mode="reduced")
     cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.6, p_doppler=0.6)
     rng = np.random.default_rng(4)
     prof = sample_profile(cfg, rng)
@@ -386,7 +420,7 @@ def test_noise_survives_the_decimated_path():
 def test_paper_scale_equivalence_and_same_recovery():
     n, l_taps, q_max, p = 4096, 30, 7, 1
     params = AfdmParams(n=n, chirp_num=p, cpp_len=64)
-    scheme = PilotScheme.uniform(n, 16, l_taps, q_max, p, overlap_mode="reduced")
+    scheme = PilotScheme.uniform(params, 16, l_taps, q_max, overlap_mode="reduced")
     op = build_measurement_operator(scheme, params, l_taps, q_max)
     plan = decimation_plan(op)
     assert plan.op.shape[0] == 16 * 30 + 14
