@@ -72,8 +72,8 @@ _GRAM_COND_MAX = 1e3
 # Two columns a_j, a_k of one component count as orthogonal when
 # |a_j^H a_k| <= _PAIR_TOL ||a_j|| ||a_k||, and as parallel when the residual of
 # projecting a_k on a_j is at most _PAIR_TOL ||a_k||.  Evenly spread pilots
-# make every pair one or the other, off by transform round-off (about 1e-16);
-# the same bound as the operator build's tolerance off the hit pattern
+# make every pair one or the other, off by the round-off of the build's phases
+# (about 1e-16)
 _PAIR_TOL = 1e-12
 # The Gram alone resolves angles down to about 1e-8: a non-orthogonal pair whose
 # squared sine, taken from the Gram, exceeds this is not parallel.  Only the

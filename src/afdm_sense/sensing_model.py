@@ -6,8 +6,8 @@ through an on-grid channel, over the observation window
 ``[-q_max, q_max]`` and delay ``l`` in ``[0, l_taps)``.  Collecting the
 windows of all pilots gives the observation index set; the measurement
 operator maps the vectorized delay-Doppler profile to the observed
-samples.  A Doppler shift moves the de-chirped spectrum of a delayed
-frame by whole bins, so the operator takes one transform per delay tap.
+samples.  AFDM's input-output relation gives each of its hits in closed
+form, so the operator is built without a frame or a transform.
 
 ``PilotScheme.uniform`` lays pilots on an ``AfdmParams`` frame, each with
 the window ``window_offsets`` gives, in three placements.  Spread pilots sit
@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .daft_core import AfdmParams, idaft_modulate
+from .daft_core import AfdmParams
 from .hihtp import _Columns
 
 __all__ = [
@@ -44,11 +44,6 @@ __all__ = [
 ]
 
 _OVERLAP_MODES = ("disjoint", "reduced")
-# l2 norm of each delay tap's full de-chirped spectrum off the pilot bins,
-# relative to the norm on them, still taken for transform round-off
-# (measured 2.3e-16 to 4.1e-16 for n = 128 to 16384, both chirp signs,
-# c2 != 0, disjoint, contiguous and reduced layouts)
-_STRAY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -225,8 +220,8 @@ def _check_column_energy(scheme: PilotScheme, source: str) -> None:
     """Refuse pilots whose operator columns' energy has no normal square.
 
     A column hits one observation per pilot, with the pilot's magnitude, so
-    every column has the energy ``sum |v_p|^2``; the build's norms and the
-    pursuit's pair test multiply two such energies and divide by them.
+    every column has the energy ``sum |v_p|^2``; the pursuit's pair test
+    multiplies two such energies and divides by them.
     """
     # on Python floats an overflow gives inf, not a warning
     energy = math.fsum(x * x for v in map(complex, scheme.values) for x in (v.real, v.imag))
@@ -239,48 +234,33 @@ def _check_column_energy(scheme: PilotScheme, source: str) -> None:
 def build_measurement_operator(
     scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int
 ) -> MeasurementOperator:
-    """Assemble the operator from one transform chain per delay tap.
+    """Assemble the operator from AFDM's input-output relation.
 
-    Column (l, q) holds the observed samples of the pilot frame passed
-    through a unit-gain path with delay ``l`` and Doppler ``q``.  The
-    Doppler factor ``e^{i2pi q m/n}`` shifts the de-chirped spectrum by
-    exactly ``q`` bins, so each delayed frame is transformed once: pilot
-    ``m_p`` sits in bin ``base = (m_p - chirp_sign P l) mod n`` and column
-    (l, q) hits row ``(base + q) mod n`` with ``second[(base + q) mod n] *
-    spectrum_l[base]``; only these hits are stored.  The build raises if the
-    spectra carry more than round-off outside the pilot bins, and it refuses
-    first pilot values whose column energy squared is not a normal float.
+    On an on-grid channel the relation gives every hit in closed form: a
+    pilot of value ``v`` at ``m`` through a unit-gain path with delay ``l``
+    and Doppler ``q`` lands on row ``r = (m + q - chirp_sign P l) mod n``
+    with the value ``v conj(second[m]) e^{-i pi (2 m l - chirp_sign P l^2) / n}
+    second[r]`` (Bemani, Ksairi and Kountouris, IEEE TWC 2023).  The phase
+    numerator is reduced mod ``2 n`` in integers, as the chirp tables are,
+    so large frames lose no precision; only the hits are stored.  Acceptance
+    criterion 1 checks the operator against the transform chain.  Pilot
+    values whose column energy squared is not a normal float are refused.
     """
     _check_column_energy(scheme, "the pilot values give")
     n, nd = params.n, 2 * q_max + 1
     indices = observation_index_set(scheme, params, l_taps, q_max)
-    s_p = idaft_modulate(build_pilot_frame(scheme, params, l_taps, q_max), params)
-    first, second = params.chirps
-    taps = np.arange(l_taps)
-    # row l of the batch is the frame delayed circularly by l samples: a
-    # window of the frame with its last l_taps - 1 samples put in front
-    wrapped = np.concatenate((s_p[n - l_taps + 1 :], s_p))
-    delayed = np.lib.stride_tricks.sliding_window_view(wrapped, n)[::-1]
-    # One FFT over the whole batch, not one per tap.  Per-tap transforms cut
-    # the build's peak memory, but freeing the batch's L x n temporaries
-    # (0.5 MB on the sub-Nyquist benchmark workload, 2 MB on the paper
-    # sweep) is what raises glibc's mmap threshold to their size; the forked
-    # trial workers inherit that threshold and then reuse heap pages for
-    # their arrays instead of faulting in fresh mappings.  Transformed per
-    # tap, the sub-Nyquist workers took 10x the minor faults and 1.37x the
-    # CPU time.
-    spectra = np.fft.fft(first * delayed, axis=1, norm="ortho")
+    second = params.chirps[1]
     shift = params.chirp_sign * params.chirp_num
-    base = (np.asarray(scheme.positions)[:, None] - shift * taps) % n
-    kept = spectra[taps, base]
-    spectra[taps, base] = 0.0
-    # norms by dot products over every tap's full spectrum
-    stray = math.sqrt(np.vdot(spectra, spectra).real / max(np.vdot(kept, kept).real, 1e-300))
-    if not stray <= _STRAY_TOL:  # a NaN norm is refused too
-        raise ValueError(f"operator norm off the hit pattern is {stray:.3g} of the norm on it")
+    taps = np.arange(l_taps)
+    m = np.asarray(scheme.positions)[:, None]
+    base = (m - shift * taps) % n
+    # the phase as the chirp tables take it, e^{-i pi frac / n} with frac in
+    # [0, 2 n); taps^2 is reduced first, so no product reaches 4 n^2
+    frac = (2 * m * taps - shift * (taps * taps % (2 * n))) % (2 * n)
+    gain = np.asarray(scheme.values)[:, None] * second[m].conj() * np.exp(-1j * np.pi * frac / n)
     # one hit per pilot in column l * nd + q + q_max
     hits = ((base[:, :, None] + np.arange(-q_max, q_max + 1)) % n).reshape(len(base), -1)
-    vals = second[hits] * kept.repeat(nd, 1)
+    vals = second[hits] * gain.repeat(nd, 1)
     return MeasurementOperator(
         columns=_Columns(len(indices), np.searchsorted(indices, hits).T, vals.T),
         row_indices=indices,

@@ -21,7 +21,7 @@ from afdm_sense import (
     records_to_csv_str,
     run_monte_carlo,
 )
-from afdm_sense import cli, harness, hihtp, subnyquist
+from afdm_sense import cli, harness, hihtp, sensing_model, subnyquist
 from afdm_sense.channel import SparsityConfig, doppler_phase
 from afdm_sense.daft_core import AfdmParams
 from afdm_sense.sensing_model import PilotScheme, build_measurement_operator, data_slots
@@ -605,6 +605,24 @@ def test_sweep_builds_one_plan_per_dechirp_pilot_count(monkeypatch, overrides, p
     records = run_monte_carlo(cfg)
     assert [op.scheme.n_pilots for op in ops] == planned
     assert records_to_csv_str(records) == reference
+
+
+def test_sweep_builds_one_pilot_frame_per_pilot_count(monkeypatch):
+    # the operator comes from the closed-form relation, so the frame the
+    # trials transmit is the only one a cell builds; one counter sees the
+    # builds of both modules
+    monkeypatch.setenv("AFDM_SENSE_THREADS", "1")
+    cfg = small_config(trials=3, n_pilots=(4, 6), snr_db=(10.0, 20.0))
+    original, frames = sensing_model.build_pilot_frame, []
+
+    def counting(scheme, *args, **kwargs):
+        frames.append(scheme.n_pilots)
+        return original(scheme, *args, **kwargs)
+
+    monkeypatch.setattr(sensing_model, "build_pilot_frame", counting)
+    monkeypatch.setattr(harness, "build_pilot_frame", counting)
+    assert [r.trials_ok for r in run_monte_carlo(cfg)] == [3] * 4
+    assert frames == [4, 6]
 
 
 def test_dechirp_trials_run_on_the_plans_fold(monkeypatch):
