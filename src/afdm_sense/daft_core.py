@@ -26,7 +26,6 @@ __all__ = [
     "idaft_modulate",
     "daft_demodulate",
     "cpp_extend",
-    "cpp_strip",
     "select_chirp_rate",
 ]
 
@@ -59,10 +58,6 @@ class AfdmParams:
             raise ValueError(f"prefix length must lie in [0, n = {self.n}], got {self.cpp_len}")
         if not math.isfinite(self.c2):  # every chirp table would be NaN
             raise ValueError(f"c2 must be finite, got {self.c2}")
-
-    @property
-    def c1(self) -> float:
-        return self.chirp_sign * self.chirp_num / (2.0 * self.n)
 
     @cached_property
     def chirps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -120,15 +115,6 @@ def cpp_extend(s, params: AfdmParams) -> np.ndarray:
     """
     s = _as_frame(s, params.n, "time signal")
     return np.concatenate([s[params.n - params.cpp_len :], s])
-
-
-def cpp_strip(s_cpp, params: AfdmParams) -> np.ndarray:
-    """Remove the chirp-periodic prefix; inverse of :func:`cpp_extend`."""
-    s_cpp = np.asarray(s_cpp, dtype=np.complex128)
-    expected = params.n + params.cpp_len
-    if s_cpp.shape != (expected,):
-        raise ValueError(f"prefixed signal must have shape ({expected},), got {s_cpp.shape}")
-    return s_cpp[params.cpp_len :].copy()
 
 
 def select_chirp_rate(l_taps: int, q_max: int, s_delay: int, s_doppler: int) -> int:

@@ -65,10 +65,6 @@ class PilotScheme:
         if len(set(self.positions)) != len(self.positions):
             raise ValueError("pilot positions must be distinct")
 
-    @property
-    def n_pilots(self) -> int:
-        return len(self.positions)
-
     @classmethod
     def uniform(
         cls,
@@ -79,15 +75,15 @@ class PilotScheme:
         amplitude: float = 1.0,
         overlap_mode: str = "disjoint",
         contiguous: bool = False,
-        start: int | None = None,
     ) -> "PilotScheme":
         """Equal-value pilots at uniform spacing on the frame of ``params``.
 
         Each window is ``window_offsets(params, l_taps, q_max)``, no wider
-        than the frame.  Disjoint non-contiguous placement spreads pilots
-        ``n // n_pilots`` apart; disjoint contiguous placement packs the
-        windows back to back; reduced placement spaces pilots the window's
-        width less ``2 q_max`` apart and refuses ``contiguous=True``.
+        than the frame, and the first window starts at index 0.  Disjoint
+        non-contiguous placement spreads pilots ``n // n_pilots`` apart;
+        disjoint contiguous placement packs the windows back to back; reduced
+        placement spaces pilots the window's width less ``2 q_max`` apart and
+        refuses ``contiguous=True``.
         """
         if overlap_mode not in _OVERLAP_MODES:
             raise ValueError(f"overlap_mode must be one of {_OVERLAP_MODES}, got {overlap_mode!r}")
@@ -115,14 +111,15 @@ class PilotScheme:
             raise ValueError(
                 f"disjoint windows of width {width} need spacing >= {width}, got {spacing}"
             )
-        if start is None:
-            start = -int(offsets[0]) % n  # the first window starts at index 0
+        start = -int(offsets[0]) % n
         positions = tuple(int((start + p * spacing) % n) for p in range(n_pilots))
         return cls(positions=positions, values=(complex(amplitude),) * n_pilots)
 
 
 def window_offsets(params: AfdmParams, l_taps: int, q_max: int) -> np.ndarray:
     """Sorted transform-domain shifts a path can apply to a pilot."""
+    if l_taps < 1 or q_max < 0:
+        raise ValueError("l_taps must be >= 1 and q_max >= 0")
     delay = -params.chirp_sign * params.chirp_num * (l_taps - 1)
     lo, hi = min(0, delay) - q_max, max(0, delay) + q_max
     if hi - lo >= params.n:  # it would alias onto itself; refused before it is built
@@ -162,28 +159,17 @@ def data_slots(scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int)
 
 
 def build_pilot_frame(
-    scheme: PilotScheme,
-    params: AfdmParams,
-    l_taps: int,
-    q_max: int,
-    data=None,
+    scheme: PilotScheme, params: AfdmParams, l_taps: int, q_max: int
 ) -> np.ndarray:
-    """Transform-domain frame with pilots, guard zeros and optional data.
+    """Pilot-only transform-domain frame: the pilots, and zeros elsewhere.
 
-    Guard zeros cover every position whose channel response could land in
-    an observation window; remaining positions are filled from ``data`` in
-    increasing index order (zero when ``data`` is shorter or absent).
+    The zeros include the guard around every observation window; data may
+    go only at the ``data_slots`` indices, which no sweep fills.
     """
     observation_index_set(scheme, params, l_taps, q_max)  # refuses positions outside the frame
     x = np.zeros(params.n, dtype=np.complex128)
     for m, v in zip(scheme.positions, scheme.values):
         x[m] = v
-    if data is not None:
-        data = np.asarray(data, dtype=np.complex128).reshape(-1)
-        slots = data_slots(scheme, params, l_taps, q_max)
-        if len(data) > len(slots):
-            raise ValueError(f"{len(data)} data symbols exceed the {len(slots)} free slots")
-        x[slots[: len(data)]] = data
     return x
 
 
@@ -272,11 +258,15 @@ def build_measurement_operator(
 
 
 def extract_measurements(y, indices) -> np.ndarray:
-    """Gather entries of a full transform-domain frame in sorted index order."""
+    """Gather entries of a full transform-domain frame at observation indices.
+
+    Refuses indices that are out of range or not strictly increasing;
+    ``observation_index_set`` returns them sorted and in range.
+    """
     y = np.asarray(y)
     indices = np.asarray(indices, dtype=np.int64)
     if np.any(indices[1:] <= indices[:-1]):
-        indices = np.sort(indices)
+        raise ValueError("observation indices must be strictly increasing")
     if len(indices) and (indices[0] < 0 or indices[-1] >= len(y)):
         raise ValueError("observation index out of range")
     return y[indices]

@@ -159,7 +159,7 @@ def dechirp_decimate_receive(r, plan: DecimationPlan, frame=None) -> np.ndarray:
     n = plan.decimation * plan.k_points
     if r.shape != (n,):
         raise ValueError(
-            f"received frame must have {n} samples, got {r.shape}; strip a prefix with cpp_strip"
+            f"received frame must have {n} samples, got {r.shape}; strip the prefix first"
         )
     if frame is not None:
         off_pilot = np.delete(np.asarray(frame, dtype=np.complex128), plan.op.scheme.positions)

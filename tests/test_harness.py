@@ -603,7 +603,7 @@ def test_sweep_builds_one_plan_per_dechirp_pilot_count(monkeypatch, overrides, p
 
     monkeypatch.setattr(subnyquist, "decimation_plan", counting)
     records = run_monte_carlo(cfg)
-    assert [op.scheme.n_pilots for op in ops] == planned
+    assert [len(op.scheme.positions) for op in ops] == planned
     assert records_to_csv_str(records) == reference
 
 
@@ -616,7 +616,7 @@ def test_sweep_builds_one_pilot_frame_per_pilot_count(monkeypatch):
     original, frames = sensing_model.build_pilot_frame, []
 
     def counting(scheme, *args, **kwargs):
-        frames.append(scheme.n_pilots)
+        frames.append(len(scheme.positions))
         return original(scheme, *args, **kwargs)
 
     monkeypatch.setattr(sensing_model, "build_pilot_frame", counting)

@@ -507,7 +507,12 @@ def test_built_structure_matches_dense_adapter(n, layout, chirp):
     # the dense adapter derives from the dense view
     l_taps, q_max = 6, 2
     params = AfdmParams(n=n, cpp_len=5, **{"chirp_num": 1, **chirp})
+    layout = dict(layout)
+    start = layout.pop("start", None)
     scheme = PilotScheme.uniform(params, 6, l_taps, q_max, **layout)
+    if start is not None:  # the same train, shifted mod n to its first pilot
+        shift = start - scheme.positions[0]
+        scheme = dataclasses.replace(scheme, positions=[(m + shift) % n for m in scheme.positions])
     op = build_measurement_operator(scheme, params, l_taps, q_max)
     # the build's closed form against the transform chain: the pilot frame,
     # delayed by each tap and de-chirped, with Doppler q shifting its

@@ -35,7 +35,7 @@ PUBLIC_API = [
     "MeasurementOperator", "NoiseConfig", "PilotScheme", "RadarConfig", "RateInfo",
     "RecoveryResult", "ResultRecord", "SparsityConfig", "SupportSet", "apply_channel",
     "build_measurement_operator", "build_pilot_frame", "chernoff_tail_bound", "cpp_extend",
-    "cpp_strip", "daft_demodulate", "data_slots", "dechirp_decimate_receive",
+    "daft_demodulate", "data_slots", "dechirp_decimate_receive",
     "decimation_plan", "doppler_phase", "emit_report", "empirical_sparsity_stats",
     "extract_measurements", "flat_threshold", "hierarchical_threshold", "hihtp_recover",
     "htp_recover", "idaft_modulate", "load_records_json", "observation_index_set",

@@ -26,8 +26,10 @@ from afdm_sense import (
 from afdm_sense.channel import DelayDopplerProfile, doppler_phase
 
 
-def simulate_observations(scheme, params, l_taps, q_max, profile, data=None):
-    frame = build_pilot_frame(scheme, params, l_taps, q_max, data=data)
+def simulate_observations(scheme, params, l_taps, q_max, profile, frame=None):
+    """The observations of ``frame`` (the scheme's pilot frame by default)."""
+    if frame is None:
+        frame = build_pilot_frame(scheme, params, l_taps, q_max)
     s = cpp_extend(idaft_modulate(frame, params), params)
     r = apply_channel(s, profile, params)
     indices = observation_index_set(scheme, params, l_taps, q_max)
@@ -203,29 +205,60 @@ def test_window_wider_than_the_frame_refused_before_it_is_built():
     assert peak < 1 << 20
 
 
-def test_data_fills_only_safe_slots_and_guard_isolation():
-    """Random data outside the guards leaves the observations untouched."""
-    n, l_taps, q_max = 64, 3, 2
-    params = AfdmParams(n=n, chirp_num=2, cpp_len=l_taps - 1)
-    scheme = PilotScheme(positions=(20,), values=(1.0,))
-    slots = data_slots(scheme, params, l_taps, q_max)
-    # forbidden zone: the window dilated by the offset range on both sides
-    assert len(slots) == n - (2 * ((l_taps - 1) * 2 + 2 * q_max) + 1)
-    rng = np.random.default_rng(0)
-    qam = rng.choice([-1, 1], size=len(slots)) + 1j * rng.choice([-1, 1], size=len(slots))
-    cfg = SparsityConfig("type2", l_taps=l_taps, q_max=q_max, p_delay=0.7, p_doppler=0.7)
-    prof = sample_profile(cfg, rng)
-    y_quiet = simulate_observations(scheme, params, l_taps, q_max, prof)
-    y_loud = simulate_observations(scheme, params, l_taps, q_max, prof, data=qam)
-    assert np.abs(y_loud - y_quiet).max() < 1e-10
+@pytest.mark.parametrize("l_taps,q_max", [(0, 2), (-3, 2), (3, -1), (3, -2)])
+def test_layout_refuses_taps_below_one_and_negative_doppler(l_taps, q_max):
+    # unchecked, l_taps 0 gave a 2-bin window and an (8, 0) operator,
+    # l_taps -3 a 5-bin window, q_max -1 a train whose build raised numpy's
+    # negative dimension, and q_max -2 a bare IndexError
+    params = AfdmParams(n=64)
+    scheme = PilotScheme(positions=(8, 24, 40, 56), values=(1.0,) * 4)
+    for build in (
+        lambda: window_offsets(params, l_taps, q_max),
+        lambda: PilotScheme.uniform(params, 4, l_taps, q_max),
+        lambda: PilotScheme.uniform(params, 4, l_taps, q_max, overlap_mode="reduced"),
+        lambda: observation_index_set(scheme, params, l_taps, q_max),
+        lambda: data_slots(scheme, params, l_taps, q_max),
+        lambda: build_pilot_frame(scheme, params, l_taps, q_max),
+        lambda: build_measurement_operator(scheme, params, l_taps, q_max),
+    ):
+        with pytest.raises(ValueError, match="^l_taps must be >= 1 and q_max >= 0$"):
+            build()
 
 
-def test_data_overflow_rejected():
-    params = AfdmParams(n=32, chirp_num=1)
-    scheme = PilotScheme(positions=(8,), values=(1.0,))
-    free = len(data_slots(scheme, params, 2, 1))
-    with pytest.raises(ValueError, match="free slots"):
-        build_pilot_frame(scheme, params, 2, 1, data=np.ones(free + 1))
+@pytest.mark.parametrize("sign,c2", [(1, 0.37), (-1, -0.21)])
+def test_data_fills_only_safe_slots_and_guard_isolation(sign, c2):
+    """``data_slots`` is exactly the set of non-pilot slots whose symbol
+    moves no observation, through a channel with every path active."""
+    n, l_taps, q_max, p = 128, 3, 2, 2
+    params = AfdmParams(n=n, chirp_num=p, chirp_sign=sign, c2=c2, cpp_len=(l_taps - 1) * p)
+    reduced = PilotScheme.uniform(params, 4, l_taps, q_max, overlap_mode="reduced")
+    layouts = {
+        "spread": PilotScheme.uniform(params, 4, l_taps, q_max),
+        "packed": PilotScheme.uniform(params, 4, l_taps, q_max, contiguous=True),
+        "reduced": reduced,
+        # shifted so that the train's windows cross index n - 1
+        "wrapped": replace(reduced, positions=[(m - 7) % n for m in reduced.positions]),
+    }
+    gains = np.exp(2j * np.pi * np.random.default_rng(0).random((l_taps, 2 * q_max + 1)))
+    prof = DelayDopplerProfile(gains=gains, mask=np.ones(gains.shape, dtype=bool))
+    for name, scheme in layouts.items():
+        slots = data_slots(scheme, params, l_taps, q_max)
+        if name == "spread":
+            # the windows' forbidden zones, each dilated by the offset range
+            # on both sides, do not meet
+            assert len(slots) == n - 4 * (2 * ((l_taps - 1) * p + 2 * q_max) + 1)
+        assert len(slots) > 0, name
+        quiet = build_pilot_frame(scheme, params, l_taps, q_max)
+        y_quiet = simulate_observations(scheme, params, l_taps, q_max, prof)
+        for k in sorted(set(range(n)) - set(scheme.positions)):
+            frame = quiet.copy()
+            frame[k] = 1.0
+            y = simulate_observations(scheme, params, l_taps, q_max, prof, frame)
+            moved = np.abs(y - y_quiet).max()
+            if k in slots:
+                assert moved <= 1e-12, (name, k)
+            else:
+                assert moved > 0.1, (name, k)
 
 
 def test_operator_column_structure():
@@ -238,7 +271,7 @@ def test_operator_column_structure():
         for q in range(-q_max, q_max + 1):
             col = op.matrix[:, l * nd + q_max + q]
             nz = np.flatnonzero(np.abs(col) > 1e-12)
-            assert len(nz) == scheme.n_pilots
+            assert len(nz) == len(scheme.positions)
             assert np.abs(np.abs(col[nz]) - 1.0).max() < 1e-12
             rows = sorted(op.row_indices[nz].tolist())
             assert rows == sorted((m + q - p * l) % n for m in scheme.positions)
@@ -265,8 +298,11 @@ def test_operator_hit_pattern(mode, contiguous, sign, c2, start):
     n, l_taps, q_max, p, n_pilots = 256, 4, 2, 2, 3
     params = AfdmParams(n=n, chirp_num=p, chirp_sign=sign, c2=c2, cpp_len=(l_taps - 1) * p)
     scheme = PilotScheme.uniform(
-        params, n_pilots, l_taps, q_max, overlap_mode=mode, contiguous=contiguous, start=start
+        params, n_pilots, l_taps, q_max, overlap_mode=mode, contiguous=contiguous
     )
+    if start is not None:  # the same train, shifted mod n to its first pilot
+        shift = start - scheme.positions[0]
+        scheme = replace(scheme, positions=[(m + shift) % n for m in scheme.positions])
     op = build_measurement_operator(scheme, params, l_taps, q_max)
     nd = 2 * q_max + 1
     for l in range(l_taps):
@@ -362,10 +398,12 @@ def test_extract_measurements_examples():
     z = np.zeros_like(y)
     z[idx] = got
     assert np.array_equal(extract_measurements(z, idx), got)
-    # unsorted input is gathered in sorted order and still range-checked
-    assert np.array_equal(extract_measurements(y, [11, 3, 9]), got)
-    with pytest.raises(ValueError):
-        extract_measurements(y, [9, -1])
+    # indices that are not strictly increasing are refused, before the range
+    for idx in ([11, 3, 9], [9, -1], [3, 3, 9]):
+        with pytest.raises(ValueError, match="^observation indices must be strictly increasing$"):
+            extract_measurements(y, idx)
+    with pytest.raises(ValueError, match="^observation index out of range$"):
+        extract_measurements(y, [-1, 9])
 
 
 def window_shifts(op):

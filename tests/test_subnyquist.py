@@ -20,7 +20,6 @@ from afdm_sense import (
     extract_measurements,
     hihtp_recover,
     build_measurement_operator,
-    cpp_strip,
     idaft_modulate,
     observation_index_set,
     sample_profile,
@@ -173,7 +172,7 @@ def test_decimated_receiver_matches_full_rate(c2):
             assert np.linalg.norm(y_sub - y_full) / denom < 1e-12
 
 
-def test_prefixed_frame_refused_naming_cpp_strip():
+def test_prefixed_frame_refused_asking_to_strip_the_prefix():
     n, l_taps, q_max = 64, 3, 2
     params = AfdmParams(n=n, chirp_num=1, cpp_len=l_taps - 1)
     scheme = PilotScheme.uniform(params, 4, l_taps, q_max, overlap_mode="reduced")
@@ -184,9 +183,9 @@ def test_prefixed_frame_refused_naming_cpp_strip():
     with_prefix = np.concatenate([r[-params.cpp_len :] * 0, r])  # any prefix content
     for frame in (with_prefix, with_prefix[1:]):
         shape = rf"\({len(frame)},\)"
-        with pytest.raises(ValueError, match=rf"must have 64 samples, got {shape}; .*cpp_strip"):
+        with pytest.raises(ValueError, match=rf"must have 64 samples, got {shape}; strip the prefix"):
             dechirp_decimate_receive(frame, plan)
-    y = dechirp_decimate_receive(cpp_strip(with_prefix, params), plan)
+    y = dechirp_decimate_receive(with_prefix[params.cpp_len :], plan)
     assert y.tobytes() == dechirp_decimate_receive(r, plan).tobytes()
 
 
@@ -243,7 +242,7 @@ def test_colliding_fold_is_the_folded_operator(layout, chirp_sign, c2):
     plan = decimation_plan(op)
     assert plan.k_points == k_points and plan.decimation == n // k_points
     # the first window's rows represent every residue, in their order
-    window = len(op.row_indices) // scheme.n_pilots
+    window = len(op.row_indices) // len(scheme.positions)
     assert plan.op.shape[0] == window
     assert np.array_equal(plan.op.row_indices, op.row_indices[:window])
     assert np.array_equal(plan.bins, op.row_indices[:window] % k_points)
@@ -308,7 +307,9 @@ def test_collision_free_fold_is_the_full_rate_operator(train, chirp_sign, c2):
     if doc is None:
         l_taps, q_max = 3, 2
         params = AfdmParams(n=64, chirp_num=1, chirp_sign=chirp_sign, cpp_len=l_taps - 1, c2=c2)
-        scheme = PilotScheme.uniform(params, 4, l_taps, q_max, overlap_mode="reduced", start=14)
+        reduced = PilotScheme.uniform(params, 4, l_taps, q_max, overlap_mode="reduced")
+        shift = 14 - reduced.positions[0]  # the same train, its first pilot at 14
+        scheme = replace(reduced, positions=[(m + shift) % 64 for m in reduced.positions])
     else:
         cfg = ExperimentConfig.from_dict({**doc, "chirp_sign": chirp_sign, "c2": c2})
         l_taps, q_max, params = cfg.l_taps, cfg.q_max, cfg.params
