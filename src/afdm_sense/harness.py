@@ -15,10 +15,9 @@ identical records.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
-import logging
+import math
 import numbers
 import os
 import pickle
@@ -30,6 +29,16 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
+
+# CPython's own SHA-256: hashlib would map OpenSSL's libcrypto (3.3 MB of
+# the CLI process's peak) to hash one config
+try:
+    from _sha2 import sha256 as _sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10 and 3.11
+    except ImportError:  # a build without the builtin hashes
+        from hashlib import sha256 as _sha256
 
 from . import channel, daft_core, hihtp, sensing_model, subnyquist
 from .channel import (
@@ -63,8 +72,6 @@ __all__ = [
     "records_to_csv_str",
     "load_records_json",
 ]
-
-log = logging.getLogger(__name__)
 
 _THREAD_ENV = "AFDM_SENSE_THREADS"
 
@@ -233,7 +240,7 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         doc = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(doc.encode()).hexdigest()[:12]
+        return _sha256(doc.encode()).hexdigest()[:12]
 
     # -- serialization ---------------------------------------------------
 
@@ -313,6 +320,11 @@ class ResultRecord:
     trials_ok: int
     trials_failed: int
     master_seed: int
+
+
+_FLOAT_FIELDS = {
+    name for name, hint in typing.get_type_hints(ResultRecord).items() if hint is float
+}
 
 
 def _snr_key(snr_db: float) -> int:
@@ -420,7 +432,11 @@ class _TrialPool:
                 self._fork()
         except OSError as exc:  # out of processes or memory
             self.close()
-            log.warning("cannot fork trial workers (%s); running trials in this process", exc)
+            import logging  # imported only where a sweep logs
+
+            logging.getLogger(__name__).warning(
+                "cannot fork trial workers (%s); running trials in this process", exc
+            )
         except BaseException:
             self.close()
             raise
@@ -523,7 +539,11 @@ class _Cell(typing.NamedTuple):
 
 
 def _log_failure(index: int, cell: _Cell) -> None:
-    log.exception("trial %d failed (n_pilots=%d, snr=%.1f)", index, cell.n_p, cell.snr_db)
+    import logging  # imported only where a sweep logs
+
+    logging.getLogger(__name__).exception(
+        "trial %d failed (n_pilots=%d, snr=%.1f)", index, cell.n_p, cell.snr_db
+    )
 
 
 def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
@@ -697,7 +717,14 @@ def emit_report(records: list[ResultRecord], fmt: str, out_path) -> str:
     if fmt == "csv":
         text = records_to_csv_str(records)
     elif fmt == "json":
-        text = json.dumps([asdict(r) for r in records], indent=2) + "\n"
+        # JSON has no non-finite numbers: such a float is written as the CSV
+        # spells it ("nan", "inf" or "-inf"), and load_records_json reads it back
+        docs = [
+            {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in asdict(r).items()}
+            for r in records
+        ]
+        text = json.dumps(docs, indent=2, allow_nan=False) + "\n"
     else:
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -706,8 +733,16 @@ def emit_report(records: list[ResultRecord], fmt: str, out_path) -> str:
 
 
 def load_records_json(path) -> list[ResultRecord]:
+    """Records that ``emit_report`` wrote as json, each float field as written."""
     with open(path, encoding="utf-8") as fh:
-        return [ResultRecord(**doc) for doc in json.load(fh)]
+        docs = json.load(fh)
+    # a non-finite float comes back from its string; a finite one keeps its
+    # JSON form, so an integral config float still writes as the CSV did
+    return [
+        ResultRecord(**{k: float(v) if isinstance(v, str) and k in _FLOAT_FIELDS else v
+                        for k, v in doc.items()})
+        for doc in docs
+    ]
 
 
 # (module, name, value) of every public callable a trial can reach, as imported

@@ -1,4 +1,7 @@
+import dataclasses
 import gc
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -556,6 +559,32 @@ def test_htp_solver_path():
     assert rec.mse <= 1e-10
 
 
+def test_json_report_is_strict_json_with_non_finite_floats(tmp_path):
+    # an all-failed cell has a NaN MSE; JSON has no token for it, so it is
+    # written as the CSV spells it and read back to the same CSV bytes, while
+    # an integral rate (a config's "bandwidth_hz": 30000000) stays integral
+    record = run_monte_carlo(small_config(trials=2))[0]
+    records = [
+        dataclasses.replace(record, mse=math.nan, mse_stderr=0.0, support_rate=0.0,
+                            mean_iterations=0.0, trials_ok=0, trials_failed=2),
+        dataclasses.replace(record, mse=math.inf, mse_stderr=-math.inf, snr_db=20.0,
+                            f_s_hz=30000000),
+    ]
+    path = emit_report(records, "json", tmp_path / "out.json")
+    text = Path(path).read_text()
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    docs = json.loads(text, parse_constant=refuse)
+    assert [(d["mse"], d["mse_stderr"]) for d in docs] == [("nan", 0.0), ("inf", "-inf")]
+    loaded = load_records_json(path)
+    assert records_to_csv_str(loaded) == records_to_csv_str(records)
+    assert math.isnan(loaded[0].mse) and loaded[1:] == records[1:]
+    _, nan_row, inf_row = records_to_csv_str(loaded).splitlines()
+    assert ",nan," in nan_row and ",inf," in inf_row and ",30000000," in inf_row
+
+
 def test_emit_csv_json_roundtrip(tmp_path):
     records = run_monte_carlo(small_config(trials=5))
     csv_path = emit_report(records, "csv", tmp_path / "out.csv")
@@ -659,7 +688,12 @@ def test_dechirp_trials_run_on_the_plans_fold(monkeypatch):
         run_monte_carlo(cfg)
 
 
-def test_failed_trials_counted_not_fatal(monkeypatch):
+def harness_log(caplog):
+    return [(r.levelname, r.getMessage(), r.exc_info) for r in caplog.records
+            if r.name == "afdm_sense.harness"]
+
+
+def test_failed_trials_counted_not_fatal(monkeypatch, caplog):
     # the call counter lives in one process, so the trials run serially
     monkeypatch.setenv("AFDM_SENSE_THREADS", "1")
     original = harness._run_trial
@@ -675,6 +709,10 @@ def test_failed_trials_counted_not_fatal(monkeypatch):
     rec = run_monte_carlo(small_config(trials=6))[0]
     assert rec.trials_failed == 1
     assert rec.trials_ok == 5
+    # the failure is logged once, with the exception that ended the trial
+    [(level, message, exc_info)] = harness_log(caplog)
+    assert (level, message) == ("ERROR", "trial 2 failed (n_pilots=4, snr=1000.0)")
+    assert exc_info[0] is RuntimeError and str(exc_info[1]) == "synthetic failure"
 
 
 def test_failed_trials_in_workers_are_counted(monkeypatch):
@@ -857,12 +895,18 @@ def test_sweep_without_fork_runs_in_process(monkeypatch):
     assert sweep_trial_pids(monkeypatch) == {os.getpid()}
 
 
-def test_sweep_runs_in_process_when_fork_fails(monkeypatch):
+def test_sweep_runs_in_process_when_fork_fails(monkeypatch, caplog):
     def refuse():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(harness.os, "fork", refuse)
     assert sweep_trial_pids(monkeypatch) == {os.getpid()}
+    assert harness_log(caplog) == [(
+        "WARNING",
+        "cannot fork trial workers ([Errno 11] Resource temporarily unavailable); "
+        "running trials in this process",
+        None,
+    )]
 
 
 def test_sweep_runs_in_process_beside_other_threads(monkeypatch):
@@ -945,23 +989,51 @@ def test_serial_sweep_forms_no_residual(monkeypatch):
     assert not calls
 
 
-def test_subnyquist_sweep_does_not_import_numpy_ma():
+def test_import_and_serial_sweep_leave_unread_modules_unmapped():
+    # hashlib maps OpenSSL's libcrypto, and logging is read only when a trial
+    # or a fork fails; numpy.random, which a trial imports, maps OpenSSL itself
     src = Path(harness.__file__).resolve().parents[1]
     code = (
         "import sys\n"
+        "import afdm_sense.cli\n"
         "from afdm_sense import ExperimentConfig, run_monte_carlo\n"
         "cfg = ExperimentConfig(n=64, l_taps=3, q_max=2, model='type2', p_delay=0.3,\n"
         "    p_doppler=0.3, trials=2, n_pilots=(6,), overlap_mode='reduced',\n"
         "    receiver='subnyquist')\n"
+        "cfg.config_hash()\n"
+        "print(sorted(m for m in ('_hashlib', 'logging') if m in sys.modules))\n"
         "assert run_monte_carlo(cfg)[0].trials_ok == 2\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print(sorted(m for m in ('logging', 'numpy.ma') if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src), AFDM_SENSE_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    imported, swept = proc.stdout.splitlines()
+    # without a builtin SHA-256 the hash takes hashlib's, and OpenSSL with it
+    builtin_sha = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
+    assert imported == ("[]" if builtin_sha else "['_hashlib']")
+    assert swept == "[]"
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},  # type3, the hierarchical pursuit, full rate
+        dict(model="type2", p_delay=0.3, p_doppler=0.3, cluster_len=None, n_pilots=(6,),
+             overlap_mode="reduced", receiver="subnyquist", include_cpp_in_duration=True),
+        dict(solver="htp", htp_sparsity=5, snr_db=(10.0, 20.0)),
+        dict(n=np.int64(64), p_delay=np.float64(0.5), pilot_amplitude=np.float32(2.0),
+             n_pilots=np.array([4, 5])),
+    ],
+    ids=["type3", "subnyquist", "htp", "numpy_scalars"],
+)
+def test_config_hash_is_sha256_of_the_sorted_config(overrides):
+    # the builtin digest is OpenSSL's: every config_hash an earlier build wrote stays
+    cfg = small_config(**overrides)
+    doc = json.dumps(cfg.to_dict(), sort_keys=True)
+    assert cfg.config_hash() == hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 
 def test_cli_overhead_and_rate(capsys):
